@@ -62,7 +62,10 @@ from .spectrum import (
     SpectrumReport,
     assemble,
     char_poly_eval,
+    count_right_of,
     eigenvalues_on_H,
+    ring_abscissa,
+    rightmost_eigenvalue,
     transfer_product,
 )
 from .stability import (
@@ -70,6 +73,7 @@ from .stability import (
     MarginVerdict,
     TwoPhaseReport,
     critical_penetration,
+    fleet_abscissa,
     gamma_squared,
     log_gain,
     min_unstable_size,

@@ -1,11 +1,9 @@
-"""Small scalar-search and scheduling helpers used across modules."""
+"""Small scalar-search and rounding helpers used across modules."""
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -92,25 +90,3 @@ def largest_remainder(rates: Sequence[float], total: int) -> list[int]:
     for i in order[:short]:
         base[i] += 1
     return base
-
-
-def thread_count(n_items: int) -> int:
-    """Worker count for sweep parallelism; RINGWAVE_THREADS caps it (0 = auto)."""
-    raw = os.environ.get("RINGWAVE_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_items))
-
-
-def parallel_map(fn: Callable, items: Iterable) -> list:
-    """Ordered map over ``items``, threaded when the sweep is large enough."""
-    items = list(items)
-    workers = thread_count(len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

@@ -18,7 +18,6 @@ import jsonschema
 import numpy as np
 
 from . import _svg
-from ._numerics import largest_remainder, parallel_map
 from .equilibrium import (
     Composition,
     PopulationSpec,
@@ -57,6 +56,7 @@ from .stability import (
     ABSCISSA_TOL,
     _margin_window,
     critical_penetration,
+    fleet_abscissa,
     log_gain,
     multi_phase_margin,
 )
@@ -546,14 +546,9 @@ def cmd_sweep(config: dict, out: Path, deterministic: bool) -> int:
     rate = float(config["sweep"]["rate_class1"])
     n_totals = config["sweep"]["n_totals"]
 
-    def abscissa_at(n: int) -> float:
-        counts = largest_remainder([rate, 1.0 - rate], n)
-        ring = tuple(t for t, c in zip(trios, counts) for _ in range(c))
-        return eigenvalues_on_H(RingSystem(ring)).abscissa
-
-    abscissas = parallel_map(abscissa_at, n_totals)
     rows = []
-    for n, ab in zip(n_totals, abscissas):
+    for n in n_totals:
+        ab = fleet_abscissa(trios, [rate, 1.0 - rate], n)
         if ab > ABSCISSA_TOL:
             verdict = "unstable"
         elif ab < -ABSCISSA_TOL:

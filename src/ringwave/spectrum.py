@@ -12,6 +12,13 @@ spectrum of M is its full spectrum minus the structural simple eigenvalue at
 zero.  Two independent reformulations are provided for cross-checking: the
 characteristic polynomial in product form and the transfer product whose
 unit level set characterizes the eigenvalues.
+
+Because the transfer product depends only on the multiset of trios, a fleet
+given as classes ``(trios, counts)`` has its eigenvalues at the zeros of
+``1 - F`` with ``F = prod_k T_k^{n_k}``.  :func:`count_right_of` counts them
+right of a vertical line by the argument principle and :func:`ring_abscissa`
+locates the rightmost one by Newton's method, certified by that count; both
+cost O(K) per sample point and never form the ring matrix.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -167,3 +175,303 @@ def transfer_product(sys: RingSystem, z: complex) -> complex:
     if acc.real > 700.0:  # would overflow exp; the product is effectively infinite
         return complex(math.inf, math.inf)
     return cmath.exp(acc)
+
+
+# Fleets as class multisets: winding counts and a certified abscissa.
+#
+# Along a vertical line Re(lam) = s the phase of 1 - F is sampled on a grid
+# that is refined until no step between neighbours exceeds _MAX_PHASE_STEP,
+# neither in arg(1 - F) nor in the continuous phase Im(log F), nor (where |F|
+# is near one) in log|F|.  The continuous phase is summed from the angles of
+# F's linear factors, whose change between two samples is always below pi,
+# so it is exact on any grid.
+
+_MAX_PHASE_STEP = math.pi / 4
+# |log|F|| below this marks the band where log|F| is resolved as well
+_NEAR_UNIT_LOG = 3.0
+# log|F| below this is negligible: the phase of F needs no resolving there
+_NEGLIGIBLE_LOG = -30.0
+# each refinement round cuts every unresolved interval into _SPLIT pieces
+_SPLIT = 4
+_SPLIT_AT = np.arange(1, _SPLIT)[:, None] / _SPLIT
+_MAX_ROUNDS = 60
+# a winding total further than this from a multiple of pi is not trusted
+_TURN_SLACK = 0.25
+# half-width of the abscissa certificate, relative to max(1, |abscissa|)
+_CERT_RTOL = 1e-10
+# relative width at which the fallback bisection on the count stops
+_BISECT_RTOL = 1e-12
+# Newton seeds sit where the phase of F crosses a multiple of this; eigenvalues
+# near the axis sit at multiples of 2 pi, the extra seeds serve small fleets
+_SEED_PHASE = math.pi / 2
+_NEWTON_ITERS = 60
+_NEWTON_RESIDUAL = 1e-9
+
+
+@dataclass(frozen=True, eq=False)
+class _Classes:
+    """Trios with positive counts as column arrays, plus the roots of each q_k."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    count: np.ndarray
+    roots: np.ndarray  # (K, 2) roots of lam^2 + beta lam + alpha
+
+
+def _classes(trios: Sequence[LinearTrio], counts: Sequence[int]) -> _Classes:
+    if len(trios) != len(counts) or len(trios) < 1:
+        raise ValueError("need matching, nonempty trio and count lists")
+    if any(c < 0 or c != int(c) for c in counts):
+        raise ValueError(f"counts must be nonnegative integers, got {list(counts)}")
+    kept = [(t, int(c)) for t, c in zip(trios, counts) if c > 0]
+    if not kept:
+        raise ValueError("a ring system needs at least one vehicle")
+    alpha = np.array([[t.alpha] for t, _ in kept])
+    beta = np.array([[t.beta] for t, _ in kept])
+    gamma = np.array([[t.gamma] for t, _ in kept])
+    disc = np.sqrt((beta * beta - 4.0 * alpha).astype(complex))
+    return _Classes(
+        alpha=alpha,
+        beta=beta,
+        gamma=gamma,
+        count=np.array([[float(c)] for _, c in kept]),
+        roots=np.hstack([(-beta + disc) / 2.0, (-beta - disc) / 2.0]),
+    )
+
+
+def _wrap(a):
+    return (a + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def _log_product(cls: _Classes, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``log|F|`` and ``Im log F`` (modulo 2 pi) at the points ``lam``.
+
+    Each factor is written ``T_k = 1 + u_k`` with ``u_k = lam (gamma_k -
+    beta_k - lam) / q_k(lam)``, so the logs stay accurate next to the
+    structural zero, where every ``T_k`` is close to one.
+    """
+    q = lam * (lam + cls.beta) + cls.alpha
+    u = lam * (cls.gamma - cls.beta - lam) / q
+    log_abs = 0.5 * np.log1p(u.real * (2.0 + u.real) + u.imag * u.imag)
+    arg = np.arctan2(u.imag, 1.0 + u.real)
+    return (cls.count * log_abs).sum(axis=0), (cls.count * arg).sum(axis=0)
+
+
+def _arg_one_minus_exp(g_re: np.ndarray, g_im: np.ndarray) -> np.ndarray:
+    """Principal ``arg(1 - e^g)``; taken via ``-e^g (1 - e^-g)`` where ``|e^g| > 1``."""
+    big = g_re > 0.0
+    a = np.where(big, -g_re, g_re)
+    b = np.where(big, -g_im, g_im)
+    # 1 - e^(a+ib) = -(expm1(a) cos b - 2 sin^2(b/2)) - i e^a sin b, exact near a = b = 0
+    half = np.sin(0.5 * b)
+    re = 2.0 * half * half - np.expm1(a) * np.cos(b)
+    im = -np.exp(a) * np.sin(b)
+    phi = np.arctan2(im, re)
+    return np.where(big, _wrap(phi + g_im + math.pi), phi)
+
+
+def _tail_start(cls: _Classes) -> float:
+    """Height beyond which ``|F(s + ix)| < 1`` on every vertical line.
+
+    With ``R_k`` the largest root modulus of ``q_k``,
+    ``|q_k| >= (|lam| - R_k)^2 > gamma_k |lam| + alpha_k >= |p_k|`` once
+    ``|lam| >= R_k + gamma_k + sqrt(alpha_k) + sqrt(gamma_k R_k) + 1``, and
+    ``|lam| >= x``; so each factor, and the product, has modulus below one.
+    """
+    r = np.abs(cls.roots).max(axis=1, keepdims=True)
+    bound = r + cls.gamma + np.sqrt(cls.alpha) + np.sqrt(cls.gamma * r) + 1.0
+    return float(bound.max())
+
+
+def _sample_line(cls: _Classes, s: float, x: np.ndarray) -> np.ndarray:
+    """Rows ``log|F|``, ``arg(1 - F)`` and the angles of F's linear factors at ``s + ix``."""
+    g_re, g_im = _log_product(cls, s + 1j * x)
+    centers = (-cls.alpha / cls.gamma, cls.roots[:, :1], cls.roots[:, 1:])
+    angles = [np.arctan2(x - c.imag, s - c.real) for c in centers]
+    return np.vstack([g_re, _arg_one_minus_exp(g_re, g_im)] + angles)
+
+
+def _resolve_line(cls: _Classes, s: float, *, winding: bool):
+    """Intervals covering the half line ``s + ix``, ``0 <= x <= x_tail``, fine enough to count on.
+
+    Unresolved intervals are cut into ``_SPLIT`` pieces, round after round,
+    until none is left; each round evaluates only the new points.  Returns,
+    per interval in no particular order, its ends, the exact increment of
+    ``Im log F`` and the increment of ``arg(1 - F)``, followed by
+    ``arg(1 - F)`` at ``x_tail``.  With ``winding=False`` only the continuous
+    phase of F is resolved.
+    """
+    x_tail = _tail_start(cls)
+    x = np.unique(
+        np.concatenate(
+            (
+                [0.0],
+                np.geomspace(x_tail * 1e-6, x_tail, 64),
+                np.linspace(0.0, x_tail, 4 * int(cls.count.sum()) + 64),
+            )
+        )
+    )
+    # +1 for each zero of F (at -alpha/gamma), -1 for each pole (roots of q)
+    weight = np.concatenate((cls.count, -cls.count, -cls.count)).ravel()
+    done = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        data = _sample_line(cls, s, x)
+        arg_tail = float(data[1, -1])
+        xa, xb, da, db = x[:-1], x[1:], data[:, :-1], data[:, 1:]
+        for _ in range(_MAX_ROUNDS):
+            d_phase = weight @ _wrap(db[2:] - da[2:])
+            d_arg = _wrap(db[1] - da[1])
+            # where |F| is negligible at both ends, 1 - F stays next to 1 whatever
+            # the phase of F does (F vanishes at -alpha/gamma, which a line may cross)
+            bad = ~(np.abs(d_phase) <= _MAX_PHASE_STEP)
+            bad &= np.maximum(da[0], db[0]) > _NEGLIGIBLE_LOG
+            if winding:
+                near_unit = np.minimum(np.abs(da[0]), np.abs(db[0])) < _NEAR_UNIT_LOG
+                bad |= ~(np.abs(d_arg) <= _MAX_PHASE_STEP)
+                bad |= near_unit & ~(np.abs(db[0] - da[0]) <= _MAX_PHASE_STEP)
+            ok = ~bad
+            done.append((xa[ok], xb[ok], d_phase[ok], d_arg[ok]))
+            if not bad.any():
+                parts = [np.concatenate(col) for col in zip(*done)]
+                return (*parts, arg_tail)
+            lo, hi = xa[bad], xb[bad]
+            cut = lo + np.outer(_SPLIT_AT, hi - lo)  # (_SPLIT - 1, m) inner points
+            if np.any(cut[0] <= lo) or np.any(cut[-1] >= hi) or np.any(cut[1:] <= cut[:-1]):
+                break
+            xs = np.vstack((lo, cut, hi))
+            inner = _sample_line(cls, s, cut.ravel()).reshape(-1, *cut.shape)
+            ds = np.concatenate((da[:, None, bad], inner, db[:, None, bad]), axis=1)
+            rows = len(ds)
+            xa, xb = xs[:-1].ravel(), xs[1:].ravel()
+            da, db = ds[:, :-1].reshape(rows, -1), ds[:, 1:].reshape(rows, -1)
+    raise FloatingPointError(f"phase of 1 - F along Re(lambda) = {s} could not be resolved")
+
+
+def count_right_of(
+    trios: Sequence[LinearTrio], counts: Sequence[int], s: float
+) -> int:
+    """Number of eigenvalues with ``Re(lambda) > s``, the structural zero excluded.
+
+    ``counts[k]`` vehicles share ``trios[k]``; the answer holds for every
+    ordering of the ring.  Eigenvalues are the zeros of ``1 - F``; the
+    argument principle on the half plane right of the line gives their
+    number as the winding of ``1 - F`` along the line (taken on ``x >= 0``
+    and doubled by conjugate symmetry) plus the poles of F right of the line,
+    ``counts[k]`` at each root of ``q_k`` there.  The zero at the origin is
+    subtracted when ``s < 0``; ``s = 0`` is refused, since the line passes
+    through it.  Raises :class:`PoleError` if the line passes through a pole
+    and ``FloatingPointError`` if the phase cannot be resolved.
+    """
+    return _count_right_of(_classes(trios, counts), float(s))
+
+
+def _count_right_of(cls: _Classes, s: float) -> int:
+    if s == 0.0:
+        raise ValueError("the line Re(lambda) = 0 passes through the structural zero")
+    if np.any(cls.roots.real == s):
+        raise PoleError(f"the line Re(lambda) = {s} passes through a pole")
+    *_, d_arg, arg_tail = _resolve_line(cls, s, winding=True)
+    # arg(1 - F) tends to 0 beyond the tail start, where Re(1 - F) > 0
+    half_turns = (math.fsum(d_arg) - arg_tail) / math.pi
+    k = round(half_turns)
+    if abs(half_turns - k) > _TURN_SLACK:
+        raise FloatingPointError(f"winding along Re(lambda) = {s} is not a whole count")
+    poles = int((cls.count * (cls.roots.real > s)).sum())
+    return poles - k - (1 if s < 0.0 else 0)
+
+
+def _newton_roots(cls: _Classes, lam: np.ndarray) -> np.ndarray:
+    """Roots of ``F = 1`` reached by Newton on ``log F - 2 pi i m`` from each seed.
+
+    The branch ``m`` is whichever is nearest at each step, so every converged
+    iterate is an eigenvalue; seeds that diverge or stall are dropped.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_ITERS):
+            g_re, g_im = _log_product(cls, lam)
+            q = lam * (lam + cls.beta) + cls.alpha
+            d_log = cls.gamma / (cls.gamma * lam + cls.alpha) - (2.0 * lam + cls.beta) / q
+            dg = (cls.count * d_log).sum(axis=0)
+            step = (g_re + 1j * _wrap(g_im)) / dg
+            lam = lam - step
+            if not np.any(np.abs(step) > 4e-16 * (1.0 + np.abs(lam))):
+                break
+        g_re, g_im = _log_product(cls, lam)
+        residual = np.abs(g_re + 1j * _wrap(g_im))
+    return lam[residual <= _NEWTON_RESIDUAL]
+
+
+def _axis_seeds(cls: _Classes) -> np.ndarray:
+    """Points ``ix``, ``x > 0``, where ``Im log F(ix)`` crosses a multiple of pi/2."""
+    xa, xb, d_phase, _, _ = _resolve_line(cls, 0.0, winding=False)
+    order = np.argsort(xa)
+    x = np.append(xa[order], xb[order[-1]])
+    phase = np.concatenate(([0.0], np.cumsum(d_phase[order])))  # F(0) = 1
+    turns = np.floor(phase / _SEED_PHASE)
+    i = np.flatnonzero(turns[1:] != turns[:-1])
+    level = _SEED_PHASE * np.maximum(turns[i], turns[i + 1])
+    x_cross = x[i] + (level - phase[i]) / (phase[i + 1] - phase[i]) * (x[i + 1] - x[i])
+    return 1j * x_cross[x_cross > 0.0]
+
+
+def rightmost_eigenvalue(trios: Sequence[LinearTrio], counts: Sequence[int]) -> complex:
+    """Eigenvalue of largest real part of the ring with ``counts[k]`` vehicles of ``trios[k]``.
+
+    The structural zero is excluded; the real part is the same for every
+    ordering, and the imaginary part is the angular frequency of the
+    fastest-growing (or slowest-decaying) wave.  Newton on
+    ``log F = 2 pi i m`` starts at every crossing of a multiple of pi/2 by
+    the phase of F along the imaginary axis, all seeds at once.  The
+    rightmost converged root ``a`` is certified by :func:`count_right_of`:
+    no eigenvalue right of ``Re a + d`` and at least one right of
+    ``Re a - d``, with ``d = 1e-10 max(1, |Re a|)``.  If the certificate
+    fails, the abscissa is bracketed by bisection on the count and the root
+    polished by Newton.
+    """
+    cls = _classes(trios, counts)
+    # F(lam) - 1 ~ F'(0) lam: a root this close to the origin is the structural zero
+    slope0 = abs(float((cls.count * (cls.gamma - cls.beta) / cls.alpha).sum()))
+    zero_gap = 1e-6 * 2.0 * math.pi / slope0
+    # a real eigenvalue has no axis crossing; each class alone has one at gamma - beta
+    seeds = np.concatenate((_axis_seeds(cls), (cls.gamma - cls.beta).ravel()))
+    roots = _newton_roots(cls, seeds.astype(complex))
+    roots = roots[np.abs(roots) > zero_gap]
+    # every eigenvalue lies in a Gershgorin disc of the ring matrix
+    hi = 2.0 + float(cls.alpha.max())
+    lo = -3.0 - float((cls.alpha + cls.beta + cls.gamma).max())
+    if roots.size:
+        top = complex(roots[np.argmax(roots.real)])
+        d = _CERT_RTOL * max(1.0, abs(top.real))
+        # (neither line may be the one through the structural zero)
+        above, below = top.real + d or 0.5 * d, top.real - d or -0.5 * d
+        if _count_right_of(cls, above) == 0:
+            if _count_right_of(cls, below) >= 1:
+                return top
+            hi = below
+        else:
+            lo = above
+    while hi - lo > _BISECT_RTOL * max(1.0, abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi) or 0.5 * hi  # lo < 0 < hi: step off the zero line
+        if _count_right_of(cls, mid) == 0:
+            hi = mid
+        else:
+            lo = mid
+    # polish from where the phase of 1 - F turns fastest along Re(lambda) = lo
+    xa, xb, _, d_arg, _ = _resolve_line(cls, lo, winding=True)
+    pick = np.argsort(np.abs(d_arg) / (xb - xa))[-8:]
+    roots = _newton_roots(cls, lo + 0.5j * (xa[pick] + xb[pick]))
+    tol = _BISECT_RTOL * max(1.0, abs(lo), abs(hi))
+    roots = roots[(roots.real >= lo - tol) & (roots.real <= hi + tol)]
+    if not roots.size:
+        raise FloatingPointError(f"no eigenvalue found in the certified strip [{lo}, {hi}]")
+    return complex(roots[np.argmax(roots.real)])
+
+
+def ring_abscissa(trios: Sequence[LinearTrio], counts: Sequence[int]) -> float:
+    """Spectral abscissa of the ring with ``counts[k]`` vehicles of ``trios[k]``.
+
+    The structural zero is excluded and the value holds for every ordering;
+    it is the real part of :func:`rightmost_eigenvalue`.
+    """
+    return rightmost_eigenvalue(trios, counts).real

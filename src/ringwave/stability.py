@@ -25,7 +25,7 @@ import numpy as np
 
 from ._numerics import golden_max, largest_remainder
 from .linearize import LinearTrio, discriminant
-from .spectrum import RingSystem, eigenvalues_on_H
+from .spectrum import ring_abscissa
 
 GRID_POINTS = 4096
 
@@ -281,6 +281,17 @@ def multi_phase_tau1(
     return hi
 
 
+def fleet_abscissa(
+    trios: Sequence[LinearTrio], rates: Sequence[float], n: int
+) -> float:
+    """Spectral abscissa of ``n`` vehicles split by ``rates`` (largest remainder).
+
+    The ring's class multiset fixes it for every ordering; see
+    :func:`~ringwave.spectrum.ring_abscissa`.
+    """
+    return ring_abscissa(trios, largest_remainder(rates, n))
+
+
 def min_unstable_size(
     trios: Sequence[LinearTrio],
     rates: Sequence[float],
@@ -300,13 +311,6 @@ def min_unstable_size(
     if n_max < 2:
         return None
 
-    def abscissa_at(n: int) -> float:
-        counts = largest_remainder(rates, n)
-        ring = tuple(
-            t for t, c in zip(trios, counts) for _ in range(c)
-        )
-        return eigenvalues_on_H(RingSystem(ring)).abscissa
-
     candidates: list[int] = []
     n = 2
     while n < n_max:
@@ -317,13 +321,13 @@ def min_unstable_size(
     prev_miss = 1
     hit = None
     for n in candidates:
-        if abscissa_at(n) > ABSCISSA_TOL:
+        if fleet_abscissa(trios, rates, n) > ABSCISSA_TOL:
             hit = n
             break
         prev_miss = n
     if hit is None:
         return None
     for n in range(prev_miss + 1, hit):
-        if abscissa_at(n) > ABSCISSA_TOL:
+        if fleet_abscissa(trios, rates, n) > ABSCISSA_TOL:
             return n
     return hit

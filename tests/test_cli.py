@@ -320,22 +320,3 @@ def test_invalid_json_exits_2(tmp_path):
 
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["tau0", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
-
-
-def test_sweep_parallelism_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("RINGWAVE_THREADS", "2")
-    payload = {
-        "schema_version": 1,
-        "populations": [
-            {"class_id": 1, "model": MODEL_1},
-            {"class_id": 2, "model": MODEL_2},
-        ],
-        "equilibrium": EQ_BY_HEADWAY,
-        "sweep": {"n_totals": [6, 10, 14, 18], "rate_class1": 0.8},
-    }
-    cfg = write_config(tmp_path, payload)
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["sweep", "--config", cfg, "--out", str(out_a), "--deterministic"]) == 0
-    monkeypatch.setenv("RINGWAVE_THREADS", "1")
-    assert main(["sweep", "--config", cfg, "--out", str(out_b), "--deterministic"]) == 0
-    assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()

@@ -242,8 +242,9 @@ def test_min_unstable_size_stable_composition():
 
 
 def test_min_unstable_size_straddles_critical_rate(ref_trios):
-    # +-0.03 keeps the true abscissas clear of dense-eigensolver noise,
-    # which reaches ~1e-6 on these nonnormal matrices beyond ~1000 vehicles
+    # the abscissas are certified winding counts, free of eigensolver noise;
+    # +-0.03 keeps the rounded class counts of small fleets on the intended
+    # side of tau0 (at tau0 + 0.003, 19 + 3 vehicles still read unstable)
     t1, t2 = ref_trios
     tau0 = critical_penetration(t1, t2).tau0
     below = min_unstable_size([t1, t2], [tau0 - 0.03, 1 - (tau0 - 0.03)], 512)
