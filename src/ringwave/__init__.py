@@ -76,6 +76,7 @@ from .stability import (
     fleet_abscissa,
     gamma_squared,
     log_gain,
+    margin_curve,
     min_unstable_size,
     multi_phase_margin,
     multi_phase_tau1,

@@ -8,6 +8,9 @@ from typing import Callable, Sequence
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
+# cap on halvings; a bracket spanning a few binades reaches machine precision in about 60
+_BISECT_MAX_ITER = 200
+
 
 def bisect_root(
     fn: Callable[[float], float],
@@ -16,14 +19,12 @@ def bisect_root(
     *,
     f_lo: float | None = None,
     f_hi: float | None = None,
-    xtol: float = 0.0,
     ftol: float = 0.0,
-    max_iter: int = 200,
 ) -> float:
     """Bisection root of ``fn`` on [lo, hi]; the endpoint values must straddle zero.
 
-    With ``xtol=0`` and ``ftol=0`` the bracket is shrunk until the midpoint can
-    no longer be distinguished from an endpoint (machine precision).
+    Stops when ``|fn(mid)| <= ftol`` or when the midpoint can no longer be
+    distinguished from an endpoint (machine precision).
     """
     flo = fn(lo) if f_lo is None else f_lo
     if flo == 0.0:
@@ -33,7 +34,7 @@ def bisect_root(
         return hi
     if (flo < 0.0) == (fhi < 0.0):
         raise ValueError(f"no sign change on bracket [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -44,8 +45,6 @@ def bisect_root(
             lo, flo = mid, fm
         else:
             hi, fhi = mid, fm
-        if xtol and hi - lo <= xtol:
-            break
     return 0.5 * (lo + hi)
 
 

@@ -13,6 +13,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Sequence
 
 import jsonschema
 import numpy as np
@@ -35,7 +36,7 @@ from .errors import (
     NoEquilibriumError,
     PoleError,
 )
-from .linearize import TOL_ZERO, classify, discriminant, linearize
+from .linearize import TOL_ZERO, LinearTrio, classify, discriminant, linearize
 from .model import (
     BandoFtl,
     VelocityPreference,
@@ -51,15 +52,18 @@ from .sim import (
     SinusoidalMode,
     simulate,
 )
-from .spectrum import RingSystem, eigenvalues_on_H
+from .spectrum import RingSystem, eigenvalues_on_H, ring_abscissa
 from .stability import (
     ABSCISSA_TOL,
-    _margin_window,
     critical_penetration,
     fleet_abscissa,
-    log_gain,
+    margin_curve,
     multi_phase_margin,
 )
+
+# dense and certified abscissas further apart than this, relative to
+# max(1, |certified|), mean the dense eigensolver lost the rightmost eigenvalue
+_SPECTRUM_AGREE_RTOL = 1e-6
 
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
@@ -297,12 +301,12 @@ def _build_model(cfg: dict) -> BandoFtl:
     return BandoFtl(a=cfg["a"], b=cfg["b"], pref=_build_preference(cfg["preference"]))
 
 
-def _build_populations(cfgs: list[dict], *, default_count: int = 0) -> list[PopulationSpec]:
+def _build_populations(cfgs: list[dict]) -> list[PopulationSpec]:
     return [
         PopulationSpec(
             class_id=c["class_id"],
             model=_build_model(c["model"]),
-            count=c.get("count", default_count),
+            count=c.get("count", 0),
         )
         for c in cfgs
     ]
@@ -320,25 +324,28 @@ def _build_composition(cfg: dict) -> Composition:
     return Composition(populations=pops, ordering=ordering)
 
 
-def _resolve_equilibrium(eq_cfg: dict, comp: Composition):
+def _resolve_v_bar(eq_cfg: dict, populations: Sequence[PopulationSpec]) -> float:
+    """Common speed of an equilibrium given by ``v_bar`` or by ``class_headway``."""
     if "v_bar" in eq_cfg:
-        return equilibrium_from_velocity(comp, eq_cfg["v_bar"])
-    if "length" in eq_cfg:
-        return equilibrium_from_length(comp, eq_cfg["length"])
-    ch = eq_cfg["class_headway"]
-    model = comp.model_of(ch["class_id"])
-    v_bar = eval_preference(model.pref, ch["headway"])
-    return equilibrium_from_velocity(comp, v_bar)
-
-
-def _resolve_v_bar(eq_cfg: dict, populations: list[PopulationSpec]) -> float:
-    if "v_bar" in eq_cfg:
-        return float(eq_cfg["v_bar"])
+        return eq_cfg["v_bar"]
     ch = eq_cfg["class_headway"]
     for p in populations:
         if p.class_id == ch["class_id"]:
             return eval_preference(p.model.pref, ch["headway"])
     raise ConfigError(f"class_headway refers to unknown class {ch['class_id']}")
+
+
+def _resolve_equilibrium(eq_cfg: dict, comp: Composition):
+    if "length" in eq_cfg:
+        return equilibrium_from_length(comp, eq_cfg["length"])
+    return equilibrium_from_velocity(comp, _resolve_v_bar(eq_cfg, comp.populations))
+
+
+def _trios_at_common_speed(config: dict) -> tuple[list[PopulationSpec], list[LinearTrio]]:
+    """The config's populations and the trio of each at the configured common speed."""
+    pops = _build_populations(config["populations"])
+    v_bar = _resolve_v_bar(config["equilibrium"], pops)
+    return pops, [linearize(p.model, preferred_headway(p.model, v_bar), v_bar) for p in pops]
 
 
 def _cell(v) -> str:
@@ -401,12 +408,8 @@ def cmd_linearize(config: dict, out: Path, deterministic: bool) -> int:
 
 
 def cmd_tau0(config: dict, out: Path, deterministic: bool) -> int:
-    pops = _build_populations(config["populations"], default_count=1)
-    v_bar = _resolve_v_bar(config["equilibrium"], pops)
-    trios = {}
-    for p in pops:
-        h = preferred_headway(p.model, v_bar)
-        trios[p.class_id] = linearize(p.model, h, v_bar)
+    pops, trio_list = _trios_at_common_speed(config)
+    trios = {p.class_id: t for p, t in zip(pops, trio_list)}
     deltas = {cid: discriminant(t) for cid, t in trios.items()}
     ids = [p.class_id for p in pops]
 
@@ -443,9 +446,7 @@ def cmd_tau0(config: dict, out: Path, deterministic: bool) -> int:
 
 
 def cmd_margin(config: dict, out: Path, deterministic: bool) -> int:
-    pops = _build_populations(config["populations"])
-    v_bar = _resolve_v_bar(config["equilibrium"], pops)
-    trios = [linearize(p.model, preferred_headway(p.model, v_bar), v_bar) for p in pops]
+    pops, trios = _trios_at_common_speed(config)
     counts = [p.count for p in pops]
     rep = multi_phase_margin(trios, counts)
     _write_csv(
@@ -456,13 +457,7 @@ def cmd_margin(config: dict, out: Path, deterministic: bool) -> int:
     )
     print(f"sup margin = {rep.sup_margin} at y = {rep.argmax_y}: {rep.verdict.value}")
     if config.get("svg"):
-        window = _margin_window(trios)
-        ys = np.geomspace(window * 1e-9, window, 512)
-        curve = np.zeros_like(ys)
-        for t, c in zip(trios, counts):
-            if c:
-                curve += c * log_gain(t, ys)
-        rows = list(zip(ys, curve))
+        rows = list(zip(*margin_curve(trios, counts, 512)))
         _write_csv(out / "margin_curve.csv", "y_1ps2,margin", rows, deterministic)
         svg = _svg.line_plot(
             [r[0] for r in rows],
@@ -478,13 +473,21 @@ def cmd_margin(config: dict, out: Path, deterministic: bool) -> int:
 def cmd_spectrum(config: dict, out: Path, deterministic: bool) -> int:
     comp = _build_composition(config["composition"])
     eq = _resolve_equilibrium(config["equilibrium"], comp)
+    present = [p for p in comp.populations if p.count > 0]
     trio_by_class = {
-        p.class_id: linearize(p.model, eq.h_bar[p.class_id], eq.v_bar)
-        for p in comp.populations
-        if p.count > 0
+        p.class_id: linearize(p.model, eq.h_bar[p.class_id], eq.v_bar) for p in present
     }
     ring = RingSystem(tuple(trio_by_class[a] for a in comp.ordering))
     report = eigenvalues_on_H(ring)
+    # the abscissa depends only on the class counts; dense eigvals on a very
+    # non-normal ordering (such as blocks) can report spurious eigenvalues
+    certified = ring_abscissa(list(trio_by_class.values()), [p.count for p in present])
+    if abs(report.abscissa - certified) > _SPECTRUM_AGREE_RTOL * max(1.0, abs(certified)):
+        raise FloatingPointError(
+            f"dense eigenvalues give abscissa {report.abscissa}, but the class counts "
+            f"fix it at {certified}: this ordering makes the ring matrix too "
+            "ill-conditioned for a dense spectrum"
+        )
     rows = [(lam.real, lam.imag) for lam in report.eigenvalues]
     _write_csv(out / "spectrum.csv", "re_1ps,im_1ps", rows, deterministic)
     print(f"n = {comp.n}: abscissa = {report.abscissa} (zero excluded: {report.zero_excluded})")
@@ -540,9 +543,7 @@ def cmd_simulate(config: dict, out: Path, deterministic: bool) -> int:
 
 
 def cmd_sweep(config: dict, out: Path, deterministic: bool) -> int:
-    pops = _build_populations(config["populations"], default_count=1)
-    v_bar = _resolve_v_bar(config["equilibrium"], pops)
-    trios = [linearize(p.model, preferred_headway(p.model, v_bar), v_bar) for p in pops]
+    _, trios = _trios_at_common_speed(config)
     rate = float(config["sweep"]["rate_class1"])
     n_totals = config["sweep"]["n_totals"]
 
@@ -632,10 +633,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        try:
-            return _COMMANDS[args.command](config, out, args.deterministic)
-        except KeyError as err:
-            raise ConfigError(f"config references unknown class: {err}") from err
+        return _COMMANDS[args.command](config, out, args.deterministic)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -49,16 +49,14 @@ class VelocityPreference:
                 f"require v_max > 0, d0 > 0, l_v >= 0; got {self.v_max}, {self.d0}, {self.l_v}"
             )
 
-    @property
-    def saturation_headway(self) -> float:
-        """Upper end of the inversion bracket; the curve is flat beyond it."""
-        return self.l_v + 50.0 * self.d0
 
+def _speed(h, v_max, l_v, d0):
+    """Array-capable preferred speed with the below-length clamp.
 
-def _speed(pref: VelocityPreference, h):
-    """Array-capable preferred speed with the below-length clamp."""
-    x = (np.asarray(h, dtype=float) - pref.l_v) / pref.d0
-    v = pref.v_max * (np.tanh(x - 2.0) + _TANH2) / (1.0 + _TANH2)
+    The parameters may be scalars or per-vehicle arrays.
+    """
+    x = (np.asarray(h, dtype=float) - l_v) / d0
+    v = v_max * (np.tanh(x - 2.0) + _TANH2) / (1.0 + _TANH2)
     return np.maximum(v, 0.0)
 
 
@@ -73,7 +71,7 @@ def eval_preference(pref: VelocityPreference, h: float) -> float:
     """Preferred speed at headway ``h`` (m/s)."""
     if not math.isfinite(h):
         raise ValueError(f"headway must be finite, got {h!r}")
-    return float(_speed(pref, h))
+    return float(_speed(h, pref.v_max, pref.l_v, pref.d0))
 
 
 def eval_preference_slope(pref: VelocityPreference, h: float) -> float:
@@ -173,8 +171,8 @@ def model_partials(
 def preferred_headway(model: CarFollowingModel, v: float) -> float:
     """The unique headway at which the law exerts zero acceleration at speed ``v``.
 
-    For :class:`BandoFtl` this inverts the preferred-speed curve by bisection
-    on ``[l_v, l_v + 50*d0]``; the bracket is solved to machine precision.
+    For :class:`BandoFtl` this is the closed-form inverse of the preferred-speed
+    curve, ``l_v + d0 * (2 + atanh(v (1 + tanh 2) / v_max - tanh 2))``.
     Raises :class:`NoEquilibriumError` when ``v`` is outside the achievable
     range and :class:`AmbiguousHeadwayError` when a custom law has several
     zero-acceleration headways.
@@ -192,12 +190,12 @@ def preferred_headway(model: CarFollowingModel, v: float) -> float:
             )
         if v == 0.0:
             return pref.l_v
-        return bisect_root(
-            lambda h: eval_preference(pref, h) - v,
-            pref.l_v,
-            pref.saturation_headway,
-            f_lo=-v,
-        )
+        t = v * (1.0 + _TANH2) / pref.v_max - _TANH2
+        if t >= 1.0:  # v rounds onto the supremum, where the curve has no inverse
+            raise NoEquilibriumError(
+                f"speed {v} is indistinguishable from the supremum {pref.v_max}"
+            )
+        return pref.l_v + pref.d0 * (2.0 + math.atanh(t))
 
     if model.v_sup is not None and v >= model.v_sup:
         raise NoEquilibriumError(f"speed {v} is not below the supremum {model.v_sup}")

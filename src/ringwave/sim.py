@@ -17,7 +17,7 @@ import numpy as np
 
 from .equilibrium import Composition, EquilibriumFlow
 from .errors import CollisionError, InsufficientDataError
-from .model import BandoFtl, _speed
+from .model import BandoFtl, _speed, accel
 
 
 @dataclass(frozen=True)
@@ -85,34 +85,16 @@ def _compile_rhs(comp: Composition):
     """Right-hand side closure for a composition, vectorized when possible."""
     models = [comp.model_of(a) for a in comp.ordering]
     if all(isinstance(m, BandoFtl) for m in models):
-        a = np.array([m.a for m in models])
-        b = np.array([m.b for m in models])
-        groups = {}
-        for j, m in enumerate(models):
-            groups.setdefault(m.pref, []).append(j)
-        groups = [(pref, np.array(idx)) for pref, idx in groups.items()]
+        a, b, v_max, l_v, d0 = map(
+            np.array, zip(*((m.a, m.b, m.pref.v_max, m.pref.l_v, m.pref.d0) for m in models))
+        )
 
-        if len(groups) == 1:
-            pref = groups[0][0]
-
-            def rhs(h, v):
-                hdot = np.roll(v, -1) - v
-                vdot = a * (_speed(pref, h) - v) + b * hdot / (h * h)
-                return hdot, vdot
-
-        else:
-
-            def rhs(h, v):
-                hdot = np.roll(v, -1) - v
-                vpref = np.empty_like(h)
-                for pref, idx in groups:
-                    vpref[idx] = _speed(pref, h[idx])
-                vdot = a * (vpref - v) + b * hdot / (h * h)
-                return hdot, vdot
+        def rhs(h, v):
+            hdot = np.roll(v, -1) - v
+            vdot = a * (_speed(h, v_max, l_v, d0) - v) + b * hdot / (h * h)
+            return hdot, vdot
 
         return rhs
-
-    from .model import accel  # local import to keep the fast path lean
 
     def rhs(h, v):
         hdot = np.roll(v, -1) - v

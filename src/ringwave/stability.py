@@ -189,25 +189,34 @@ def tau0_bounds(trio1: LinearTrio, trio2: LinearTrio) -> tuple[float, float]:
     return b_l, b_u
 
 
-def _margin_window(trios: Sequence[LinearTrio]) -> float:
+def margin_curve(
+    trios: Sequence[LinearTrio], counts: Sequence[float], points: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Count-weighted log gain ``sum_k counts[k] * H_k(y)`` on a log-spaced grid.
+
+    The grid has ``points`` values of ``y`` spanning nine decades up to ten
+    times the widest feature of any unstable class (its ``-discriminant`` or
+    ``Gamma^2``), and at least up to 10.  Returns ``(ys, margin)``.
+    """
     spans = [1.0]
     for t in trios:
         d = discriminant(t)
         if d < 0.0:
             spans.append(-d)
             spans.append(gamma_squared(t))
-    return 10.0 * max(spans)
+    window = 10.0 * max(spans)
+    ys = np.geomspace(window * 1e-9, window, points)
+    total = np.zeros_like(ys)
+    for t, w in zip(trios, counts):
+        if w != 0.0:
+            total += w * log_gain(t, ys)
+    return ys, total
 
 
 def _sup_weighted_margin(
     trios: Sequence[LinearTrio], weights: Sequence[float]
 ) -> tuple[float, float]:
-    window = _margin_window(trios)
-    ys = np.geomspace(window * 1e-9, window, GRID_POINTS)
-    total = np.zeros_like(ys)
-    for t, w in zip(trios, weights):
-        if w != 0.0:
-            total += w * log_gain(t, ys)
+    ys, total = margin_curve(trios, weights, GRID_POINTS)
 
     def margin_at(y: float) -> float:
         return math.fsum(w * log_gain(t, y) for t, w in zip(trios, weights) if w != 0.0)

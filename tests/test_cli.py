@@ -137,6 +137,18 @@ def test_deterministic_rerun_is_byte_identical(tmp_path):
     assert b"# generated" not in (out_a / "equilibrium.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["equilibrium", "tau0"])
+def test_unknown_class_headway_exits_2(tmp_path, command, capsys):
+    eq = {"class_headway": {"class_id": 7, "headway": REF_HEADWAY}}
+    if command == "equilibrium":
+        payload = {"schema_version": 1, "composition": composition_payload(5, 3), "equilibrium": eq}
+    else:
+        payload = dict(tau0_payload(), equilibrium=eq)
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "unknown class 7" in capsys.readouterr().err
+
+
 def test_linearize_command(tmp_path, ref_trios):
     cfg = write_config(
         tmp_path,
@@ -233,6 +245,23 @@ def test_spectrum_command(tmp_path):
     header, rows = read_csv(tmp_path / "spectrum.csv")
     assert header == ["re_1ps", "im_1ps"]
     assert len(rows) == 2 * 20 - 1
+
+
+def test_spectrum_refuses_spurious_dense_eigenvalues(tmp_path, capsys):
+    # block order makes the 800-vehicle reference ring so non-normal that dense
+    # eigvals reads abscissa 0.0249; the class counts fix it at 0.015896
+    cfg = write_config(
+        tmp_path,
+        {
+            "schema_version": 1,
+            "composition": composition_payload(640, 160, ordering="blocks"),
+            "equilibrium": EQ_BY_HEADWAY,
+        },
+    )
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "ordering" in err
+    assert not (tmp_path / "spectrum.csv").exists()
 
 
 def test_simulate_command_stable_envelope(tmp_path):

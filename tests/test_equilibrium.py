@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringwave import (
     BandoFtl,
@@ -59,6 +60,37 @@ def test_length_velocity_round_trip():
     back = equilibrium_from_length(comp, eq.length)
     assert back.v_bar == pytest.approx(v, abs=1e-8)
     assert abs(back.length - eq.length) <= 1e-8
+
+
+@st.composite
+def fleets_at_speed(draw):
+    """1-3 classes with their own preferences, and a speed below every v_max."""
+    k = draw(st.integers(1, 3))
+    models = [
+        BandoFtl(
+            a=draw(st.floats(0.3, 5.0)),
+            b=draw(st.floats(1.0, 30.0)),
+            pref=VelocityPreference(
+                v_max=draw(st.floats(2.0, 40.0)),
+                l_v=draw(st.floats(0.0, 8.0)),
+                d0=draw(st.floats(0.5, 5.0)),
+            ),
+        )
+        for _ in range(k)
+    ]
+    counts = draw(st.lists(st.integers(1, 60), min_size=k, max_size=k))
+    v_sup = min(m.pref.v_max for m in models)
+    return composition_of(models, counts), draw(st.floats(1e-3, 0.99)) * v_sup
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(fleets_at_speed())
+def test_length_velocity_round_trip_property(fleet):
+    comp, v = fleet
+    back = equilibrium_from_length(comp, equilibrium_from_velocity(comp, v).length)
+    # the length is matched to 1e-8 m, and no preference is steeper than v_max/d0
+    steepest = max(p.model.pref.v_max / p.model.pref.d0 for p in comp.populations)
+    assert back.v_bar == pytest.approx(v, abs=1e-8 * steepest)
 
 
 def test_unified_length_inversion():

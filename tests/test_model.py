@@ -144,6 +144,19 @@ def test_preferred_headway_rejects_supremum():
         preferred_headway(model, -0.1)
 
 
+@pytest.mark.parametrize("v_max", [9.72, 1.0, 1.97, 33.3, 1e-3])
+def test_preferred_headway_just_below_supremum(v_max):
+    # at v_max = 1.97 the atanh argument rounds to 1: no inverse, not a math error
+    pref = VelocityPreference(v_max=v_max, l_v=4.5, d0=2.23)
+    v = math.nextafter(v_max, 0.0)
+    try:
+        h = preferred_headway(BandoFtl(a=2.0, b=5.0, pref=pref), v)
+    except NoEquilibriumError:
+        return
+    assert math.isfinite(h) and h > pref.l_v
+    assert eval_preference(pref, h) == pytest.approx(v, rel=1e-12)
+
+
 def test_sign_conditions_by_finite_differences():
     model = BandoFtl(a=1.7, b=12.0, pref=PREF)
     rng = np.random.default_rng(42)

@@ -15,6 +15,7 @@ from ringwave import (
     SingleVehicleKick,
     SinusoidalMode,
     VelocityPreference,
+    accel,
     equilibrium_from_velocity,
     eigenvalues_on_H,
     growth_rate,
@@ -23,6 +24,8 @@ from ringwave import (
     simulate,
     step,
 )
+
+from ringwave.sim import _compile_rhs
 
 from conftest import composition_of
 
@@ -34,6 +37,18 @@ def small_setup(n=12, v=4.0):
     comp = composition_of([MODEL], [n])
     eq = equilibrium_from_velocity(comp, v)
     return comp, eq
+
+
+def test_rhs_matches_accel_with_two_preferences():
+    other = BandoFtl(a=0.6, b=15.0, pref=VelocityPreference(v_max=11.0, l_v=5.0, d0=3.0))
+    comp = composition_of([MODEL, other], [7, 5])
+    eq = equilibrium_from_velocity(comp, 4.0)
+    state = initial_state(eq, comp, Perturbation(0.3, SeededRandomZeroSum(seed=5)))
+    h, v = state.headways, state.velocities
+    hdot, vdot = _compile_rhs(comp)(h, v)
+    assert np.array_equal(hdot, np.roll(v, -1) - v)
+    expected = [accel(comp.model_of(c), h[j], hdot[j], v[j]) for j, c in enumerate(comp.ordering)]
+    np.testing.assert_allclose(vdot, expected, rtol=1e-14, atol=1e-15)
 
 
 def test_zero_amplitude_stays_at_equilibrium():

@@ -12,6 +12,7 @@ from ringwave import (
     eigenvalues_on_H,
     gamma_squared,
     log_gain,
+    margin_curve,
     min_unstable_size,
     multi_phase_margin,
     multi_phase_tau1,
@@ -193,6 +194,16 @@ def test_multi_phase_margin_reduces_to_two_phase(ref_trios):
     a = two_phase_margin(t1, t2, 13, 4)
     b = multi_phase_margin([t1, t2], [13, 4])
     assert abs(a.sup_margin - b.sup_margin) <= 1e-12
+
+
+def test_margin_curve_is_the_weighted_log_gain(ref_trios):
+    trios, counts = list(ref_trios), [802, 198]
+    ys, curve = margin_curve(trios, counts, 512)
+    assert len(ys) == 512 and np.all(np.diff(ys) > 0)
+    assert ys[-1] >= 10.0 * gamma_squared(ref_trios[1])
+    np.testing.assert_array_equal(curve, 802 * log_gain(trios[0], ys) + 198 * log_gain(trios[1], ys))
+    # the supremum, refined from a 4096-point grid of the same window, bounds the curve
+    assert multi_phase_margin(trios, counts).sup_margin >= curve.max()
 
 
 def test_multi_phase_margin_validation():
