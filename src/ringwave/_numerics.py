@@ -11,6 +11,9 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 # cap on halvings; a bracket spanning a few binades reaches machine precision in about 60
 _BISECT_MAX_ITER = 200
 
+# golden-section search stops once the bracket is this fraction of its larger end
+_GOLDEN_RTOL = 1e-10
+
 
 def bisect_root(
     fn: Callable[[float], float],
@@ -48,13 +51,7 @@ def bisect_root(
     return 0.5 * (lo + hi)
 
 
-def golden_max(
-    fn: Callable[[float], float],
-    a: float,
-    b: float,
-    *,
-    rtol: float = 1e-10,
-) -> tuple[float, float]:
+def golden_max(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     """Golden-section maximization of ``fn`` on [a, b]; returns (x, fn(x))."""
     if not b > a:
         raise ValueError("empty bracket")
@@ -63,7 +60,7 @@ def golden_max(
     d = a + _INV_PHI * h
     fc = fn(c)
     fd = fn(d)
-    while h > rtol * max(abs(a), abs(b), 1e-300):
+    while h > _GOLDEN_RTOL * max(abs(a), abs(b), 1e-300):
         if fc > fd:
             b, d, fd = d, c, fc
             h = b - a

@@ -85,8 +85,10 @@ def _compile_rhs(comp: Composition):
     """Right-hand side closure for a composition, vectorized when possible."""
     models = [comp.model_of(a) for a in comp.ordering]
     if all(isinstance(m, BandoFtl) for m in models):
-        a, b, v_max, l_v, d0 = map(
-            np.array, zip(*((m.a, m.b, m.pref.v_max, m.pref.l_v, m.pref.d0) for m in models))
+        # a parameter every vehicle shares enters as a scalar: same bits, cheaper
+        columns = zip(*((m.a, m.b, m.pref.v_max, m.pref.l_v, m.pref.d0) for m in models))
+        a, b, v_max, l_v, d0 = (
+            col[0] if len(set(col)) == 1 else np.array(col) for col in columns
         )
 
         def rhs(h, v):

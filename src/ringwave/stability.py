@@ -29,6 +29,10 @@ from .spectrum import ring_abscissa
 
 GRID_POINTS = 4096
 
+# a grid maximum rising less than this fraction of its value above its lower
+# neighbour is rounding noise (the flat y -> 0 end of a ratio), not a peak
+_PEAK_RTOL = 1e-13
+
 # |sup margin| below this is reported as sitting on the critical boundary
 MARGIN_TOL = 1e-12
 
@@ -104,17 +108,22 @@ def gamma_squared(trio2: LinearTrio) -> float:
     return -a2 * d / (a2 + math.sqrt(a2 * a2 - a2 * g2 * d))
 
 
-def _grid_with_refinement(fn, ys: np.ndarray, vals: np.ndarray, refine: bool):
-    """Best grid point plus a golden-section polish around it.
+def _grid_with_refinement(fn, ys: np.ndarray, vals: np.ndarray):
+    """Best grid point after a golden-section polish of every grid peak.
 
-    Refinement never descends below the first grid point: when the maximum
-    sits on the y -> 0 boundary the caller handles that limit analytically.
+    The argmax and each interior local maximum are polished between their
+    grid neighbours, so an undersampled narrow peak is not lost to a flatter
+    one.  Refinement never descends below the first grid point: the caller
+    handles the y -> 0 limit analytically.
     """
-    i = int(np.argmax(vals))
-    best_y, best_v = float(ys[i]), float(vals[i])
-    if refine:
-        lo = float(ys[i - 1]) if i > 0 else float(ys[0])
-        hi = float(ys[i + 1]) if i + 1 < len(ys) else float(ys[-1])
+    i_best = int(np.argmax(vals))
+    best_y, best_v = float(ys[i_best]), float(vals[i_best])
+    mid = vals[1:-1]
+    rise = mid - np.minimum(vals[:-2], vals[2:])
+    is_peak = (mid > vals[:-2]) & (mid >= vals[2:]) & (rise > _PEAK_RTOL * np.abs(mid))
+    for i in sorted(set((np.flatnonzero(is_peak) + 1).tolist()) | {i_best}):
+        lo = float(ys[max(i - 1, 0)])
+        hi = float(ys[min(i + 1, len(ys) - 1)])
         if hi > lo:
             y_ref, v_ref = golden_max(fn, lo, hi)
             if v_ref > best_v:
@@ -122,16 +131,37 @@ def _grid_with_refinement(fn, ys: np.ndarray, vals: np.ndarray, refine: bool):
     return best_y, best_v
 
 
-def critical_penetration(
-    trio1: LinearTrio, trio2: LinearTrio, *, refine: bool = True
-) -> TwoPhaseReport:
+def _critical_ratio(
+    stable: LinearTrio, others: Sequence[LinearTrio], weights: Sequence[float]
+) -> float:
+    """``N = sup_y R(y) / -H1(y)`` with ``R = sum_k weights[k] * H_k(others[k])``.
+
+    ``H1 < 0`` for all ``y > 0``, so ``frac * H1 + (1 - frac) * R < 0`` everywhere
+    exactly when ``frac / (1 - frac) > N``.  Past the largest unstable ``Gamma^2``
+    every ``H_k`` falls and ``-H1`` rises, so the grid stops there; ``y -> 0``
+    enters by its analytic limit.  ``-inf`` when no remainder class is unstable.
+    """
+    live = [(t, w) for t, w in zip(others, weights) if w != 0.0]
+    unstable = [gamma_squared(t) for t, _ in live if discriminant(t) < 0.0]
+    if not unstable:
+        return -math.inf
+    ys = np.geomspace(max(unstable) * 1e-12, max(unstable), GRID_POINTS)
+    rest = sum(w * log_gain(t, ys) for t, w in live)
+
+    def ratio_at(y: float) -> float:
+        return math.fsum(w * log_gain(t, y) for t, w in live) / -log_gain(stable, y)
+
+    d1, a1sq = discriminant(stable), stable.alpha**2
+    limit0 = math.fsum(w * ((-discriminant(t) * a1sq) / (d1 * t.alpha**2)) for t, w in live)
+    return max(_grid_with_refinement(ratio_at, ys, rest / -log_gain(stable, ys))[1], limit0)
+
+
+def critical_penetration(trio1: LinearTrio, trio2: LinearTrio) -> TwoPhaseReport:
     """Critical stable-class penetration rate for a stable/unstable pair.
 
-    Maximizes ``-H2/H1`` over ``(0, Gamma^2]`` on a log-spaced grid with
-    golden-section refinement; the ``y -> 0`` endpoint is handled by its
-    analytic limit rather than a 0/0 evaluation.  The rate is ``N0/(N0+1)``
-    where ``N0`` is the maximum, and the closed-form bounds from
-    :func:`tau0_bounds` are attached.
+    The rate is ``N0/(N0+1)`` where ``N0`` is the maximum of ``-H2/H1`` over
+    ``(0, Gamma^2]`` (see :func:`_critical_ratio`), and the closed-form bounds
+    from :func:`tau0_bounds` are attached.
     """
     d1 = discriminant(trio1)
     d2 = discriminant(trio2)
@@ -139,25 +169,14 @@ def critical_penetration(
         raise ValueError(f"first trio must be strictly stable, discriminant {d1}")
     if d2 >= 0.0:
         raise ValueError(f"second trio must be unstable, discriminant {d2}")
-    g_sq = gamma_squared(trio2)
-
-    ys = np.geomspace(g_sq * 1e-12, g_sq, GRID_POINTS)
-    ratio = -log_gain(trio2, ys) / log_gain(trio1, ys)
-
-    def ratio_at(y: float) -> float:
-        return -log_gain(trio2, y) / log_gain(trio1, y)
-
-    limit0 = (-d2 * trio1.alpha**2) / (d1 * trio2.alpha**2)
-    _, n0 = _grid_with_refinement(ratio_at, ys, ratio, refine)
-    n0 = max(n0, limit0)
-    tau0 = n0 / (n0 + 1.0)
+    n0 = _critical_ratio(trio1, [trio2], [1.0])
     b_l, b_u = tau0_bounds(trio1, trio2)
     return TwoPhaseReport(
         delta1=d1,
         delta2=d2,
-        gamma_sq=g_sq,
+        gamma_sq=gamma_squared(trio2),
         n0=n0,
-        tau0=tau0,
+        tau0=n0 / (n0 + 1.0),
         bound_lower=b_l,
         bound_upper=b_u,
     )
@@ -213,17 +232,6 @@ def margin_curve(
     return ys, total
 
 
-def _sup_weighted_margin(
-    trios: Sequence[LinearTrio], weights: Sequence[float]
-) -> tuple[float, float]:
-    ys, total = margin_curve(trios, weights, GRID_POINTS)
-
-    def margin_at(y: float) -> float:
-        return math.fsum(w * log_gain(t, y) for t, w in zip(trios, weights) if w != 0.0)
-
-    return _grid_with_refinement(margin_at, ys, total, refine=True)
-
-
 def multi_phase_margin(
     trios: Sequence[LinearTrio], counts: Sequence[float]
 ) -> MarginReport:
@@ -238,7 +246,12 @@ def multi_phase_margin(
         raise ValueError("need matching, nonempty trio and count lists")
     if any(c < 0 for c in counts) or sum(counts) <= 0:
         raise ValueError("counts must be nonnegative with a positive total")
-    y_best, sup = _sup_weighted_margin(trios, counts)
+    ys, total = margin_curve(trios, counts, GRID_POINTS)
+
+    def margin_at(y: float) -> float:
+        return math.fsum(w * log_gain(t, y) for t, w in zip(trios, counts) if w != 0.0)
+
+    y_best, sup = _grid_with_refinement(margin_at, ys, total)
     if sup > MARGIN_TOL:
         verdict = MarginVerdict.UNSTABLE_FOR_LARGE_N
     elif sup < -MARGIN_TOL:
@@ -262,8 +275,9 @@ def multi_phase_tau1(
 
     The remaining mass is split among classes 2..m in the fixed relative
     shares ``rates``.  Class 1 must be strictly stable; the threshold is then
-    found by bisection on the fraction to 1e-6.  Returns 0.0 when the
-    remainder is already stable on its own.
+    ``N/(N+1)`` from the same ratio maximization as
+    :func:`critical_penetration`.  Returns 0.0 when the remainder is already
+    stable on its own.
     """
     if len(rates) != len(trios) - 1 or len(trios) < 2:
         raise ValueError("rates must cover classes 2..m")
@@ -271,23 +285,8 @@ def multi_phase_tau1(
         raise ValueError("rates must be nonnegative and sum to 1")
     if discriminant(trios[0]) <= 0.0:
         raise ValueError("class 1 must be strictly stable")
-
-    def sup_at(frac: float) -> float:
-        weights = [frac] + [(1.0 - frac) * r for r in rates]
-        return _sup_weighted_margin(trios, weights)[1]
-
-    if sup_at(0.0) < 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    # sup_at(1.0) < 0 is guaranteed by the strict stability of class 1
-    assert sup_at(1.0) < 0.0
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if sup_at(mid) < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    n = _critical_ratio(trios[0], trios[1:], rates)
+    return n / (n + 1.0) if n > 0.0 else 0.0
 
 
 def fleet_abscissa(

@@ -39,9 +39,7 @@ def small_setup(n=12, v=4.0):
     return comp, eq
 
 
-def test_rhs_matches_accel_with_two_preferences():
-    other = BandoFtl(a=0.6, b=15.0, pref=VelocityPreference(v_max=11.0, l_v=5.0, d0=3.0))
-    comp = composition_of([MODEL, other], [7, 5])
+def _assert_rhs_matches_accel(comp):
     eq = equilibrium_from_velocity(comp, 4.0)
     state = initial_state(eq, comp, Perturbation(0.3, SeededRandomZeroSum(seed=5)))
     h, v = state.headways, state.velocities
@@ -49,6 +47,17 @@ def test_rhs_matches_accel_with_two_preferences():
     assert np.array_equal(hdot, np.roll(v, -1) - v)
     expected = [accel(comp.model_of(c), h[j], hdot[j], v[j]) for j, c in enumerate(comp.ordering)]
     np.testing.assert_allclose(vdot, expected, rtol=1e-14, atol=1e-15)
+
+
+def test_rhs_matches_accel_with_two_preferences():
+    other = BandoFtl(a=0.6, b=15.0, pref=VelocityPreference(v_max=11.0, l_v=5.0, d0=3.0))
+    _assert_rhs_matches_accel(composition_of([MODEL, other], [7, 5]))
+
+
+def test_rhs_matches_accel_with_one_preference():
+    # the shared preference parameters enter the right-hand side as scalars
+    other = BandoFtl(a=0.6, b=15.0, pref=PREF)
+    _assert_rhs_matches_accel(composition_of([MODEL, other], [7, 5]))
 
 
 def test_zero_amplitude_stays_at_equilibrium():

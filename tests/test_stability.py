@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ringwave import (
     LinearTrio,
@@ -28,6 +29,13 @@ T_CRITICAL = LinearTrio(alpha=1.5, beta=2.0, gamma=1.0)  # delta = 0 exactly
 
 # independent closed-form evaluation (as printed, before conjugation), frozen
 GAMMA_SQ_REF = 0.4128296797463384
+
+# a pair whose near-critical margin has a narrow interior bump (y ~ 0.538) that
+# the grid undersamples while the global grid argmax sits at the y -> 0 end
+BUMP_PAIR = (
+    LinearTrio(0.2577822093261488, 1.8715095145589147, 1.396977724005661),
+    LinearTrio(1.2603271213845688, 1.177986995812743, 0.4570421501973545),
+)
 
 
 def test_log_gain_zero_at_origin():
@@ -98,13 +106,6 @@ def test_critical_penetration_reference(ref_trios):
     assert rep.bound_lower <= rep.tau0 <= rep.bound_upper
     assert rep.tau0 == rep.n0 / (rep.n0 + 1.0)
     assert 0.0 < rep.gamma_sq < -rep.delta2
-
-
-def test_critical_penetration_grid_vs_refined(ref_trios):
-    t1, t2 = ref_trios
-    coarse = critical_penetration(t1, t2, refine=False)
-    fine = critical_penetration(t1, t2, refine=True)
-    assert abs(coarse.tau0 - fine.tau0) < 1e-6
 
 
 def test_critical_penetration_vanishes_with_weak_instability():
@@ -218,8 +219,18 @@ def test_multi_phase_margin_validation():
 def test_tau1_matches_tau0_for_two_classes(ref_trios):
     t1, t2 = ref_trios
     rep = critical_penetration(t1, t2)
-    tau1 = multi_phase_tau1([t1, t2], [1.0])
-    assert tau1 == pytest.approx(rep.tau0, abs=1e-4)
+    assert multi_phase_tau1([t1, t2], [1.0]) == rep.tau0
+    assert multi_phase_tau1(list(BUMP_PAIR), [1.0]) == critical_penetration(*BUMP_PAIR).tau0
+
+
+def test_margin_sees_narrow_bump_near_critical_rate():
+    t1, t2 = BUMP_PAIR
+    tau0 = critical_penetration(t1, t2).tau0
+    below = multi_phase_margin([t1, t2], [tau0 - 1e-7, 1.0 - (tau0 - 1e-7)])
+    above = multi_phase_margin([t1, t2], [tau0 + 1e-7, 1.0 - (tau0 + 1e-7)])
+    assert below.verdict is MarginVerdict.UNSTABLE_FOR_LARGE_N
+    assert 0.4 < below.argmax_y < 0.7
+    assert above.verdict is MarginVerdict.STABLE_ALL_N
 
 
 def test_tau1_merged_equals_split_unstable(ref_trios):
@@ -234,6 +245,32 @@ def test_tau1_zero_for_stable_remainder():
     others = [random_trio(rng, stable=True) for _ in range(2)]
     tau1 = multi_phase_tau1([T_STABLE] + others, [0.6, 0.4])
     assert tau1 == 0.0
+
+
+@st.composite
+def stabilizable_mixes(draw):
+    """A stable class 1 and 1-3 remainder classes, the first of them unstable."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = [False] + draw(st.lists(st.booleans(), min_size=0, max_size=2))
+    trios = [random_trio(rng, stable=True)] + [random_trio(rng, stable=k) for k in kinds]
+    shares = rng.uniform(0.1, 1.0, len(kinds))
+    return trios, list(shares / shares.sum())
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(stabilizable_mixes())
+def test_tau1_separates_margin_signs(mix):
+    # signs rather than verdicts: a margin this close to critical may sit
+    # within MARGIN_TOL of zero
+    trios, rates = mix
+    tau1 = multi_phase_tau1(trios, rates)
+    assume(0.0 < tau1 < 1.0)
+
+    def sup_at(frac):
+        return multi_phase_margin(trios, [frac] + [(1.0 - frac) * r for r in rates]).sup_margin
+
+    assert sup_at(tau1 - 1e-6) > 0.0
+    assert sup_at(tau1 + 1e-6) < 0.0
 
 
 def test_min_unstable_size_reference(ref_trios):
