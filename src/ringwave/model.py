@@ -50,14 +50,21 @@ class VelocityPreference:
             )
 
 
-def _speed(h, v_max, l_v, d0):
+def _speed(h, v_max, l_v, d0, out=None):
     """Array-capable preferred speed with the below-length clamp.
 
-    The parameters may be scalars or per-vehicle arrays.
+    The parameters may be scalars or per-vehicle arrays.  With ``out`` (a
+    float array shaped like ``h``) every operation runs in place there.
     """
-    x = (np.asarray(h, dtype=float) - l_v) / d0
-    v = v_max * (np.tanh(x - 2.0) + _TANH2) / (1.0 + _TANH2)
-    return np.maximum(v, 0.0)
+    # v_max * (tanh((h - l_v)/d0 - 2) + tanh 2) / (1 + tanh 2), one ufunc per operation
+    x = np.subtract(h, l_v, out=out)
+    x = np.divide(x, d0, out=out)
+    x = np.subtract(x, 2.0, out=out)
+    x = np.tanh(x, out=out)
+    x = np.add(x, _TANH2, out=out)
+    x = np.multiply(v_max, x, out=out)
+    x = np.divide(x, 1.0 + _TANH2, out=out)
+    return np.maximum(x, 0.0, out=out)
 
 
 def _speed_slope(pref: VelocityPreference, h):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .equilibrium import Composition, EquilibriumFlow
 from .errors import CollisionError, InsufficientDataError
-from .model import BandoFtl, _speed, accel
+from .model import BandoFtl, _speed, accel, model_partials
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,11 @@ class SimTrace:
 
 @functools.lru_cache(maxsize=32)
 def _compile_rhs(comp: Composition):
-    """Right-hand side closure for a composition, vectorized when possible."""
+    """Right-hand side ``rhs(z, k, tmp)`` for a composition, vectorized when possible.
+
+    ``z`` is the stacked state ``[h, v]`` of shape ``(2, n)``; the rates are
+    written into ``k`` of the same shape, and ``tmp`` is an ``(n,)`` scratch.
+    """
     models = [comp.model_of(a) for a in comp.ordering]
     if all(isinstance(m, BandoFtl) for m in models):
         # a parameter every vehicle shares enters as a scalar: same bits, cheaper
@@ -91,21 +95,34 @@ def _compile_rhs(comp: Composition):
             col[0] if len(set(col)) == 1 else np.array(col) for col in columns
         )
 
-        def rhs(h, v):
-            hdot = np.roll(v, -1) - v
-            vdot = a * (_speed(h, v_max, l_v, d0) - v) + b * hdot / (h * h)
-            return hdot, vdot
+        def rhs(z, k, tmp):
+            h, v = z
+            hdot, vdot = k
+            _headway_rate(v, hdot)
+            # a * (V(h) - v) + b * hdot / (h * h), operation by operation
+            np.multiply(h, h, out=tmp)
+            np.multiply(b, hdot, out=vdot)
+            np.divide(vdot, tmp, out=vdot)
+            _speed(h, v_max, l_v, d0, out=tmp)
+            np.subtract(tmp, v, out=tmp)
+            np.multiply(a, tmp, out=tmp)
+            np.add(tmp, vdot, out=vdot)
 
         return rhs
 
-    def rhs(h, v):
-        hdot = np.roll(v, -1) - v
-        vdot = np.array(
-            [accel(m, h[j], hdot[j], v[j]) for j, m in enumerate(models)]
-        )
-        return hdot, vdot
+    def rhs(z, k, tmp):
+        h, v = z
+        hdot, vdot = k
+        _headway_rate(v, hdot)
+        vdot[:] = [accel(m, h[j], hdot[j], v[j]) for j, m in enumerate(models)]
 
     return rhs
+
+
+def _headway_rate(v, out):
+    """``v[j+1] - v[j]`` around the ring into ``out``."""
+    np.subtract(v[1:], v[:-1], out=out[:-1])
+    out[-1] = v[0] - v[-1]
 
 
 def initial_state(
@@ -141,25 +158,55 @@ def initial_state(
     return SimState(t=0.0, headways=h, velocities=v)
 
 
-def _checked_rhs(rhs, h, v, t):
-    if np.any(h <= 0.0):
-        j = int(np.argmin(h))
-        raise CollisionError(
-            f"headway of vehicle {j} reached {h[j]:.3g} m near t={t:.3f} s",
-            time=t,
-            index=j,
+# RK4's stability interval on the negative real axis is about [-2.785, 0]
+_RK4_REAL_LIMIT = 2.785
+
+
+def _workspace(n: int):
+    """Four stage-rate buffers, one stage state and one scratch row for RK4."""
+    return (*np.empty((5, 2, n)), np.empty(n))
+
+
+def _check_headways(h, t):
+    """Raise on a nonpositive (collision) or non-finite (numeric) headway."""
+    if h.min() > 0.0:  # False for NaN too, at no extra cost
+        return
+    j = int(np.argmin(h))
+    if not math.isfinite(h[j]):
+        raise FloatingPointError(
+            f"headway of vehicle {j} became {h[j]} near t={t:.3f} s: "
+            "the integration is numerically unstable"
         )
-    return rhs(h, v)
+    raise CollisionError(
+        f"headway of vehicle {j} reached {h[j]:.3g} m near t={t:.3f} s",
+        time=t,
+        index=j,
+    )
 
 
-def _rk4_step(rhs, h, v, t, dt):
-    k1h, k1v = _checked_rhs(rhs, h, v, t)
-    k2h, k2v = _checked_rhs(rhs, h + 0.5 * dt * k1h, v + 0.5 * dt * k1v, t)
-    k3h, k3v = _checked_rhs(rhs, h + 0.5 * dt * k2h, v + 0.5 * dt * k2v, t)
-    k4h, k4v = _checked_rhs(rhs, h + dt * k3h, v + dt * k3v, t)
-    h_new = h + (dt / 6.0) * (k1h + 2.0 * k2h + 2.0 * k3h + k4h)
-    v_new = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return h_new, v_new
+def _rk4_step(rhs, z, t, dt, ws):
+    """Advance the stacked state ``z`` in place by one classical RK4 step.
+
+    Every stage input is checked by :func:`_check_headways` first.  The
+    arithmetic, and its order, is that of the textbook out-of-place formula,
+    so the result is bit-identical to it.
+    """
+    k1, k2, k3, k4, s, tmp = ws
+    _check_headways(z[0], t)
+    rhs(z, k1, tmp)
+    for k_in, k_out, c in ((k1, k2, 0.5 * dt), (k2, k3, 0.5 * dt), (k3, k4, dt)):
+        np.multiply(c, k_in, out=s)
+        np.add(z, s, out=s)
+        _check_headways(s[0], t)
+        rhs(s, k_out, tmp)
+    # z + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4)
+    np.multiply(2.0, k2, out=k2)
+    np.add(k1, k2, out=k1)
+    np.multiply(2.0, k3, out=k3)
+    np.add(k1, k3, out=k1)
+    np.add(k1, k4, out=k1)
+    np.multiply(dt / 6.0, k1, out=k1)
+    np.add(z, k1, out=z)
 
 
 def step(state: SimState, comp: Composition, dt: float) -> SimState:
@@ -167,13 +214,24 @@ def step(state: SimState, comp: Composition, dt: float) -> SimState:
 
     The headway rate seen by each driver law is the velocity difference to
     the leader re-evaluated at every stage.  Raises :class:`CollisionError`
-    (with time and vehicle index) if any stage sees a nonpositive headway.
+    (with time and vehicle index) if any stage sees a nonpositive headway,
+    and ``FloatingPointError`` if it sees a non-finite one.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    rhs = _compile_rhs(comp)
-    h, v = _rk4_step(rhs, state.headways, state.velocities, state.t, dt)
-    return SimState(t=state.t + dt, headways=h, velocities=v)
+    z = np.array([state.headways, state.velocities], dtype=float)
+    _rk4_step(_compile_rhs(comp), z, state.t, dt, _workspace(comp.n))
+    return SimState(t=state.t + dt, headways=z[0], velocities=z[1])
+
+
+def _max_beta(comp: Composition, eq: EquilibriumFlow) -> float:
+    """Largest trio damping ``beta = df/dhdot - df/dv`` over the classes at ``eq``."""
+    betas = []
+    for p in comp.populations:
+        if p.count > 0:
+            _, fhd, fv = model_partials(p.model, eq.h_bar[p.class_id], 0.0, eq.v_bar)
+            betas.append(fhd - fv)
+    return max(betas)
 
 
 def simulate(comp: Composition, eq: EquilibriumFlow, cfg: SimConfig) -> SimTrace:
@@ -182,16 +240,24 @@ def simulate(comp: Composition, eq: EquilibriumFlow, cfg: SimConfig) -> SimTrace
     Samples are taken at t=0 and then every ``record_every`` steps.  The
     number of steps is ``round(t_end / dt)``, so the final state is recorded
     whenever that count is a multiple of ``record_every``.
+
+    A headway that reaches zero raises :class:`CollisionError`, unless
+    ``dt * beta_max`` exceeds RK4's real-axis stability limit 2.785 (with
+    ``beta_max`` the largest trio damping at the equilibrium): then the
+    blow-up is numeric and ``FloatingPointError`` names the safe step size.
+    A non-finite headway always raises ``FloatingPointError``.
     """
     rhs = _compile_rhs(comp)
     init = initial_state(eq, comp, cfg.perturbation)
-    state_h, state_v = init.headways.copy(), init.velocities.copy()
+    z = np.array([init.headways, init.velocities])
+    ws = _workspace(comp.n)
 
     n_steps = int(round(cfg.t_end / cfg.dt))
     times, var, h_min, h_max = [], [], [], []
     snaps: list[SimState] | None = [] if cfg.store_snapshots else None
 
-    def record(t, h, v):
+    def record(t):
+        h, v = z
         times.append(t)
         var.append(float(np.var(v)))
         h_min.append(float(h.min()))
@@ -199,12 +265,22 @@ def simulate(comp: Composition, eq: EquilibriumFlow, cfg: SimConfig) -> SimTrace
         if snaps is not None:
             snaps.append(SimState(t=t, headways=h.copy(), velocities=v.copy()))
 
-    record(0.0, state_h, state_v)
-    for i in range(1, n_steps + 1):
-        t = (i - 1) * cfg.dt
-        state_h, state_v = _rk4_step(rhs, state_h, state_v, t, cfg.dt)
-        if i % cfg.record_every == 0:
-            record(i * cfg.dt, state_h, state_v)
+    record(0.0)
+    try:
+        for i in range(1, n_steps + 1):
+            _rk4_step(rhs, z, (i - 1) * cfg.dt, cfg.dt, ws)
+            if i % cfg.record_every == 0:
+                record(i * cfg.dt)
+    except CollisionError as err:
+        beta = _max_beta(comp, eq)
+        if cfg.dt * beta > _RK4_REAL_LIMIT:
+            raise FloatingPointError(
+                f"step dt = {cfg.dt} s is numerically unstable, so the state blew up "
+                f"({err}): dt * beta_max = {cfg.dt * beta:.3g} exceeds RK4's "
+                f"real-axis stability limit {_RK4_REAL_LIMIT}; use "
+                f"dt <= {_RK4_REAL_LIMIT}/beta_max = {_RK4_REAL_LIMIT / beta:.3g} s"
+            ) from err
+        raise
 
     return SimTrace(
         times=np.array(times),

@@ -80,12 +80,13 @@ def log_gain(trio: LinearTrio, y):
     discriminant is nonnegative.  Accepts scalars or arrays.
     """
     arr = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+    # ndarray methods, not np.all/np.any: the wrappers cost more than the math
+    if not np.isfinite(arr).all() or (arr < 0.0).any():
         raise ValueError("y must be finite and nonnegative")
     a2 = trio.alpha * trio.alpha
     num = (trio.gamma * trio.gamma) * arr / a2
     den = ((trio.beta * trio.beta - 2.0 * trio.alpha) * arr + arr * arr) / a2
-    if np.any(den <= -1.0):
+    if (den <= -1.0).any():
         raise ValueError(
             f"trio ({trio.alpha}, {trio.beta}, {trio.gamma}) leaves the admissible set"
         )

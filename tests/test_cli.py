@@ -286,6 +286,27 @@ def test_simulate_command_stable_envelope(tmp_path):
     assert (tmp_path / "trace.svg").exists()
 
 
+@pytest.mark.parametrize("dt, code", [(1.0, 4), (0.6, 0)])
+def test_simulate_unstable_step_size_exits_4(tmp_path, capsys, dt, code):
+    # dt * beta_max = 4.18 at dt = 1: RK4 itself blows up, which is no collision
+    payload = {
+        "schema_version": 1,
+        "composition": composition_payload(8, 2),
+        "equilibrium": EQ_BY_HEADWAY,
+        "sim": {
+            "dt": dt,
+            "t_end": 200.0,
+            "perturbation": {"amplitude": 0.01, "kind": "seeded_random_zero_sum", "seed": 1},
+        },
+    }
+    cfg = write_config(tmp_path, payload)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:")
+        assert "dt <= 2.785/beta_max = 0.665 s" in err
+
+
 def test_svg_is_pure_function_of_csv(tmp_path):
     payload = {
         "schema_version": 1,

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ringwave import (
     BandoFtl,
     CollisionError,
+    Custom,
     InsufficientDataError,
     Perturbation,
     RingSystem,
@@ -25,6 +27,7 @@ from ringwave import (
     step,
 )
 
+from ringwave.model import _speed
 from ringwave.sim import _compile_rhs
 
 from conftest import composition_of
@@ -43,7 +46,9 @@ def _assert_rhs_matches_accel(comp):
     eq = equilibrium_from_velocity(comp, 4.0)
     state = initial_state(eq, comp, Perturbation(0.3, SeededRandomZeroSum(seed=5)))
     h, v = state.headways, state.velocities
-    hdot, vdot = _compile_rhs(comp)(h, v)
+    k = np.empty((2, comp.n))
+    _compile_rhs(comp)(np.array([h, v]), k, np.empty(comp.n))
+    hdot, vdot = k
     assert np.array_equal(hdot, np.roll(v, -1) - v)
     expected = [accel(comp.model_of(c), h[j], hdot[j], v[j]) for j, c in enumerate(comp.ordering)]
     np.testing.assert_allclose(vdot, expected, rtol=1e-14, atol=1e-15)
@@ -58,6 +63,78 @@ def test_rhs_matches_accel_with_one_preference():
     # the shared preference parameters enter the right-hand side as scalars
     other = BandoFtl(a=0.6, b=15.0, pref=PREF)
     _assert_rhs_matches_accel(composition_of([MODEL, other], [7, 5]))
+
+
+def test_rhs_matches_accel_for_custom_law():
+    custom = Custom(f=lambda h, hdot, v: accel(MODEL, h, hdot, v))
+    _assert_rhs_matches_accel(composition_of([MODEL, custom], [4, 3]))
+
+
+def _textbook_rk4_step(comp, h, v, dt):
+    """Out-of-place RK4 on separate headway and velocity arrays."""
+    models = [comp.model_of(c) for c in comp.ordering]
+    a, b, v_max, l_v, d0 = (
+        np.array(col)
+        for col in zip(*((m.a, m.b, m.pref.v_max, m.pref.l_v, m.pref.d0) for m in models))
+    )
+
+    def f(h, v):
+        hdot = np.roll(v, -1) - v
+        return hdot, a * (_speed(h, v_max, l_v, d0) - v) + b * hdot / (h * h)
+
+    k1h, k1v = f(h, v)
+    k2h, k2v = f(h + 0.5 * dt * k1h, v + 0.5 * dt * k1v)
+    k3h, k3v = f(h + 0.5 * dt * k2h, v + 0.5 * dt * k2v)
+    k4h, k4v = f(h + dt * k3h, v + dt * k3v)
+    return (
+        h + (dt / 6.0) * (k1h + 2.0 * k2h + 2.0 * k3h + k4h),
+        v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
+    )
+
+
+@st.composite
+def perturbed_fleets(draw):
+    """1-3 classes, 2-60 vehicles in a seeded order, a seeded perturbation and a small dt."""
+    k = draw(st.integers(1, 3))
+    models = [
+        BandoFtl(
+            a=draw(st.floats(0.3, 5.0)),
+            b=draw(st.floats(1.0, 30.0)),
+            pref=VelocityPreference(
+                v_max=draw(st.floats(2.0, 40.0)),
+                l_v=draw(st.floats(0.0, 8.0)),
+                d0=draw(st.floats(0.5, 5.0)),
+            ),
+        )
+        for _ in range(k)
+    ]
+    counts = draw(st.lists(st.integers(1, 60 // k), min_size=k, max_size=k))
+    assume(sum(counts) >= 2)
+    seed = draw(st.integers(0, 2**31 - 1))
+    order = [c + 1 for c, count in enumerate(counts) for _ in range(count)]
+    np.random.default_rng(seed).shuffle(order)
+    comp = composition_of(models, counts, ordering=order)
+    v_sup = min(m.pref.v_max for m in models)
+    eq = equilibrium_from_velocity(comp, draw(st.floats(0.05, 0.95)) * v_sup)
+    amp = draw(st.floats(0.0, 0.05)) * min(eq.h_bar.values())
+    state = initial_state(eq, comp, Perturbation(amp, SeededRandomZeroSum(seed)))
+    beta_max = max(
+        linearize(p.model, eq.h_bar[p.class_id], eq.v_bar).beta for p in comp.populations
+    )
+    # 20 steps span at most 5 s, too short for an unstable fleet to collide
+    return comp, state, draw(st.floats(0.01, 0.25)) / max(1.0, beta_max)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(perturbed_fleets())
+def test_step_is_bit_identical_to_textbook_rk4(fleet):
+    comp, state, dt = fleet
+    h, v = state.headways, state.velocities
+    for _ in range(20):
+        state = step(state, comp, dt)
+        h, v = _textbook_rk4_step(comp, h, v, dt)
+        assert np.array_equal(state.headways, h)
+        assert np.array_equal(state.velocities, v)
 
 
 def test_zero_amplitude_stays_at_equilibrium():
@@ -146,6 +223,29 @@ def test_collision_error_carries_context():
     assert err.value.time is not None
 
 
+def test_nonfinite_headway_is_a_numeric_failure():
+    comp, eq = small_setup(n=6)
+    state = initial_state(eq, comp, Perturbation(0.0, SingleVehicleKick()))
+    h = state.headways.copy()
+    h[2] = np.nan
+    with pytest.raises(FloatingPointError, match="vehicle 2"):
+        step(type(state)(t=1.0, headways=h, velocities=state.velocities), comp, 0.05)
+
+
+def test_unstable_step_size_is_reported_as_numeric(ref_models, ref_v_bar):
+    # dt * beta_max = 4.18 is past RK4's real-axis limit 2.785: the blow-up
+    # looks like a collision but is numeric, and the safe dt is 0.665 s
+    comp = composition_of(ref_models, [8, 2])
+    eq = equilibrium_from_velocity(comp, ref_v_bar)
+    pert = Perturbation(0.01, SeededRandomZeroSum(1))
+    with pytest.raises(FloatingPointError, match=r"dt <= 2\.785/beta_max = 0\.665") as err:
+        simulate(comp, eq, SimConfig(t_end=200.0, dt=1.0, perturbation=pert))
+    assert isinstance(err.value.__cause__, CollisionError)
+    # just inside the limit the same ring runs cleanly
+    trace = simulate(comp, eq, SimConfig(t_end=200.0, dt=0.68, perturbation=pert))
+    assert trace.min_headway.min() > 0.0
+
+
 def test_simulate_records_every_k_steps():
     comp, eq = small_setup()
     cfg = SimConfig(
@@ -176,6 +276,21 @@ def test_simulate_snapshots_and_determinism():
     assert np.array_equal(a.speed_variance, b.speed_variance)
     assert len(a.snapshots) == len(a.times)
     assert np.array_equal(a.snapshots[-1].headways, b.snapshots[-1].headways)
+
+
+def test_snapshots_are_copies():
+    comp, eq = small_setup(n=16)
+    pert = Perturbation(0.02, SeededRandomZeroSum(77))
+    cfg = SimConfig(t_end=1.0, dt=0.05, record_every=4, perturbation=pert, store_snapshots=True)
+    snaps = simulate(comp, eq, cfg).snapshots
+    init = initial_state(eq, comp, pert)
+    assert np.array_equal(snaps[0].headways, init.headways)
+    assert np.array_equal(snaps[0].velocities, init.velocities)
+    arrays = [x for s in snaps for x in (s.headways, s.velocities)]
+    for i, x in enumerate(arrays):
+        for y in arrays[i + 1 :]:
+            assert not np.shares_memory(x, y)
+    assert not np.array_equal(snaps[0].velocities, snaps[-1].velocities)
 
 
 def test_growth_rate_recovers_synthetic_exponential():
