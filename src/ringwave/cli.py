@@ -36,7 +36,7 @@ from .errors import (
     NoEquilibriumError,
     PoleError,
 )
-from .linearize import TOL_ZERO, LinearTrio, classify, discriminant, linearize
+from .linearize import LinearTrio, StabilityClass, classify, discriminant, linearize
 from .model import (
     BandoFtl,
     VelocityPreference,
@@ -69,225 +69,85 @@ _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
 _INT = {"type": "integer"}
 
+
+def _obj(properties: dict, optional: Sequence[str] = ()) -> dict:
+    """A closed JSON object whose properties are all required except ``optional``."""
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": [k for k in properties if k not in optional],
+        "additionalProperties": False,
+    }
+
+
 _PREFERENCE = {
     "oneOf": [
-        {
-            "type": "object",
-            "properties": {"v_max": _POS, "l_v": _NONNEG, "d0": _POS},
-            "required": ["v_max", "l_v", "d0"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "calibrate": {
-                    "type": "object",
-                    "properties": {
-                        "h_ref": _POS,
-                        "slope": _POS,
-                        "l_v": _NONNEG,
-                        "d0": _POS,
-                    },
-                    "required": ["h_ref", "slope", "l_v", "d0"],
-                    "additionalProperties": False,
-                }
-            },
-            "required": ["calibrate"],
-            "additionalProperties": False,
-        },
+        _obj({"v_max": _POS, "l_v": _NONNEG, "d0": _POS}),
+        _obj({"calibrate": _obj({"h_ref": _POS, "slope": _POS, "l_v": _NONNEG, "d0": _POS})}),
     ]
 }
-
-_MODEL = {
-    "type": "object",
-    "properties": {
-        "kind": {"const": "bando_ftl"},
-        "a": _POS,
-        "b": _POS,
-        "preference": _PREFERENCE,
-    },
-    "required": ["kind", "a", "b", "preference"],
-    "additionalProperties": False,
+_MODEL = _obj({"kind": {"const": "bando_ftl"}, "a": _POS, "b": _POS, "preference": _PREFERENCE})
+_POPULATIONS = {
+    "type": "array",
+    "items": _obj({"class_id": _INT, "count": {"type": "integer", "minimum": 0}, "model": _MODEL}),
+    "minItems": 1,
 }
-
-_POPULATION = {
-    "type": "object",
-    "properties": {"class_id": _INT, "count": {"type": "integer", "minimum": 0}, "model": _MODEL},
-    "required": ["class_id", "count", "model"],
-    "additionalProperties": False,
+# tau0 and sweep take exactly two classes and no counts
+_PAIR = {
+    "type": "array",
+    "items": _obj({"class_id": _INT, "model": _MODEL}),
+    "minItems": 2,
+    "maxItems": 2,
 }
-
-_POPULATION_NC = {
-    "type": "object",
-    "properties": {"class_id": _INT, "model": _MODEL},
-    "required": ["class_id", "model"],
-    "additionalProperties": False,
-}
-
-_COMPOSITION = {
-    "type": "object",
-    "properties": {
-        "populations": {"type": "array", "items": _POPULATION, "minItems": 1},
-        "ordering": {
-            "oneOf": [{"type": "array", "items": _INT}, {"enum": ["blocks", "spread"]}]
-        },
-    },
-    "required": ["populations", "ordering"],
-    "additionalProperties": False,
-}
-
-_CLASS_HEADWAY = {
-    "type": "object",
-    "properties": {
-        "class_headway": {
-            "type": "object",
-            "properties": {"class_id": _INT, "headway": _POS},
-            "required": ["class_id", "headway"],
-            "additionalProperties": False,
-        }
-    },
-    "required": ["class_headway"],
-    "additionalProperties": False,
-}
-
+_ORDERING = {"oneOf": [{"type": "array", "items": _INT}, {"enum": ["blocks", "spread"]}]}
 _EQ_V = {
     "oneOf": [
-        {
-            "type": "object",
-            "properties": {"v_bar": _POS},
-            "required": ["v_bar"],
-            "additionalProperties": False,
-        },
-        _CLASS_HEADWAY,
+        _obj({"v_bar": _POS}),
+        _obj({"class_headway": _obj({"class_id": _INT, "headway": _POS})}),
     ]
 }
-
-_EQ_FULL = {
-    "oneOf": _EQ_V["oneOf"]
-    + [
-        {
-            "type": "object",
-            "properties": {"length": _POS},
-            "required": ["length"],
-            "additionalProperties": False,
-        }
-    ]
+_EQ_FULL = {"oneOf": _EQ_V["oneOf"] + [_obj({"length": _POS})]}
+_PERT_KINDS = {
+    "single_vehicle_kick": lambda cfg: SingleVehicleKick(),
+    "sinusoidal_mode": lambda cfg: SinusoidalMode(mode=cfg.get("mode", 1)),
+    "seeded_random_zero_sum": lambda cfg: SeededRandomZeroSum(seed=cfg.get("seed", 0)),
 }
-
-_PERTURBATION = {
-    "type": "object",
-    "properties": {
-        "amplitude": _NONNEG,
-        "kind": {
-            "enum": ["single_vehicle_kick", "sinusoidal_mode", "seeded_random_zero_sum"]
-        },
-        "mode": _INT,
-        "seed": _INT,
-    },
-    "required": ["amplitude", "kind"],
-    "additionalProperties": False,
-}
-
-_SIM = {
-    "type": "object",
-    "properties": {
+_SIM = _obj(
+    {
         "dt": _POS,
         "t_end": _POS,
         "record_every": {"type": "integer", "minimum": 1},
-        "perturbation": _PERTURBATION,
+        "perturbation": _obj(
+            {"amplitude": _NONNEG, "kind": {"enum": list(_PERT_KINDS)}, "mode": _INT, "seed": _INT},
+            optional=("mode", "seed"),
+        ),
     },
-    "required": ["t_end", "perturbation"],
-    "additionalProperties": False,
-}
-
-_SWEEP = {
-    "type": "object",
-    "properties": {
-        "n_totals": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 2},
-            "minItems": 1,
-        },
+    optional=("dt", "record_every"),
+)
+_SWEEP = _obj(
+    {
+        "n_totals": {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 1},
         "rate_class1": {"type": "number", "minimum": 0, "maximum": 1},
-    },
-    "required": ["n_totals", "rate_class1"],
-    "additionalProperties": False,
+    }
+)
+
+_RING = {"composition": _obj({"populations": _POPULATIONS, "ordering": _ORDERING}), "equilibrium": _EQ_FULL}
+_SVG = {"svg": {"type": "boolean"}}
+# each command's required sections after schema_version, then its optional ones
+_SECTIONS = {
+    "equilibrium": (_RING, {}),
+    "linearize": (_RING, {}),
+    "spectrum": (_RING, {}),
+    "simulate": ({**_RING, "sim": _SIM}, _SVG),
+    "tau0": ({"populations": _PAIR, "equilibrium": _EQ_V}, {}),
+    "margin": ({"populations": _POPULATIONS, "equilibrium": _EQ_V}, _SVG),
+    "sweep": ({"populations": _PAIR, "equilibrium": _EQ_V, "sweep": _SWEEP}, _SVG),
 }
 
 
 def _config_schema(command: str) -> dict:
-    version = {"const": 1}
-    if command in ("equilibrium", "linearize", "spectrum"):
-        return {
-            "type": "object",
-            "properties": {
-                "schema_version": version,
-                "composition": _COMPOSITION,
-                "equilibrium": _EQ_FULL,
-            },
-            "required": ["schema_version", "composition", "equilibrium"],
-            "additionalProperties": False,
-        }
-    if command == "simulate":
-        return {
-            "type": "object",
-            "properties": {
-                "schema_version": version,
-                "composition": _COMPOSITION,
-                "equilibrium": _EQ_FULL,
-                "sim": _SIM,
-                "svg": {"type": "boolean"},
-            },
-            "required": ["schema_version", "composition", "equilibrium", "sim"],
-            "additionalProperties": False,
-        }
-    if command == "tau0":
-        return {
-            "type": "object",
-            "properties": {
-                "schema_version": version,
-                "populations": {
-                    "type": "array",
-                    "items": _POPULATION_NC,
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-                "equilibrium": _EQ_V,
-            },
-            "required": ["schema_version", "populations", "equilibrium"],
-            "additionalProperties": False,
-        }
-    if command == "margin":
-        return {
-            "type": "object",
-            "properties": {
-                "schema_version": version,
-                "populations": {"type": "array", "items": _POPULATION, "minItems": 1},
-                "equilibrium": _EQ_V,
-                "svg": {"type": "boolean"},
-            },
-            "required": ["schema_version", "populations", "equilibrium"],
-            "additionalProperties": False,
-        }
-    if command == "sweep":
-        return {
-            "type": "object",
-            "properties": {
-                "schema_version": version,
-                "populations": {
-                    "type": "array",
-                    "items": _POPULATION_NC,
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-                "equilibrium": _EQ_V,
-                "sweep": _SWEEP,
-                "svg": {"type": "boolean"},
-            },
-            "required": ["schema_version", "populations", "equilibrium", "sweep"],
-            "additionalProperties": False,
-        }
-    raise ValueError(command)
+    required, optional = _SECTIONS[command]
+    return _obj({"schema_version": {"const": 1}, **required, **optional}, optional=optional)
 
 
 def _build_preference(cfg: dict) -> VelocityPreference:
@@ -341,11 +201,9 @@ def _resolve_equilibrium(eq_cfg: dict, comp: Composition):
     return equilibrium_from_velocity(comp, _resolve_v_bar(eq_cfg, comp.populations))
 
 
-def _trios_at_common_speed(config: dict) -> tuple[list[PopulationSpec], list[LinearTrio]]:
-    """The config's populations and the trio of each at the configured common speed."""
-    pops = _build_populations(config["populations"])
-    v_bar = _resolve_v_bar(config["equilibrium"], pops)
-    return pops, [linearize(p.model, preferred_headway(p.model, v_bar), v_bar) for p in pops]
+def _trios_at(pops: Sequence[PopulationSpec], v_bar: float) -> list[LinearTrio]:
+    """The trio of each population at the common speed ``v_bar``."""
+    return [linearize(p.model, preferred_headway(p.model, v_bar), v_bar) for p in pops]
 
 
 def _cell(v) -> str:
@@ -365,6 +223,11 @@ def _write_csv(path: Path, header: str, rows, deterministic: bool) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _write_svg(path: Path, xs, ys, x_label: str, y_label: str, title: str) -> None:
+    svg = _svg.line_plot(xs, ys, x_label=x_label, y_label=y_label, title=title)
+    path.write_text(svg, encoding="utf-8", newline="\n")
+
+
 def cmd_equilibrium(config: dict, out: Path, deterministic: bool) -> int:
     comp = _build_composition(config["composition"])
     eq = _resolve_equilibrium(config["equilibrium"], comp)
@@ -381,21 +244,11 @@ def cmd_equilibrium(config: dict, out: Path, deterministic: bool) -> int:
 def cmd_linearize(config: dict, out: Path, deterministic: bool) -> int:
     comp = _build_composition(config["composition"])
     eq = _resolve_equilibrium(config["equilibrium"], comp)
-    rows = []
-    for p in comp.populations:
-        if p.count == 0:
-            continue
-        trio = linearize(p.model, eq.h_bar[p.class_id], eq.v_bar)
-        rows.append(
-            (
-                p.class_id,
-                trio.alpha,
-                trio.beta,
-                trio.gamma,
-                discriminant(trio),
-                classify(trio).value,
-            )
-        )
+    present = [p for p in comp.populations if p.count > 0]
+    rows = [
+        (p.class_id, t.alpha, t.beta, t.gamma, discriminant(t), classify(t).value)
+        for p, t in zip(present, _trios_at(present, eq.v_bar))
+    ]
     _write_csv(
         out / "linearize.csv",
         "class_id,alpha_1ps2,beta_1ps,gamma_1ps,delta_1ps2,classification",
@@ -408,16 +261,16 @@ def cmd_linearize(config: dict, out: Path, deterministic: bool) -> int:
 
 
 def cmd_tau0(config: dict, out: Path, deterministic: bool) -> int:
-    pops, trio_list = _trios_at_common_speed(config)
-    trios = {p.class_id: t for p, t in zip(pops, trio_list)}
-    deltas = {cid: discriminant(t) for cid, t in trios.items()}
-    ids = [p.class_id for p in pops]
+    pops = _build_populations(config["populations"])
+    v_bar = _resolve_v_bar(config["equilibrium"], pops)
+    trios = {p.class_id: t for p, t in zip(pops, _trios_at(pops, v_bar))}
+    kinds = {cid: classify(t) for cid, t in trios.items()}
 
-    if all(d >= -TOL_ZERO for d in deltas.values()):
+    if StabilityClass.UNSTABLE not in kinds.values():
         print("verdict: stable for all counts and orderings")
         return 0
-    stable_ids = [cid for cid in ids if deltas[cid] > TOL_ZERO]
-    unstable_ids = [cid for cid in ids if deltas[cid] < -TOL_ZERO]
+    stable_ids = [cid for cid, k in kinds.items() if k is StabilityClass.STABLE]
+    unstable_ids = [cid for cid, k in kinds.items() if k is StabilityClass.UNSTABLE]
     if not stable_ids:
         print("verdict: unstable for sufficiently many vehicles")
         return 0
@@ -446,7 +299,8 @@ def cmd_tau0(config: dict, out: Path, deterministic: bool) -> int:
 
 
 def cmd_margin(config: dict, out: Path, deterministic: bool) -> int:
-    pops, trios = _trios_at_common_speed(config)
+    pops = _build_populations(config["populations"])
+    trios = _trios_at(pops, _resolve_v_bar(config["equilibrium"], pops))
     counts = [p.count for p in pops]
     rep = multi_phase_margin(trios, counts)
     _write_csv(
@@ -459,14 +313,14 @@ def cmd_margin(config: dict, out: Path, deterministic: bool) -> int:
     if config.get("svg"):
         rows = list(zip(*margin_curve(trios, counts, 512)))
         _write_csv(out / "margin_curve.csv", "y_1ps2,margin", rows, deterministic)
-        svg = _svg.line_plot(
+        _write_svg(
+            out / "margin.svg",
             [r[0] for r in rows],
             [r[1] for r in rows],
-            x_label="y (1/s^2)",
-            y_label="weighted log gain",
-            title="stability margin vs y",
+            "y (1/s^2)",
+            "weighted log gain",
+            "stability margin vs y",
         )
-        (out / "margin.svg").write_text(svg, encoding="utf-8", newline="\n")
     return 0
 
 
@@ -474,14 +328,13 @@ def cmd_spectrum(config: dict, out: Path, deterministic: bool) -> int:
     comp = _build_composition(config["composition"])
     eq = _resolve_equilibrium(config["equilibrium"], comp)
     present = [p for p in comp.populations if p.count > 0]
-    trio_by_class = {
-        p.class_id: linearize(p.model, eq.h_bar[p.class_id], eq.v_bar) for p in present
-    }
+    trios = _trios_at(present, eq.v_bar)
+    trio_by_class = {p.class_id: t for p, t in zip(present, trios)}
     ring = RingSystem(tuple(trio_by_class[a] for a in comp.ordering))
     report = eigenvalues_on_H(ring)
     # the abscissa depends only on the class counts; dense eigvals on a very
     # non-normal ordering (such as blocks) can report spurious eigenvalues
-    certified = ring_abscissa(list(trio_by_class.values()), [p.count for p in present])
+    certified = ring_abscissa(trios, [p.count for p in present])
     if abs(report.abscissa - certified) > _SPECTRUM_AGREE_RTOL * max(1.0, abs(certified)):
         raise FloatingPointError(
             f"dense eigenvalues give abscissa {report.abscissa}, but the class counts "
@@ -492,13 +345,6 @@ def cmd_spectrum(config: dict, out: Path, deterministic: bool) -> int:
     _write_csv(out / "spectrum.csv", "re_1ps,im_1ps", rows, deterministic)
     print(f"n = {comp.n}: abscissa = {report.abscissa} (zero excluded: {report.zero_excluded})")
     return 0
-
-
-_PERT_KINDS = {
-    "single_vehicle_kick": lambda cfg: SingleVehicleKick(),
-    "sinusoidal_mode": lambda cfg: SinusoidalMode(mode=cfg.get("mode", 1)),
-    "seeded_random_zero_sum": lambda cfg: SeededRandomZeroSum(seed=cfg.get("seed", 0)),
-}
 
 
 def cmd_simulate(config: dict, out: Path, deterministic: bool) -> int:
@@ -531,19 +377,20 @@ def cmd_simulate(config: dict, out: Path, deterministic: bool) -> int:
         f"variance {trace.speed_variance[0]} -> {trace.speed_variance[-1]}"
     )
     if config.get("svg") and len(trace.times) >= 2:
-        svg = _svg.line_plot(
+        _write_svg(
+            out / "trace.svg",
             list(trace.times),
             list(trace.speed_variance),
-            x_label="t (s)",
-            y_label="speed variance ((m/s)^2)",
-            title="speed variance over time",
+            "t (s)",
+            "speed variance ((m/s)^2)",
+            "speed variance over time",
         )
-        (out / "trace.svg").write_text(svg, encoding="utf-8", newline="\n")
     return 0
 
 
 def cmd_sweep(config: dict, out: Path, deterministic: bool) -> int:
-    _, trios = _trios_at_common_speed(config)
+    pops = _build_populations(config["populations"])
+    trios = _trios_at(pops, _resolve_v_bar(config["equilibrium"], pops))
     rate = float(config["sweep"]["rate_class1"])
     n_totals = config["sweep"]["n_totals"]
 
@@ -564,14 +411,14 @@ def cmd_sweep(config: dict, out: Path, deterministic: bool) -> int:
     else:
         print("no unstable size in grid")
     if config.get("svg") and len(rows) >= 2:
-        svg = _svg.line_plot(
+        _write_svg(
+            out / "sweep.svg",
             [float(r[0]) for r in rows],
             [r[2] for r in rows],
-            x_label="n (vehicles)",
-            y_label="spectral abscissa (1/s)",
-            title="abscissa vs fleet size",
+            "n (vehicles)",
+            "spectral abscissa (1/s)",
+            "abscissa vs fleet size",
         )
-        (out / "sweep.svg").write_text(svg, encoding="utf-8", newline="\n")
     return 0
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._numerics import golden_max, largest_remainder
 from .linearize import LinearTrio, discriminant
-from .spectrum import ring_abscissa
+from .spectrum import count_right_of, ring_abscissa
 
 GRID_POINTS = 4096
 
@@ -306,12 +306,15 @@ def min_unstable_size(
     rates: Sequence[float],
     n_max: int,
 ) -> int | None:
-    """Smallest total vehicle count with a positive spectral abscissa.
+    """Smallest total vehicle count with an eigenvalue right of ``ABSCISSA_TOL``.
 
     Counts at each candidate total are the rates rounded by largest
-    remainder.  The sweep doubles the total until instability appears, then
-    scans linearly back for the first unstable size.  Returns ``None`` when
-    no total up to ``n_max`` is unstable, which is not a proof of stability.
+    remainder.  The totals 2, 4, 8, ..., ``n_max`` are probed until one is
+    unstable; then every total from 2 up is tested, because instability is
+    not monotone in the total (rounding changes the mix), so the result is
+    the true minimum.  Each verdict is one winding count, not an abscissa.
+    Returns ``None`` when no probe is unstable, which is not a proof of
+    stability: a total between two probes may still be unstable.
     """
     if len(trios) != len(rates) or len(trios) < 1:
         raise ValueError("need matching trio and rate lists")
@@ -320,23 +323,13 @@ def min_unstable_size(
     if n_max < 2:
         return None
 
-    candidates: list[int] = []
-    n = 2
-    while n < n_max:
-        candidates.append(n)
-        n *= 2
-    candidates.append(n_max)
+    def unstable(n: int) -> bool:
+        return count_right_of(trios, largest_remainder(rates, n), ABSCISSA_TOL) >= 1
 
-    prev_miss = 1
-    hit = None
-    for n in candidates:
-        if fleet_abscissa(trios, rates, n) > ABSCISSA_TOL:
-            hit = n
-            break
-        prev_miss = n
+    probes = [2]
+    while probes[-1] < n_max:
+        probes.append(min(2 * probes[-1], n_max))
+    hit = next((n for n in probes if unstable(n)), None)
     if hit is None:
         return None
-    for n in range(prev_miss + 1, hit):
-        if fleet_abscissa(trios, rates, n) > ABSCISSA_TOL:
-            return n
-    return hit
+    return next(n for n in range(2, hit + 1) if n == hit or (n not in probes and unstable(n)))

@@ -370,3 +370,57 @@ def test_invalid_json_exits_2(tmp_path):
 
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["tau0", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
+
+
+def valid_config(command):
+    """A config that ``command`` accepts, with every required section."""
+    pops = [{"class_id": 1, "model": MODEL_1}, {"class_id": 2, "model": MODEL_2}]
+    by_command = {
+        "tau0": {"populations": pops},
+        "sweep": {"populations": pops, "sweep": {"n_totals": [4], "rate_class1": 0.8}},
+        "margin": {"populations": [dict(p, count=2) for p in pops]},
+        "simulate": {
+            "composition": composition_payload(2, 2),
+            "sim": {"t_end": 1.0, "perturbation": {"amplitude": 0.0, "kind": "single_vehicle_kick"}},
+        },
+    }
+    sections = by_command.get(command, {"composition": composition_payload(2, 2)})
+    return {"schema_version": 1, "equilibrium": EQ_BY_HEADWAY, **sections}
+
+
+COMMANDS = ["equilibrium", "linearize", "spectrum", "simulate", "tau0", "margin", "sweep"]
+
+
+def rejected_configs():
+    for command in COMMANDS:
+        yield command, "unknown_key", dict(valid_config(command), surprise=True)
+        for section in valid_config(command):
+            cfg = valid_config(command)
+            del cfg[section]
+            yield command, f"no_{section}", cfg
+    for command in ("tau0", "margin", "sweep"):
+        yield command, "length_equilibrium", dict(valid_config(command), equilibrium={"length": 50.0})
+    for command in ("tau0", "sweep"):
+        pops = valid_config(command)["populations"]
+        yield command, "1_population", dict(valid_config(command), populations=pops[:1])
+        three = pops + [{"class_id": 3, "model": MODEL_1}]
+        yield command, "3_populations", dict(valid_config(command), populations=three)
+    for command in ("equilibrium", "linearize", "spectrum", "tau0"):
+        yield command, "svg", dict(valid_config(command), svg=True)
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [pytest.param(c, p, id=f"{c}-{why}") for c, why, p in rejected_configs()],
+)
+def test_schema_rejects_config(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_valid_config_is_accepted(tmp_path, command):
+    cfg = write_config(tmp_path, valid_config(command))
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0

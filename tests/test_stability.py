@@ -11,6 +11,7 @@ from ringwave import (
     critical_penetration,
     discriminant,
     eigenvalues_on_H,
+    fleet_abscissa,
     gamma_squared,
     log_gain,
     margin_curve,
@@ -20,6 +21,7 @@ from ringwave import (
     tau0_bounds,
     two_phase_margin,
 )
+from ringwave.stability import ABSCISSA_TOL
 
 from conftest import random_trio
 
@@ -273,20 +275,34 @@ def test_tau1_separates_margin_signs(mix):
     assert sup_at(tau1 + 1e-6) < 0.0
 
 
+def assert_first_unstable(trios, rates, m):
+    """``m`` is unstable and no total below it is, by certified abscissas."""
+    assert fleet_abscissa(trios, rates, m) > ABSCISSA_TOL
+    for n in range(2, m):
+        assert fleet_abscissa(trios, rates, n) <= ABSCISSA_TOL, n
+
+
 def test_min_unstable_size_reference(ref_trios):
     _, t2 = ref_trios
     m = min_unstable_size([t2], [1.0], 2000)
     assert m is not None and m <= 200
-    # returned size is the first unstable one
+    assert_first_unstable([t2], [1.0], m)
+    # the certified abscissa agrees with a dense spectrum at the result
     assert eigenvalues_on_H(RingSystem(tuple([t2] * m))).abscissa > 1e-9
-    if m > 2:
-        assert (
-            eigenvalues_on_H(RingSystem(tuple([t2] * (m - 1)))).abscissa <= 1e-9
-        )
+
+
+@pytest.mark.parametrize("rate, expected", [(0.85, 10), (0.87, 12), (0.875, 13), (0.885, 14)])
+def test_min_unstable_size_is_the_true_minimum(ref_trios, rate, expected):
+    # instability is not monotone in the total (at 0.875: unstable at 13-14,
+    # stable at 15-20), so a scan from the last stable probe overshoots
+    trios, rates = list(ref_trios), [rate, 1.0 - rate]
+    assert min_unstable_size(trios, rates, 400) == expected
+    assert_first_unstable(trios, rates, expected)
 
 
 def test_min_unstable_size_stable_composition():
     assert min_unstable_size([T_STABLE], [1.0], 64) is None
+    assert all(fleet_abscissa([T_STABLE], [1.0], n) <= ABSCISSA_TOL for n in range(2, 65))
 
 
 def test_min_unstable_size_straddles_critical_rate(ref_trios):
@@ -297,6 +313,7 @@ def test_min_unstable_size_straddles_critical_rate(ref_trios):
     tau0 = critical_penetration(t1, t2).tau0
     below = min_unstable_size([t1, t2], [tau0 - 0.03, 1 - (tau0 - 0.03)], 512)
     assert below is not None
+    assert_first_unstable([t1, t2], [tau0 - 0.03, 1 - (tau0 - 0.03)], below)
     above = min_unstable_size([t1, t2], [tau0 + 0.03, 1 - (tau0 + 0.03)], 512)
     assert above is None
 
@@ -350,6 +367,7 @@ def test_positive_margin_gives_finite_unstable_size():
     assert rep.sup_margin > 0
     m = min_unstable_size([t1, t2], [rate, 1.0 - rate], 600)
     assert m is not None
+    assert_first_unstable([t1, t2], [rate, 1.0 - rate], m)
 
 
 def test_log_gain_scale_consistency_with_transfer(ref_trios):

@@ -11,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from ringwave import (
     LinearTrio,
+    MarginVerdict,
     RingSystem,
     count_right_of,
     eigenvalues_on_H,
     fleet_abscissa,
+    multi_phase_margin,
     ring_abscissa,
     rightmost_eigenvalue,
     transfer_product,
@@ -146,3 +148,6 @@ def test_count_and_abscissa_match_shuffled_dense(fleet):
     dense = eigenvalues_on_H(shuffled_ring(trios, counts, seed=sum(counts))).eigenvalues
     assert count_right_of(trios, counts, ABSCISSA_TOL) == int((dense.real > ABSCISSA_TOL).sum())
     assert abs(ring_abscissa(trios, counts) - dense.real.max()) <= 1e-9
+    # a negative margin means stable for these exact counts: no eigenvalue to the right
+    if multi_phase_margin(trios, counts).verdict is MarginVerdict.STABLE_ALL_N:
+        assert count_right_of(trios, counts, ABSCISSA_TOL) == 0
