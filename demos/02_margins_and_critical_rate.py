@@ -17,7 +17,6 @@ from ringwave import (
     preference_with_slope,
     preferred_headway,
     tau0_bounds,
-    two_phase_margin,
 )
 
 pref = preference_with_slope(1.27491124260355, 10.4, 4.5, 2.23)
@@ -45,7 +44,7 @@ print("above tau0 the fleet is stable at any size and ordering;")
 print("below it, large enough fleets develop waves.\n")
 
 for rate in (0.70, 0.802, 0.85, 0.882, 0.95):
-    m = two_phase_margin(t1, t2, rate, 1.0 - rate)
+    m = multi_phase_margin([t1, t2], [rate, 1.0 - rate])
     print(f"stable share {rate:5.3f}: sup margin {m.sup_margin:+.3e}"
           f"  -> {m.verdict.value}")
 

@@ -8,15 +8,16 @@ import numpy as np
 
 from ringwave import (
     BandoFtl,
+    Fleet,
     RingSystem,
     char_poly_eval,
     eigenvalues_on_H,
     eval_preference,
-    fleet_abscissa,
     linearize,
     min_unstable_size,
     preference_with_slope,
     preferred_headway,
+    rightmost_eigenvalue,
     transfer_product,
 )
 from ringwave._numerics import largest_remainder
@@ -35,7 +36,8 @@ rate = 0.875
 print(f"certified verdicts at stable share {rate}:")
 runs = []
 for n in range(2, 41):
-    unstable = fleet_abscissa([t1, t2], [rate, 1 - rate], n) > ABSCISSA_TOL
+    fleet = Fleet.from_rates([t1, t2], [rate, 1 - rate], n)
+    unstable = rightmost_eigenvalue(fleet).real > ABSCISSA_TOL
     if runs and runs[-1][2] == unstable:
         runs[-1][1] = n
     else:

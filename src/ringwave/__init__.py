@@ -58,13 +58,13 @@ from .sim import (
     step,
 )
 from .spectrum import (
+    Fleet,
     RingSystem,
     SpectrumReport,
     assemble,
     char_poly_eval,
     count_right_of,
     eigenvalues_on_H,
-    ring_abscissa,
     rightmost_eigenvalue,
     transfer_product,
 )
@@ -73,7 +73,6 @@ from .stability import (
     MarginVerdict,
     TwoPhaseReport,
     critical_penetration,
-    fleet_abscissa,
     gamma_squared,
     log_gain,
     margin_curve,
@@ -81,7 +80,6 @@ from .stability import (
     multi_phase_margin,
     multi_phase_tau1,
     tau0_bounds,
-    two_phase_margin,
 )
 
 __version__ = "0.1.0"

@@ -76,6 +76,12 @@ def golden_max(fn: Callable[[float], float], a: float, b: float) -> tuple[float,
     return (c, fc) if fc > fd else (d, fd)
 
 
+def check_rates(rates: Sequence[float]) -> None:
+    """Refuse shares that are negative or do not sum to 1."""
+    if any(r < 0 for r in rates) or not math.isclose(sum(rates), 1.0, abs_tol=1e-9):
+        raise ValueError("rates must be nonnegative and sum to 1")
+
+
 def largest_remainder(rates: Sequence[float], total: int) -> list[int]:
     """Round ``rates * total`` to integers that sum exactly to ``total``."""
     raw = [r * total for r in rates]

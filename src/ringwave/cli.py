@@ -52,17 +52,12 @@ from .sim import (
     SinusoidalMode,
     simulate,
 )
-from .spectrum import RingSystem, eigenvalues_on_H, ring_abscissa
-from .stability import (
-    ABSCISSA_TOL,
-    critical_penetration,
-    fleet_abscissa,
-    margin_curve,
-    multi_phase_margin,
-)
+from .spectrum import Fleet, RingSystem, eigenvalues_on_H, rightmost_eigenvalue
+from .stability import ABSCISSA_TOL, critical_penetration, margin_curve, multi_phase_margin
 
 # dense and certified abscissas further apart than this, relative to
-# max(1, |certified|), mean the dense eigensolver lost the rightmost eigenvalue
+# max(1, |certified|), mean the dense eigensolver lost the rightmost eigenvalue;
+# a dense eigenvalue with |F(lambda) - 1| above it is not an eigenvalue at all
 _SPECTRUM_AGREE_RTOL = 1e-6
 
 _POS = {"type": "number", "exclusiveMinimum": 0}
@@ -332,14 +327,18 @@ def cmd_spectrum(config: dict, out: Path, deterministic: bool) -> int:
     trio_by_class = {p.class_id: t for p, t in zip(present, trios)}
     ring = RingSystem(tuple(trio_by_class[a] for a in comp.ordering))
     report = eigenvalues_on_H(ring)
-    # the abscissa depends only on the class counts; dense eigvals on a very
-    # non-normal ordering (such as blocks) can report spurious eigenvalues
-    certified = ring_abscissa(trios, [p.count for p in present])
-    if abs(report.abscissa - certified) > _SPECTRUM_AGREE_RTOL * max(1.0, abs(certified)):
+    # the spectrum depends only on the class counts; dense eigvals on a very
+    # non-normal ordering (such as blocks or a shuffle) can report spurious eigenvalues
+    fleet = Fleet(trios, [p.count for p in present])
+    certified = rightmost_eigenvalue(fleet).real
+    miss = np.abs(fleet.transfer(report.eigenvalues) - 1.0)
+    off = int((~(miss <= _SPECTRUM_AGREE_RTOL)).sum())
+    if off or abs(report.abscissa - certified) > _SPECTRUM_AGREE_RTOL * max(1.0, abs(certified)):
         raise FloatingPointError(
-            f"dense eigenvalues give abscissa {report.abscissa}, but the class counts "
-            f"fix it at {certified}: this ordering makes the ring matrix too "
-            "ill-conditioned for a dense spectrum"
+            f"dense eigenvalues give abscissa {report.abscissa}, and {off} of {miss.size} "
+            f"miss F(lambda) = 1, but the class counts fix the abscissa at {certified} "
+            'and F = 1 at every eigenvalue: this ordering makes the ring matrix too '
+            'ill-conditioned for a dense spectrum ("spread" is safe)'
         )
     rows = [(lam.real, lam.imag) for lam in report.eigenvalues]
     _write_csv(out / "spectrum.csv", "re_1ps,im_1ps", rows, deterministic)
@@ -396,7 +395,7 @@ def cmd_sweep(config: dict, out: Path, deterministic: bool) -> int:
 
     rows = []
     for n in n_totals:
-        ab = fleet_abscissa(trios, [rate, 1.0 - rate], n)
+        ab = rightmost_eigenvalue(Fleet.from_rates(trios, [rate, 1.0 - rate], n)).real
         if ab > ABSCISSA_TOL:
             verdict = "unstable"
         elif ab < -ABSCISSA_TOL:

@@ -13,31 +13,30 @@ zero.  Two independent reformulations are provided for cross-checking: the
 characteristic polynomial in product form and the transfer product whose
 unit level set characterizes the eigenvalues.
 
-Because the transfer product depends only on the multiset of trios, a fleet
-given as classes ``(trios, counts)`` has its eigenvalues at the zeros of
-``1 - F`` with ``F = prod_k T_k^{n_k}``.  :func:`count_right_of` counts them
-right of a vertical line by the argument principle and :func:`ring_abscissa`
-locates the rightmost one by Newton's method, certified by that count; both
-cost O(K) per sample point and never form the ring matrix.
+Because the transfer product depends only on the multiset of trios, a
+:class:`Fleet` of classes ``(trios, counts)`` has its eigenvalues at the zeros
+of ``1 - F`` with ``F = prod_k T_k^{n_k}``.  :func:`count_right_of` counts
+them right of a vertical line by the argument principle and
+:func:`rightmost_eigenvalue` locates the rightmost one by Newton's method,
+certified by that count; both cost O(K) per sample point and never form the
+ring matrix.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._numerics import check_rates, largest_remainder
 from .errors import DegenerateSpectrumError, PoleError
 from .linearize import LinearTrio
 
 # |eigenvalue| below EIG_ZERO_RTOL * ||M||_inf marks the structural zero
 EIG_ZERO_RTOL = 1e-8
-
-# beyond this many factors, products are accumulated as complex logs
-_LOG_PRODUCT_CUTOFF = 64
 
 
 @dataclass(frozen=True)
@@ -53,6 +52,68 @@ class RingSystem:
     @property
     def n(self) -> int:
         return len(self.trios)
+
+
+@dataclass(frozen=True, eq=False)
+class Fleet:
+    """The vehicles of a ring as classes: ``counts[k]`` vehicles share ``trios[k]``.
+
+    The spectrum depends on this multiset and never on the ordering.  Classes
+    with count zero are dropped.  The K remaining classes are also held as
+    read-only ``(K, 1)`` columns ``alpha``, ``beta``, ``gamma`` and ``count``,
+    and ``roots`` holds the two roots of each ``q_k = lam^2 + beta_k lam + alpha_k``.
+    """
+
+    trios: tuple[LinearTrio, ...]
+    counts: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.trios) != len(self.counts) or len(self.trios) < 1:
+            raise ValueError("need matching, nonempty trio and count lists")
+        if any(c < 0 or not float(c).is_integer() for c in self.counts):
+            raise ValueError(f"counts must be nonnegative integers, got {list(self.counts)}")
+        kept = [(t, int(c)) for t, c in zip(self.trios, self.counts) if c > 0]
+        if not kept:
+            raise ValueError("a ring system needs at least one vehicle")
+        rows = [(t.alpha, t.beta, t.gamma, float(c)) for t, c in kept]
+        alpha, beta, gamma, count = (np.array(col)[:, None] for col in zip(*rows))
+        disc = np.sqrt((beta * beta - 4.0 * alpha).astype(complex))
+        roots = np.hstack([(-beta + disc) / 2.0, (-beta - disc) / 2.0])
+        for col in (alpha, beta, gamma, count, roots):
+            col.flags.writeable = False
+        trios, counts = zip(*kept)
+        # set once, past the frozen __setattr__
+        vars(self).update(
+            trios=trios, counts=counts, alpha=alpha, beta=beta, gamma=gamma, count=count, roots=roots
+        )
+
+    @classmethod
+    def from_rates(cls, trios: Sequence[LinearTrio], rates: Sequence[float], n: int) -> Fleet:
+        """``n`` vehicles split over ``trios`` by ``rates``, rounded by largest remainder."""
+        check_rates(rates)
+        return cls(trios, largest_remainder(rates, n))
+
+    @classmethod
+    def from_ring(cls, ring: RingSystem) -> Fleet:
+        """The classes of ``ring``: how many of its vehicles share each trio."""
+        counts = Counter(ring.trios)
+        return cls(tuple(counts), tuple(counts.values()))
+
+    def transfer(self, z) -> np.ndarray:
+        """``F(z) = exp(sum_k n_k (log p_k(z) - log q_k(z)))`` at each of the points ``z``.
+
+        ``p_k = gamma_k z + alpha_k`` and ``q_k`` are the numerator and
+        denominator of class k's transfer factor; the sum of logs cannot
+        overflow or underflow as a product of n factors would, and is exactly
+        zero at ``z = 0``.  Raises :class:`PoleError` at a pole.
+        """
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        q = z * z + self.beta * z + self.alpha
+        if not q.all():
+            raise PoleError(f"transfer product evaluated at pole z={z[(q == 0).any(axis=0)][0]}")
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_f = (self.count * (np.log(self.gamma * z + self.alpha) - np.log(q))).sum(axis=0)
+            return np.exp(log_f)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,33 +209,13 @@ def char_poly_eval(sys: RingSystem, lam: complex) -> complex:
 
 
 def transfer_product(sys: RingSystem, z: complex) -> complex:
-    """Product of the per-vehicle transfer factors at ``z``.
+    """Product of the per-vehicle transfer factors at ``z``, one class at a time.
 
     Each factor is ``(gamma_j z + alpha_j) / (z^2 + beta_j z + alpha_j)``;
     eigenvalues of the ring system are exactly the points where the product
-    equals one.  For large n the factors are accumulated as complex logs to
-    avoid overflow and underflow.  Raises :class:`PoleError` at a pole.
+    equals one.  See :meth:`Fleet.transfer`.
     """
-    z = complex(z)
-    factors = []
-    for t in sys.trios:
-        den = z * z + t.beta * z + t.alpha
-        if den == 0:
-            raise PoleError(f"transfer product evaluated at pole z={z}")
-        factors.append((t.gamma * z + t.alpha) / den)
-    if len(factors) <= _LOG_PRODUCT_CUTOFF:
-        out = 1.0 + 0.0j
-        for f in factors:
-            out *= f
-        return out
-    if any(f == 0 for f in factors):
-        return 0.0 + 0.0j
-    acc = 0.0 + 0.0j
-    for f in factors:
-        acc += cmath.log(f)
-    if acc.real > 700.0:  # would overflow exp; the product is effectively infinite
-        return complex(math.inf, math.inf)
-    return cmath.exp(acc)
+    return complex(Fleet.from_ring(sys).transfer(z)[0])
 
 
 # Fleets as class multisets: winding counts and a certified abscissa.
@@ -208,54 +249,22 @@ _NEWTON_ITERS = 60
 _NEWTON_RESIDUAL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class _Classes:
-    """Trios with positive counts as column arrays, plus the roots of each q_k."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    count: np.ndarray
-    roots: np.ndarray  # (K, 2) roots of lam^2 + beta lam + alpha
-
-
-def _classes(trios: Sequence[LinearTrio], counts: Sequence[int]) -> _Classes:
-    if len(trios) != len(counts) or len(trios) < 1:
-        raise ValueError("need matching, nonempty trio and count lists")
-    if any(c < 0 or c != int(c) for c in counts):
-        raise ValueError(f"counts must be nonnegative integers, got {list(counts)}")
-    kept = [(t, int(c)) for t, c in zip(trios, counts) if c > 0]
-    if not kept:
-        raise ValueError("a ring system needs at least one vehicle")
-    alpha = np.array([[t.alpha] for t, _ in kept])
-    beta = np.array([[t.beta] for t, _ in kept])
-    gamma = np.array([[t.gamma] for t, _ in kept])
-    disc = np.sqrt((beta * beta - 4.0 * alpha).astype(complex))
-    return _Classes(
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        count=np.array([[float(c)] for _, c in kept]),
-        roots=np.hstack([(-beta + disc) / 2.0, (-beta - disc) / 2.0]),
-    )
-
-
 def _wrap(a):
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _log_product(cls: _Classes, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _log_product(fleet: Fleet, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``log|F|`` and ``Im log F`` (modulo 2 pi) at the points ``lam``.
 
     Each factor is written ``T_k = 1 + u_k`` with ``u_k = lam (gamma_k -
     beta_k - lam) / q_k(lam)``, so the logs stay accurate next to the
     structural zero, where every ``T_k`` is close to one.
     """
-    q = lam * (lam + cls.beta) + cls.alpha
-    u = lam * (cls.gamma - cls.beta - lam) / q
+    q = lam * (lam + fleet.beta) + fleet.alpha
+    u = lam * (fleet.gamma - fleet.beta - lam) / q
     log_abs = 0.5 * np.log1p(u.real * (2.0 + u.real) + u.imag * u.imag)
     arg = np.arctan2(u.imag, 1.0 + u.real)
-    return (cls.count * log_abs).sum(axis=0), (cls.count * arg).sum(axis=0)
+    return (fleet.count * log_abs).sum(axis=0), (fleet.count * arg).sum(axis=0)
 
 
 def _arg_one_minus_exp(g_re: np.ndarray, g_im: np.ndarray) -> np.ndarray:
@@ -271,7 +280,7 @@ def _arg_one_minus_exp(g_re: np.ndarray, g_im: np.ndarray) -> np.ndarray:
     return np.where(big, _wrap(phi + g_im + math.pi), phi)
 
 
-def _tail_start(cls: _Classes) -> float:
+def _tail_start(fleet: Fleet) -> float:
     """Height beyond which ``|F(s + ix)| < 1`` on every vertical line.
 
     With ``R_k`` the largest root modulus of ``q_k``,
@@ -279,20 +288,20 @@ def _tail_start(cls: _Classes) -> float:
     ``|lam| >= R_k + gamma_k + sqrt(alpha_k) + sqrt(gamma_k R_k) + 1``, and
     ``|lam| >= x``; so each factor, and the product, has modulus below one.
     """
-    r = np.abs(cls.roots).max(axis=1, keepdims=True)
-    bound = r + cls.gamma + np.sqrt(cls.alpha) + np.sqrt(cls.gamma * r) + 1.0
+    r = np.abs(fleet.roots).max(axis=1, keepdims=True)
+    bound = r + fleet.gamma + np.sqrt(fleet.alpha) + np.sqrt(fleet.gamma * r) + 1.0
     return float(bound.max())
 
 
-def _sample_line(cls: _Classes, s: float, x: np.ndarray) -> np.ndarray:
+def _sample_line(fleet: Fleet, s: float, x: np.ndarray) -> np.ndarray:
     """Rows ``log|F|``, ``arg(1 - F)`` and the angles of F's linear factors at ``s + ix``."""
-    g_re, g_im = _log_product(cls, s + 1j * x)
-    centers = (-cls.alpha / cls.gamma, cls.roots[:, :1], cls.roots[:, 1:])
+    g_re, g_im = _log_product(fleet, s + 1j * x)
+    centers = (-fleet.alpha / fleet.gamma, fleet.roots[:, :1], fleet.roots[:, 1:])
     angles = [np.arctan2(x - c.imag, s - c.real) for c in centers]
     return np.vstack([g_re, _arg_one_minus_exp(g_re, g_im)] + angles)
 
 
-def _resolve_line(cls: _Classes, s: float, *, winding: bool):
+def _resolve_line(fleet: Fleet, s: float, *, winding: bool):
     """Intervals covering the half line ``s + ix``, ``0 <= x <= x_tail``, fine enough to count on.
 
     Unresolved intervals are cut into ``_SPLIT`` pieces, round after round,
@@ -302,21 +311,21 @@ def _resolve_line(cls: _Classes, s: float, *, winding: bool):
     ``arg(1 - F)`` at ``x_tail``.  With ``winding=False`` only the continuous
     phase of F is resolved.
     """
-    x_tail = _tail_start(cls)
+    x_tail = _tail_start(fleet)
     x = np.unique(
         np.concatenate(
             (
                 [0.0],
                 np.geomspace(x_tail * 1e-6, x_tail, 64),
-                np.linspace(0.0, x_tail, 4 * int(cls.count.sum()) + 64),
+                np.linspace(0.0, x_tail, 4 * int(fleet.count.sum()) + 64),
             )
         )
     )
     # +1 for each zero of F (at -alpha/gamma), -1 for each pole (roots of q)
-    weight = np.concatenate((cls.count, -cls.count, -cls.count)).ravel()
+    weight = np.concatenate((fleet.count, -fleet.count, -fleet.count)).ravel()
     done = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        data = _sample_line(cls, s, x)
+        data = _sample_line(fleet, s, x)
         arg_tail = float(data[1, -1])
         xa, xb, da, db = x[:-1], x[1:], data[:, :-1], data[:, 1:]
         for _ in range(_MAX_ROUNDS):
@@ -340,7 +349,7 @@ def _resolve_line(cls: _Classes, s: float, *, winding: bool):
             if np.any(cut[0] <= lo) or np.any(cut[-1] >= hi) or np.any(cut[1:] <= cut[:-1]):
                 break
             xs = np.vstack((lo, cut, hi))
-            inner = _sample_line(cls, s, cut.ravel()).reshape(-1, *cut.shape)
+            inner = _sample_line(fleet, s, cut.ravel()).reshape(-1, *cut.shape)
             ds = np.concatenate((da[:, None, bad], inner, db[:, None, bad]), axis=1)
             rows = len(ds)
             xa, xb = xs[:-1].ravel(), xs[1:].ravel()
@@ -348,40 +357,34 @@ def _resolve_line(cls: _Classes, s: float, *, winding: bool):
     raise FloatingPointError(f"phase of 1 - F along Re(lambda) = {s} could not be resolved")
 
 
-def count_right_of(
-    trios: Sequence[LinearTrio], counts: Sequence[int], s: float
-) -> int:
+def count_right_of(fleet: Fleet, s: float) -> int:
     """Number of eigenvalues with ``Re(lambda) > s``, the structural zero excluded.
 
-    ``counts[k]`` vehicles share ``trios[k]``; the answer holds for every
-    ordering of the ring.  Eigenvalues are the zeros of ``1 - F``; the
-    argument principle on the half plane right of the line gives their
-    number as the winding of ``1 - F`` along the line (taken on ``x >= 0``
-    and doubled by conjugate symmetry) plus the poles of F right of the line,
-    ``counts[k]`` at each root of ``q_k`` there.  The zero at the origin is
-    subtracted when ``s < 0``; ``s = 0`` is refused, since the line passes
-    through it.  Raises :class:`PoleError` if the line passes through a pole
-    and ``FloatingPointError`` if the phase cannot be resolved.
+    The answer holds for every ordering of the ring.  Eigenvalues are the
+    zeros of ``1 - F``; the argument principle on the half plane right of the
+    line gives their number as the winding of ``1 - F`` along the line (taken
+    on ``x >= 0`` and doubled by conjugate symmetry) plus the poles of F right
+    of the line, ``n_k`` at each root of ``q_k`` there.  The zero at the
+    origin is subtracted when ``s < 0``; ``s = 0`` is refused, since the line
+    passes through it.  Raises :class:`PoleError` if the line passes through a
+    pole and ``FloatingPointError`` if the phase cannot be resolved.
     """
-    return _count_right_of(_classes(trios, counts), float(s))
-
-
-def _count_right_of(cls: _Classes, s: float) -> int:
+    s = float(s)
     if s == 0.0:
         raise ValueError("the line Re(lambda) = 0 passes through the structural zero")
-    if np.any(cls.roots.real == s):
+    if np.any(fleet.roots.real == s):
         raise PoleError(f"the line Re(lambda) = {s} passes through a pole")
-    *_, d_arg, arg_tail = _resolve_line(cls, s, winding=True)
+    *_, d_arg, arg_tail = _resolve_line(fleet, s, winding=True)
     # arg(1 - F) tends to 0 beyond the tail start, where Re(1 - F) > 0
     half_turns = (math.fsum(d_arg) - arg_tail) / math.pi
     k = round(half_turns)
     if abs(half_turns - k) > _TURN_SLACK:
         raise FloatingPointError(f"winding along Re(lambda) = {s} is not a whole count")
-    poles = int((cls.count * (cls.roots.real > s)).sum())
+    poles = int((fleet.count * (fleet.roots.real > s)).sum())
     return poles - k - (1 if s < 0.0 else 0)
 
 
-def _newton_roots(cls: _Classes, lam: np.ndarray) -> np.ndarray:
+def _newton_roots(fleet: Fleet, lam: np.ndarray) -> np.ndarray:
     """Roots of ``F = 1`` reached by Newton on ``log F - 2 pi i m`` from each seed.
 
     The branch ``m`` is whichever is nearest at each step, so every converged
@@ -389,22 +392,22 @@ def _newton_roots(cls: _Classes, lam: np.ndarray) -> np.ndarray:
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_ITERS):
-            g_re, g_im = _log_product(cls, lam)
-            q = lam * (lam + cls.beta) + cls.alpha
-            d_log = cls.gamma / (cls.gamma * lam + cls.alpha) - (2.0 * lam + cls.beta) / q
-            dg = (cls.count * d_log).sum(axis=0)
+            g_re, g_im = _log_product(fleet, lam)
+            q = lam * (lam + fleet.beta) + fleet.alpha
+            d_log = fleet.gamma / (fleet.gamma * lam + fleet.alpha) - (2.0 * lam + fleet.beta) / q
+            dg = (fleet.count * d_log).sum(axis=0)
             step = (g_re + 1j * _wrap(g_im)) / dg
             lam = lam - step
             if not np.any(np.abs(step) > 4e-16 * (1.0 + np.abs(lam))):
                 break
-        g_re, g_im = _log_product(cls, lam)
+        g_re, g_im = _log_product(fleet, lam)
         residual = np.abs(g_re + 1j * _wrap(g_im))
     return lam[residual <= _NEWTON_RESIDUAL]
 
 
-def _axis_seeds(cls: _Classes) -> np.ndarray:
+def _axis_seeds(fleet: Fleet) -> np.ndarray:
     """Points ``ix``, ``x > 0``, where ``Im log F(ix)`` crosses a multiple of pi/2."""
-    xa, xb, d_phase, _, _ = _resolve_line(cls, 0.0, winding=False)
+    xa, xb, d_phase, _, _ = _resolve_line(fleet, 0.0, winding=False)
     order = np.argsort(xa)
     x = np.append(xa[order], xb[order[-1]])
     phase = np.concatenate(([0.0], np.cumsum(d_phase[order])))  # F(0) = 1
@@ -415,63 +418,69 @@ def _axis_seeds(cls: _Classes) -> np.ndarray:
     return 1j * x_cross[x_cross > 0.0]
 
 
-def rightmost_eigenvalue(trios: Sequence[LinearTrio], counts: Sequence[int]) -> complex:
-    """Eigenvalue of largest real part of the ring with ``counts[k]`` vehicles of ``trios[k]``.
+def _seeds(fleet: Fleet) -> np.ndarray:
+    """Newton seeds for :func:`rightmost_eigenvalue`.
 
-    The structural zero is excluded; the real part is the same for every
-    ordering, and the imaginary part is the angular frequency of the
-    fastest-growing (or slowest-decaying) wave.  Newton on
-    ``log F = 2 pi i m`` starts at every crossing of a multiple of pi/2 by
-    the phase of F along the imaginary axis, all seeds at once.  The
+    One class of n vehicles has as eigenvalues the roots of ``w lam^2 + (w
+    beta - gamma) lam + alpha (w - 1) = 0``, ``w = e^(2 pi i m / n)``, where
+    ``m <= n/2`` gives one of each conjugate pair.  A real eigenvalue has no
+    axis crossing, so several classes add each one's real root ``gamma_k - beta_k``.
+    """
+    if len(fleet.counts) > 1:
+        return np.concatenate((_axis_seeds(fleet), (fleet.gamma - fleet.beta).ravel()))
+    (n,) = fleet.counts
+    w = np.exp(2j * math.pi * np.arange(n // 2 + 1) / n)
+    b = w * fleet.beta[0] - fleet.gamma[0]
+    root = np.sqrt(b * b - 4.0 * w * fleet.alpha[0] * (w - 1.0))
+    return np.concatenate(((-b + root) / (2.0 * w), (-b - root) / (2.0 * w)))
+
+
+def rightmost_eigenvalue(fleet: Fleet) -> complex:
+    """Eigenvalue of largest real part of the ring of ``fleet``.
+
+    The structural zero is excluded; the real part, the spectral abscissa, is
+    the same for every ordering, and the imaginary part is the angular
+    frequency of the fastest-growing (or slowest-decaying) wave.  Newton on
+    ``log F = 2 pi i m`` starts from all seeds at once: for one class its
+    eigenvalues in closed form, otherwise every crossing of a multiple of
+    pi/2 by the phase of F along the imaginary axis.  The
     rightmost converged root ``a`` is certified by :func:`count_right_of`:
     no eigenvalue right of ``Re a + d`` and at least one right of
     ``Re a - d``, with ``d = 1e-10 max(1, |Re a|)``.  If the certificate
     fails, the abscissa is bracketed by bisection on the count and the root
     polished by Newton.
     """
-    cls = _classes(trios, counts)
     # F(lam) - 1 ~ F'(0) lam: a root this close to the origin is the structural zero
-    slope0 = abs(float((cls.count * (cls.gamma - cls.beta) / cls.alpha).sum()))
+    slope0 = abs(float((fleet.count * (fleet.gamma - fleet.beta) / fleet.alpha).sum()))
     zero_gap = 1e-6 * 2.0 * math.pi / slope0
-    # a real eigenvalue has no axis crossing; each class alone has one at gamma - beta
-    seeds = np.concatenate((_axis_seeds(cls), (cls.gamma - cls.beta).ravel()))
-    roots = _newton_roots(cls, seeds.astype(complex))
+    roots = _newton_roots(fleet, _seeds(fleet).astype(complex))
     roots = roots[np.abs(roots) > zero_gap]
     # every eigenvalue lies in a Gershgorin disc of the ring matrix
-    hi = 2.0 + float(cls.alpha.max())
-    lo = -3.0 - float((cls.alpha + cls.beta + cls.gamma).max())
+    hi = 2.0 + float(fleet.alpha.max())
+    lo = -3.0 - float((fleet.alpha + fleet.beta + fleet.gamma).max())
     if roots.size:
         top = complex(roots[np.argmax(roots.real)])
         d = _CERT_RTOL * max(1.0, abs(top.real))
         # (neither line may be the one through the structural zero)
         above, below = top.real + d or 0.5 * d, top.real - d or -0.5 * d
-        if _count_right_of(cls, above) == 0:
-            if _count_right_of(cls, below) >= 1:
+        if count_right_of(fleet, above) == 0:
+            if count_right_of(fleet, below) >= 1:
                 return top
             hi = below
         else:
             lo = above
     while hi - lo > _BISECT_RTOL * max(1.0, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi) or 0.5 * hi  # lo < 0 < hi: step off the zero line
-        if _count_right_of(cls, mid) == 0:
+        if count_right_of(fleet, mid) == 0:
             hi = mid
         else:
             lo = mid
     # polish from where the phase of 1 - F turns fastest along Re(lambda) = lo
-    xa, xb, _, d_arg, _ = _resolve_line(cls, lo, winding=True)
+    xa, xb, _, d_arg, _ = _resolve_line(fleet, lo, winding=True)
     pick = np.argsort(np.abs(d_arg) / (xb - xa))[-8:]
-    roots = _newton_roots(cls, lo + 0.5j * (xa[pick] + xb[pick]))
+    roots = _newton_roots(fleet, lo + 0.5j * (xa[pick] + xb[pick]))
     tol = _BISECT_RTOL * max(1.0, abs(lo), abs(hi))
     roots = roots[(roots.real >= lo - tol) & (roots.real <= hi + tol)]
     if not roots.size:
         raise FloatingPointError(f"no eigenvalue found in the certified strip [{lo}, {hi}]")
     return complex(roots[np.argmax(roots.real)])
-
-
-def ring_abscissa(trios: Sequence[LinearTrio], counts: Sequence[int]) -> float:
-    """Spectral abscissa of the ring with ``counts[k]`` vehicles of ``trios[k]``.
-
-    The structural zero is excluded and the value holds for every ordering;
-    it is the real part of :func:`rightmost_eigenvalue`.
-    """
-    return rightmost_eigenvalue(trios, counts).real

@@ -23,9 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numerics import golden_max, largest_remainder
+from ._numerics import check_rates, golden_max
 from .linearize import LinearTrio, discriminant
-from .spectrum import count_right_of, ring_abscissa
+from .spectrum import Fleet, count_right_of
 
 GRID_POINTS = 4096
 
@@ -132,6 +132,21 @@ def _grid_with_refinement(fn, ys: np.ndarray, vals: np.ndarray):
     return best_y, best_v
 
 
+def _weighted_log_gain(trios: Sequence[LinearTrio], weights: Sequence[float]):
+    """``y -> sum_k weights[k] * H_k(y)``: an ``fsum`` at a float, class by class on an array."""
+    live = [(t, w) for t, w in zip(trios, weights) if w != 0.0]
+
+    def at(y):
+        if isinstance(y, float):
+            return math.fsum(w * log_gain(t, y) for t, w in live)
+        total = np.zeros_like(y)
+        for t, w in live:
+            total += w * log_gain(t, y)
+        return total
+
+    return at
+
+
 def _critical_ratio(
     stable: LinearTrio, others: Sequence[LinearTrio], weights: Sequence[float]
 ) -> float:
@@ -142,19 +157,20 @@ def _critical_ratio(
     every ``H_k`` falls and ``-H1`` rises, so the grid stops there; ``y -> 0``
     enters by its analytic limit.  ``-inf`` when no remainder class is unstable.
     """
-    live = [(t, w) for t, w in zip(others, weights) if w != 0.0]
-    unstable = [gamma_squared(t) for t, _ in live if discriminant(t) < 0.0]
+    unstable = [gamma_squared(t) for t, w in zip(others, weights) if w and discriminant(t) < 0.0]
     if not unstable:
         return -math.inf
     ys = np.geomspace(max(unstable) * 1e-12, max(unstable), GRID_POINTS)
-    rest = sum(w * log_gain(t, ys) for t, w in live)
+    rest = _weighted_log_gain(others, weights)
 
-    def ratio_at(y: float) -> float:
-        return math.fsum(w * log_gain(t, y) for t, w in live) / -log_gain(stable, y)
+    def ratio_at(y):
+        return rest(y) / -log_gain(stable, y)
 
     d1, a1sq = discriminant(stable), stable.alpha**2
-    limit0 = math.fsum(w * ((-discriminant(t) * a1sq) / (d1 * t.alpha**2)) for t, w in live)
-    return max(_grid_with_refinement(ratio_at, ys, rest / -log_gain(stable, ys))[1], limit0)
+    limit0 = math.fsum(
+        w * ((-discriminant(t) * a1sq) / (d1 * t.alpha**2)) for t, w in zip(others, weights)
+    )
+    return max(_grid_with_refinement(ratio_at, ys, ratio_at(ys))[1], limit0)
 
 
 def critical_penetration(trio1: LinearTrio, trio2: LinearTrio) -> TwoPhaseReport:
@@ -226,11 +242,7 @@ def margin_curve(
             spans.append(gamma_squared(t))
     window = 10.0 * max(spans)
     ys = np.geomspace(window * 1e-9, window, points)
-    total = np.zeros_like(ys)
-    for t, w in zip(trios, counts):
-        if w != 0.0:
-            total += w * log_gain(t, ys)
-    return ys, total
+    return ys, _weighted_log_gain(trios, counts)(ys)
 
 
 def multi_phase_margin(
@@ -248,11 +260,7 @@ def multi_phase_margin(
     if any(c < 0 for c in counts) or sum(counts) <= 0:
         raise ValueError("counts must be nonnegative with a positive total")
     ys, total = margin_curve(trios, counts, GRID_POINTS)
-
-    def margin_at(y: float) -> float:
-        return math.fsum(w * log_gain(t, y) for t, w in zip(trios, counts) if w != 0.0)
-
-    y_best, sup = _grid_with_refinement(margin_at, ys, total)
+    y_best, sup = _grid_with_refinement(_weighted_log_gain(trios, counts), ys, total)
     if sup > MARGIN_TOL:
         verdict = MarginVerdict.UNSTABLE_FOR_LARGE_N
     elif sup < -MARGIN_TOL:
@@ -260,13 +268,6 @@ def multi_phase_margin(
     else:
         verdict = MarginVerdict.CRITICAL_BOUNDARY
     return MarginReport(sup_margin=sup, argmax_y=y_best, verdict=verdict)
-
-
-def two_phase_margin(
-    trio1: LinearTrio, trio2: LinearTrio, n1: float, n2: float
-) -> MarginReport:
-    """Two-class special case of :func:`multi_phase_margin`."""
-    return multi_phase_margin([trio1, trio2], [n1, n2])
 
 
 def multi_phase_tau1(
@@ -282,23 +283,11 @@ def multi_phase_tau1(
     """
     if len(rates) != len(trios) - 1 or len(trios) < 2:
         raise ValueError("rates must cover classes 2..m")
-    if any(r < 0 for r in rates) or not math.isclose(sum(rates), 1.0, abs_tol=1e-9):
-        raise ValueError("rates must be nonnegative and sum to 1")
+    check_rates(rates)
     if discriminant(trios[0]) <= 0.0:
         raise ValueError("class 1 must be strictly stable")
     n = _critical_ratio(trios[0], trios[1:], rates)
     return n / (n + 1.0) if n > 0.0 else 0.0
-
-
-def fleet_abscissa(
-    trios: Sequence[LinearTrio], rates: Sequence[float], n: int
-) -> float:
-    """Spectral abscissa of ``n`` vehicles split by ``rates`` (largest remainder).
-
-    The ring's class multiset fixes it for every ordering; see
-    :func:`~ringwave.spectrum.ring_abscissa`.
-    """
-    return ring_abscissa(trios, largest_remainder(rates, n))
 
 
 def min_unstable_size(
@@ -314,17 +303,14 @@ def min_unstable_size(
     not monotone in the total (rounding changes the mix), so the result is
     the true minimum.  Each verdict is one winding count, not an abscissa.
     Returns ``None`` when no probe is unstable, which is not a proof of
-    stability: a total between two probes may still be unstable.
+    stability: a total between two probes may still be unstable, and with
+    ``n_max < 2`` no fleet is built, so the rates are not checked.
     """
-    if len(trios) != len(rates) or len(trios) < 1:
-        raise ValueError("need matching trio and rate lists")
-    if any(r < 0 for r in rates) or not math.isclose(sum(rates), 1.0, abs_tol=1e-9):
-        raise ValueError("rates must be nonnegative and sum to 1")
     if n_max < 2:
         return None
 
     def unstable(n: int) -> bool:
-        return count_right_of(trios, largest_remainder(rates, n), ABSCISSA_TOL) >= 1
+        return count_right_of(Fleet.from_rates(trios, rates, n), ABSCISSA_TOL) >= 1
 
     probes = [2]
     while probes[-1] < n_max:

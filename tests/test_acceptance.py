@@ -30,7 +30,6 @@ from ringwave import (
     multi_phase_margin,
     simulate,
     tau0_bounds,
-    two_phase_margin,
 )
 
 from conftest import composition_of, random_trio
@@ -63,8 +62,8 @@ def test_criterion_2_critical_penetration(ref_trios):
 
 def test_criterion_3_phase_boundary_verdicts(ref_trios):
     t1, t2 = ref_trios
-    lo = two_phase_margin(t1, t2, 0.802, 0.198)
-    hi = two_phase_margin(t1, t2, 0.882, 0.118)
+    lo = multi_phase_margin([t1, t2], [0.802, 0.198])
+    hi = multi_phase_margin([t1, t2], [0.882, 0.118])
     ok = (
         lo.verdict is MarginVerdict.UNSTABLE_FOR_LARGE_N
         and hi.verdict is MarginVerdict.STABLE_ALL_N

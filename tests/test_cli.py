@@ -1,5 +1,6 @@
 import csv
 import json
+import random
 
 import pytest
 
@@ -261,6 +262,27 @@ def test_spectrum_refuses_spurious_dense_eigenvalues(tmp_path, capsys):
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert "numeric failure" in err and "ordering" in err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
+def test_spectrum_refuses_eigenvalues_off_the_level_set(tmp_path, capsys):
+    # a shuffled 320 + 80 reference ring keeps its rightmost eigenvalue, so the
+    # abscissa cross-check passes, but hundreds of its damped dense eigenvalues
+    # have |F(lambda) - 1| far above 1e-6
+    ordering = [1] * 320 + [2] * 80
+    random.Random(1).shuffle(ordering)
+    cfg = write_config(
+        tmp_path,
+        {
+            "schema_version": 1,
+            "composition": composition_payload(320, 80, ordering=ordering),
+            "equilibrium": EQ_BY_HEADWAY,
+        },
+    )
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "miss F(lambda) = 1" in err and "ordering" in err
+    assert "and 0 of 799" not in err
     assert not (tmp_path / "spectrum.csv").exists()
 
 

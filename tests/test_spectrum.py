@@ -167,7 +167,7 @@ def test_transfer_product_decays_far_up_the_axis():
 
 def test_transfer_product_log_path_consistent_with_direct():
     rng = np.random.default_rng(7)
-    trios = tuple(random_trio(rng, True) for _ in range(70))  # beyond cutoff
+    trios = tuple(random_trio(rng, True) for _ in range(70))
     big = RingSystem(trios)
     z = 0.3 + 0.9j
     direct = 1.0 + 0.0j

@@ -5,21 +5,21 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ringwave import (
+    Fleet,
     LinearTrio,
     MarginVerdict,
     RingSystem,
     critical_penetration,
     discriminant,
     eigenvalues_on_H,
-    fleet_abscissa,
     gamma_squared,
     log_gain,
     margin_curve,
     min_unstable_size,
     multi_phase_margin,
     multi_phase_tau1,
+    rightmost_eigenvalue,
     tau0_bounds,
-    two_phase_margin,
 )
 from ringwave.stability import ABSCISSA_TOL
 
@@ -165,16 +165,16 @@ def test_bounds_ordered_on_random_pairs():
 def test_two_phase_margin_reference_rates(ref_trios):
     t1, t2 = ref_trios
     assert (
-        two_phase_margin(t1, t2, 0.802, 0.198).verdict
+        multi_phase_margin([t1, t2], [0.802, 0.198]).verdict
         is MarginVerdict.UNSTABLE_FOR_LARGE_N
     )
     assert (
-        two_phase_margin(t1, t2, 0.882, 0.118).verdict is MarginVerdict.STABLE_ALL_N
+        multi_phase_margin([t1, t2], [0.882, 0.118]).verdict is MarginVerdict.STABLE_ALL_N
     )
 
 
 def test_two_phase_margin_pure_stable():
-    rep = two_phase_margin(T_STABLE, T_UNSTABLE, 5, 0)
+    rep = multi_phase_margin([T_STABLE, T_UNSTABLE], [5, 0])
     assert rep.verdict is MarginVerdict.STABLE_ALL_N
     assert rep.sup_margin < 0.0
 
@@ -194,7 +194,8 @@ def test_multi_phase_margin_critical_plus_unstable(ref_trios):
 
 def test_multi_phase_margin_reduces_to_two_phase(ref_trios):
     t1, t2 = ref_trios
-    a = two_phase_margin(t1, t2, 13, 4)
+    # the aggressive class split in two reduces to the two-class margin
+    a = multi_phase_margin([t1, t2, t2], [13, 1, 3])
     b = multi_phase_margin([t1, t2], [13, 4])
     assert abs(a.sup_margin - b.sup_margin) <= 1e-12
 
@@ -277,9 +278,9 @@ def test_tau1_separates_margin_signs(mix):
 
 def assert_first_unstable(trios, rates, m):
     """``m`` is unstable and no total below it is, by certified abscissas."""
-    assert fleet_abscissa(trios, rates, m) > ABSCISSA_TOL
+    assert rightmost_eigenvalue(Fleet.from_rates(trios, rates, m)).real > ABSCISSA_TOL
     for n in range(2, m):
-        assert fleet_abscissa(trios, rates, n) <= ABSCISSA_TOL, n
+        assert rightmost_eigenvalue(Fleet.from_rates(trios, rates, n)).real <= ABSCISSA_TOL, n
 
 
 def test_min_unstable_size_reference(ref_trios):
@@ -302,7 +303,8 @@ def test_min_unstable_size_is_the_true_minimum(ref_trios, rate, expected):
 
 def test_min_unstable_size_stable_composition():
     assert min_unstable_size([T_STABLE], [1.0], 64) is None
-    assert all(fleet_abscissa([T_STABLE], [1.0], n) <= ABSCISSA_TOL for n in range(2, 65))
+    for n in range(2, 65):
+        assert rightmost_eigenvalue(Fleet.from_rates([T_STABLE], [1.0], n)).real <= ABSCISSA_TOL, n
 
 
 def test_min_unstable_size_straddles_critical_rate(ref_trios):

@@ -10,19 +10,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringwave import (
+    Fleet,
     LinearTrio,
     MarginVerdict,
     RingSystem,
     count_right_of,
     eigenvalues_on_H,
-    fleet_abscissa,
     multi_phase_margin,
-    ring_abscissa,
     rightmost_eigenvalue,
     transfer_product,
 )
 from ringwave import spectrum
 from ringwave.stability import ABSCISSA_TOL
+
+from conftest import random_trio
 
 T_STABLE = LinearTrio(alpha=0.5, beta=2.0, gamma=1.0)  # delta = +2
 T_UNSTABLE = LinearTrio(alpha=2.0, beta=2.0, gamma=1.0)  # delta = -1
@@ -50,19 +51,19 @@ def single_class_spectrum(t: LinearTrio, n: int) -> np.ndarray:
 
 def test_count_single_vehicle():
     # one vehicle: eigenvalues 0 (structural) and gamma - beta = -1
-    assert count_right_of([T_STABLE], [1], -1.01) == 1
-    assert count_right_of([T_STABLE], [1], -0.99) == 0
-    assert count_right_of([T_STABLE], [1], 0.5) == 0
+    assert count_right_of(Fleet([T_STABLE], [1]), -1.01) == 1
+    assert count_right_of(Fleet([T_STABLE], [1]), -0.99) == 0
+    assert count_right_of(Fleet([T_STABLE], [1]), 0.5) == 0
 
 
 def test_count_refuses_the_line_through_the_structural_zero():
     with pytest.raises(ValueError):
-        count_right_of([T_STABLE], [4], 0.0)
+        count_right_of(Fleet([T_STABLE], [4]), 0.0)
 
 
 def test_count_ignores_empty_classes():
-    assert count_right_of([T_STABLE, T_UNSTABLE], [6, 0], -0.3) == count_right_of(
-        [T_STABLE], [6], -0.3
+    assert count_right_of(Fleet([T_STABLE, T_UNSTABLE], [6, 0]), -0.3) == count_right_of(
+        Fleet([T_STABLE], [6]), -0.3
     )
 
 
@@ -70,16 +71,51 @@ def test_large_single_class_matches_closed_form():
     # |F| on the axis reaches exp(n * gain), far beyond the float range
     n = 20000
     lams = single_class_spectrum(T_UNSTABLE, n)
-    assert count_right_of([T_UNSTABLE], [n], ABSCISSA_TOL) == int((lams.real > ABSCISSA_TOL).sum())
-    assert ring_abscissa([T_UNSTABLE], [n]) == pytest.approx(lams.real.max(), abs=1e-9)
+    fleet = Fleet([T_UNSTABLE], [n])
+    assert count_right_of(fleet, ABSCISSA_TOL) == int((lams.real > ABSCISSA_TOL).sum())
+    assert rightmost_eigenvalue(fleet).real == pytest.approx(lams.real.max(), abs=1e-9)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 40])
 def test_small_single_class_matches_closed_form(n):
     lams = single_class_spectrum(T_STABLE, n)
+    fleet = Fleet([T_STABLE], [n])
     for s in (-1.3, -0.41, -0.07, ABSCISSA_TOL, 0.2):
-        assert count_right_of([T_STABLE], [n], s) == int((lams.real > s).sum())
-    assert ring_abscissa([T_STABLE], [n]) == pytest.approx(lams.real.max(), abs=1e-9)
+        assert count_right_of(fleet, s) == int((lams.real > s).sum())
+    assert rightmost_eigenvalue(fleet).real == pytest.approx(lams.real.max(), abs=1e-9)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """The lines ``Re(lambda) = s`` that ``spectrum.count_right_of`` is asked about."""
+    calls = []
+    real_count = spectrum.count_right_of
+
+    def counted(fleet, s):
+        calls.append(s)
+        return real_count(fleet, s)
+
+    monkeypatch.setattr(spectrum, "count_right_of", counted)
+    return calls
+
+
+@pytest.mark.parametrize("trio", [T_STABLE, T_UNSTABLE])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 11, 22])
+def test_one_class_certifies_with_two_counts(count_calls, trio, n):
+    # the closed-form eigenvalues seed Newton, so no bisection on the count is needed
+    root = rightmost_eigenvalue(Fleet([trio], [n]))
+    assert len(count_calls) == 2
+    assert root.real == pytest.approx(single_class_spectrum(trio, n).real.max(), abs=1e-12)
+
+
+def test_random_one_class_rings_certify_with_two_counts(count_calls):
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        trio, n = random_trio(rng, stable=bool(rng.integers(2))), int(rng.integers(2, 23))
+        count_calls.clear()
+        root = rightmost_eigenvalue(Fleet([trio], [n]))
+        assert len(count_calls) == 2, (trio, n)
+        assert root.real == pytest.approx(single_class_spectrum(trio, n).real.max(), abs=1e-10)
 
 
 # dense eigvals returns a spurious abscissa near 0.254 (|F - 1| ~ 1) for the
@@ -89,9 +125,9 @@ BLOCK_ILL_MIX = ([LinearTrio(0.424, 2.534, 0.0837), LinearTrio(5.416, 1.372, 0.1
 
 
 def check_against_shuffled_dense(trios, counts):
-    root = rightmost_eigenvalue(trios, counts)
+    root = rightmost_eigenvalue(Fleet(trios, counts))
     ring = shuffled_ring(trios, counts)
-    assert ring_abscissa(trios, counts) == root.real
+    assert rightmost_eigenvalue(Fleet(trios, counts)).real == root.real
     assert abs(root.real - eigenvalues_on_H(ring).abscissa) <= 1e-9
     assert abs(transfer_product(ring, root) - 1.0) <= 1e-9
 
@@ -103,7 +139,7 @@ def test_abscissa_where_block_ordered_dense_is_wrong():
 def test_abscissa_reference_pair_at_800(ref_trios):
     # rate 0.8 at n = 800: block-ordered dense reads 0.0249, the true value is 0.015896...
     check_against_shuffled_dense(list(ref_trios), [640, 160])
-    ab = fleet_abscissa(list(ref_trios), [0.8, 0.2], 800)
+    ab = rightmost_eigenvalue(Fleet.from_rates(list(ref_trios), [0.8, 0.2], 800)).real
     assert ab == pytest.approx(0.015896452385883, abs=1e-12)
 
 
@@ -118,7 +154,7 @@ def test_bisection_fallback_without_newton_roots(monkeypatch):
 
     monkeypatch.setattr(spectrum, "_newton_roots", seeds_fail)
     trios, counts = [T_STABLE, T_UNSTABLE], [5, 7]
-    root = rightmost_eigenvalue(trios, counts)
+    root = rightmost_eigenvalue(Fleet(trios, counts))
     assert len(calls) == 2
     assert abs(root.real - eigenvalues_on_H(shuffled_ring(trios, counts)).abscissa) <= 1e-9
     assert abs(transfer_product(shuffled_ring(trios, counts), root) - 1.0) <= 1e-9
@@ -146,8 +182,9 @@ def fleets(draw):
 def test_count_and_abscissa_match_shuffled_dense(fleet):
     trios, counts = fleet
     dense = eigenvalues_on_H(shuffled_ring(trios, counts, seed=sum(counts))).eigenvalues
-    assert count_right_of(trios, counts, ABSCISSA_TOL) == int((dense.real > ABSCISSA_TOL).sum())
-    assert abs(ring_abscissa(trios, counts) - dense.real.max()) <= 1e-9
+    fleet = Fleet(trios, counts)
+    assert count_right_of(fleet, ABSCISSA_TOL) == int((dense.real > ABSCISSA_TOL).sum())
+    assert abs(rightmost_eigenvalue(fleet).real - dense.real.max()) <= 1e-9
     # a negative margin means stable for these exact counts: no eigenvalue to the right
     if multi_phase_margin(trios, counts).verdict is MarginVerdict.STABLE_ALL_N:
-        assert count_right_of(trios, counts, ABSCISSA_TOL) == 0
+        assert count_right_of(fleet, ABSCISSA_TOL) == 0
