@@ -56,7 +56,7 @@ ring = RingSystem(tuple([t1] * 14 + [t2] * 6))
 rep = eigenvalues_on_H(ring)
 top = rep.eigenvalues[np.argmax(rep.eigenvalues.real)]
 print(f"20-vehicle ring: abscissa {rep.abscissa:+.4e}, "
-      f"{len(rep.eigenvalues)} eigenvalues (zero excluded: {rep.zero_excluded})")
+      f"{len(rep.eigenvalues)} eigenvalues on the zero-sum subspace")
 print(f"top eigenvalue {top:.6f}")
 print(f"  |G(top) - 1|       = {abs(transfer_product(ring, top) - 1):.2e}")
 print(f"  |char poly at top| = {abs(char_poly_eval(ring, top)):.2e}\n")

@@ -18,7 +18,6 @@ from .errors import (
     AmbiguousHeadwayError,
     CollisionError,
     ConfigError,
-    DegenerateSpectrumError,
     InsufficientDataError,
     ModelInvalidError,
     NoEquilibriumError,

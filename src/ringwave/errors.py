@@ -26,10 +26,6 @@ class AmbiguousHeadwayError(TrafficError):
     """A custom driver law has more than one zero-acceleration headway."""
 
 
-class DegenerateSpectrumError(TrafficError):
-    """The structural zero eigenvalue of the ring matrix is not simple."""
-
-
 class PoleError(TrafficError):
     """The transfer product was evaluated at one of its poles."""
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ModelInvalidError
-from .model import BandoFtl, CarFollowingModel, accel, eval_preference_slope, model_partials
+from .model import CarFollowingModel, accel, model_partials
 
 # half-width of the numeric band classified as critical
 TOL_ZERO = 1e-10
@@ -65,18 +65,11 @@ class StabilityClass(enum.Enum):
 def linearize(model: CarFollowingModel, h_bar: float, v_bar: float) -> LinearTrio:
     """Trio of the law at the equilibrium point ``(h_bar, 0, v_bar)``.
 
-    Closed form for :class:`BandoFtl`; assembled from partial derivatives for
-    custom laws.  Raises ``ValueError`` if the point is not an equilibrium and
-    :class:`ModelInvalidError` if the trio is outside the admissible set.
+    From the law's partials at ``hdot = 0``.  Raises ``ValueError`` if the
+    point is not an equilibrium and :class:`ModelInvalidError` if the trio is
+    outside the admissible set.
     """
     _require_equilibrium(model, h_bar, v_bar)
-    if isinstance(model, BandoFtl):
-        gamma = model.b / (h_bar * h_bar)
-        return LinearTrio(
-            alpha=model.a * eval_preference_slope(model.pref, h_bar),
-            beta=model.a + gamma,
-            gamma=gamma,
-        )
     fh, fhd, fv = model_partials(model, h_bar, 0.0, v_bar)
     return LinearTrio(alpha=fh, beta=fhd - fv, gamma=fhd)
 

@@ -32,11 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from ._numerics import check_rates, largest_remainder
-from .errors import DegenerateSpectrumError, PoleError
+from .errors import PoleError
 from .linearize import LinearTrio
-
-# |eigenvalue| below EIG_ZERO_RTOL * ||M||_inf marks the structural zero
-EIG_ZERO_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -115,6 +112,20 @@ class Fleet:
             log_f = (self.count * (np.log(self.gamma * z + self.alpha) - np.log(q))).sum(axis=0)
             return np.exp(log_f)
 
+    def root_error(self, lam) -> np.ndarray:
+        """First-order distance from each of the points ``lam`` to the nearest eigenvalue.
+
+        This is the length of the Newton step on ``log F - 2 pi i m``, however
+        steep F is there; ``inf`` where the step reaches beyond a tenth of the
+        distance to the nearest zero or pole of F, where it measures nothing.
+        """
+        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+        sites = np.vstack((-self.alpha / self.gamma, self.roots[:, :1], self.roots[:, 1:]))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = np.abs(_newton_step(self, lam))
+            reach = 0.1 * np.abs(lam - sites).min(axis=0)
+        return np.where(step <= reach, step, np.inf)
+
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
@@ -122,7 +133,6 @@ class SpectrumReport:
 
     eigenvalues: np.ndarray
     abscissa: float
-    zero_excluded: bool
 
 
 def assemble(sys: RingSystem) -> np.ndarray:
@@ -149,27 +159,21 @@ def assemble(sys: RingSystem) -> np.ndarray:
 
 
 def eigenvalues_on_H(sys: RingSystem) -> SpectrumReport:
-    """Spectrum restricted to the zero-sum-headway subspace.
+    """Spectrum restricted to the invariant zero-sum-headway subspace H.
 
-    Computes all 2n eigenvalues densely, removes the one structural zero, and
-    reports the spectral abscissa of the remaining 2n-1.  Raises
-    :class:`DegenerateSpectrumError` if the zero eigenvalue is not simple at
-    tolerance, which signals an admissibility violation upstream.
+    In the coordinates ``(y_1 .. y_{n-1}, u)`` of H, ``y_n = -(y_1 + ... +
+    y_{n-1})``, M keeps its other rows and columns, less the ``y_n`` column in
+    each headway column: a ``(2n-1) x (2n-1)`` matrix with the spectrum of M
+    but its structural zero, so no eigenvalue is searched for or dropped.
     """
+    n = sys.n
+    keep = np.r_[0 : n - 1, n : 2 * n]
     m = assemble(sys)
-    lam = np.linalg.eigvals(m)
-    tol = EIG_ZERO_RTOL * float(np.abs(m).sum(axis=1).max())
-    near_zero = np.abs(lam) <= tol
-    if int(near_zero.sum()) != 1:
-        raise DegenerateSpectrumError(
-            f"expected one eigenvalue within {tol} of zero, found {int(near_zero.sum())}"
-        )
-    kept = np.sort_complex(lam[~near_zero])
-    return SpectrumReport(
-        eigenvalues=kept,
-        abscissa=float(kept.real.max()),
-        zero_excluded=True,
-    )
+    m_h = m[np.ix_(keep, keep)]
+    m_h[:, : n - 1] -= m[keep, n - 1 : n]
+    del m  # M would otherwise stay alive next to LAPACK's copy of m_h
+    lam = np.sort_complex(np.linalg.eigvals(m_h))
+    return SpectrumReport(eigenvalues=lam, abscissa=float(lam.real.max()))
 
 
 def _renorm(p: complex, e: int) -> tuple[complex, int]:
@@ -384,6 +388,15 @@ def count_right_of(fleet: Fleet, s: float) -> int:
     return poles - k - (1 if s < 0.0 else 0)
 
 
+def _newton_step(fleet: Fleet, lam: np.ndarray) -> np.ndarray:
+    """Newton step on ``log F - 2 pi i m`` at ``lam``, ``m`` the nearest branch."""
+    g_re, g_im = _log_product(fleet, lam)
+    q = lam * (lam + fleet.beta) + fleet.alpha
+    d_log = fleet.gamma / (fleet.gamma * lam + fleet.alpha) - (2.0 * lam + fleet.beta) / q
+    dg = (fleet.count * d_log).sum(axis=0)
+    return (g_re + 1j * _wrap(g_im)) / dg
+
+
 def _newton_roots(fleet: Fleet, lam: np.ndarray) -> np.ndarray:
     """Roots of ``F = 1`` reached by Newton on ``log F - 2 pi i m`` from each seed.
 
@@ -392,11 +405,7 @@ def _newton_roots(fleet: Fleet, lam: np.ndarray) -> np.ndarray:
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_ITERS):
-            g_re, g_im = _log_product(fleet, lam)
-            q = lam * (lam + fleet.beta) + fleet.alpha
-            d_log = fleet.gamma / (fleet.gamma * lam + fleet.alpha) - (2.0 * lam + fleet.beta) / q
-            dg = (fleet.count * d_log).sum(axis=0)
-            step = (g_re + 1j * _wrap(g_im)) / dg
+            step = _newton_step(fleet, lam)
             lam = lam - step
             if not np.any(np.abs(step) > 4e-16 * (1.0 + np.abs(lam))):
                 break

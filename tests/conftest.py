@@ -78,5 +78,19 @@ def random_trio(rng: np.random.Generator, stable: bool) -> LinearTrio:
     return LinearTrio(alpha=alpha, beta=beta, gamma=gamma)
 
 
+def single_class_spectrum(t: LinearTrio, n: int) -> np.ndarray:
+    """All 2n - 1 eigenvalues of n identical vehicles, in closed form.
+
+    ``T(lam) = exp(i theta_m)`` with ``theta_m = 2 pi m / n`` is the quadratic
+    ``lam^2 + (beta - gamma w) lam + alpha (1 - w) = 0`` with ``w = exp(-i theta_m)``;
+    ``m = 0`` gives the structural zero, dropped here, and ``gamma - beta``.
+    """
+    w = np.exp(-2j * np.pi * np.arange(n) / n)
+    b = t.beta - t.gamma * w
+    root = np.sqrt(b * b - 4.0 * t.alpha * (1.0 - w))
+    lams = np.concatenate(((-b + root) / 2.0, (-b - root) / 2.0))
+    return np.delete(lams, np.argmin(np.abs(lams)))
+
+
 def ring_of(trios_by_class, ordering) -> tuple:
     return tuple(trios_by_class[a] for a in ordering)

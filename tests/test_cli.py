@@ -248,6 +248,26 @@ def test_spectrum_command(tmp_path):
     assert len(rows) == 2 * 20 - 1
 
 
+@pytest.mark.parametrize("c1, c2, headway", [(80, 20, 20.0), (8, 2, 37.0)])
+def test_spectrum_near_free_flow(tmp_path, c1, c2, headway):
+    # eigenvalues crowd the origin and the zeros of F here: accurate ones read
+    # |F(lambda) - 1| up to 5e-5, and a tolerance on |lambda| finds 10 zeros at 37 m
+    composition = composition_payload(c1, c2)
+    for pop in composition["populations"]:
+        pop["model"] = {**pop["model"], "preference": {"v_max": 30.0, "l_v": 4.5, "d0": 2.23}}
+    cfg = write_config(
+        tmp_path,
+        {
+            "schema_version": 1,
+            "composition": composition,
+            "equilibrium": {"class_headway": {"class_id": 1, "headway": headway}},
+        },
+    )
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "spectrum.csv")
+    assert len(rows) == 2 * (c1 + c2) - 1
+
+
 def test_spectrum_refuses_spurious_dense_eigenvalues(tmp_path, capsys):
     # block order makes the 800-vehicle reference ring so non-normal that dense
     # eigvals reads abscissa 0.0249; the class counts fix it at 0.015896
@@ -268,7 +288,7 @@ def test_spectrum_refuses_spurious_dense_eigenvalues(tmp_path, capsys):
 def test_spectrum_refuses_eigenvalues_off_the_level_set(tmp_path, capsys):
     # a shuffled 320 + 80 reference ring keeps its rightmost eigenvalue, so the
     # abscissa cross-check passes, but hundreds of its damped dense eigenvalues
-    # have |F(lambda) - 1| far above 1e-6
+    # are far from every root of F(lambda) = 1
     ordering = [1] * 320 + [2] * 80
     random.Random(1).shuffle(ordering)
     cfg = write_config(

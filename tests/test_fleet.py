@@ -15,7 +15,7 @@ from ringwave import (
 )
 from ringwave._numerics import largest_remainder
 
-from conftest import random_trio
+from conftest import random_trio, single_class_spectrum
 
 T_A = LinearTrio(alpha=0.5, beta=2.0, gamma=1.0)
 T_B = LinearTrio(alpha=2.0, beta=2.0, gamma=1.0)
@@ -111,3 +111,20 @@ def test_transfer_is_vectorised_over_points():
     ring = RingSystem(tuple([T_A] * 30 + [T_B] * 10))
     np.testing.assert_array_equal(fleet.transfer(z), [transfer_product(ring, p) for p in z])
     assert fleet.transfer(0.0)[0] == 1.0
+
+
+@pytest.mark.parametrize("trio, n", [(T_A, 12), (T_B, 30)])
+def test_root_error_measures_the_distance_to_an_eigenvalue(trio, n):
+    fleet = Fleet([trio], [n])
+    lam = single_class_spectrum(trio, n)
+    assert np.all(fleet.root_error(lam) <= 1e-12 * np.abs(lam))
+    for d in (1e-9, -1e-9, 1e-9j, 1e-9 * np.exp(0.7j)):
+        np.testing.assert_allclose(fleet.root_error(lam + d), 1e-9, rtol=1e-3)
+
+
+def test_root_error_is_infinite_at_and_next_to_zeros_and_poles():
+    fleet = Fleet([T_A, T_B], [30, 10])
+    sites = np.concatenate(((-fleet.alpha / fleet.gamma).ravel(), fleet.roots.ravel()))
+    offsets = np.array([0.0, 1e-12, 1e-6, 1e-6j, 1e-3, -1e-3j])
+    for site in sites:
+        assert np.all(fleet.root_error(site + offsets) == np.inf)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ringwave import (
+    Fleet,
     LinearTrio,
     PoleError,
     RingSystem,
@@ -13,6 +14,7 @@ from ringwave import (
     discriminant,
     eigenvalues_on_H,
     log_gain,
+    rightmost_eigenvalue,
     transfer_product,
 )
 
@@ -71,9 +73,21 @@ def test_assemble_rejects_single_vehicle():
 
 def test_stable_unified_ring_has_negative_abscissa():
     rep = eigenvalues_on_H(RingSystem(tuple([T_STABLE] * 20)))
-    assert rep.zero_excluded
     assert len(rep.eigenvalues) == 39
     assert rep.abscissa < 0.0
+
+
+def test_spectrum_near_free_flow_has_no_zero_to_tell_apart():
+    # a tiny alpha crowds eigenvalues within 1e-8 of the origin, where no
+    # tolerance on |lambda| can tell the structural zero from them
+    t = LinearTrio(alpha=1e-8, beta=2.0, gamma=1.0)
+    rep = eigenvalues_on_H(RingSystem((t,) * 10))
+    lam = rep.eigenvalues
+    assert len(lam) == 19 and np.all(lam != 0.0)
+    fleet = Fleet([t], [10])
+    assert np.all(fleet.root_error(lam) <= 1e-6 * np.abs(lam))
+    assert rep.abscissa == pytest.approx(rightmost_eigenvalue(fleet).real, rel=1e-6)
+    assert rep.abscissa == pytest.approx(-3.248e-9, rel=1e-3)
 
 
 def test_unstable_unified_ring_goes_positive_for_some_n(ref_trios):

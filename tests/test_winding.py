@@ -23,7 +23,7 @@ from ringwave import (
 from ringwave import spectrum
 from ringwave.stability import ABSCISSA_TOL
 
-from conftest import random_trio
+from conftest import random_trio, single_class_spectrum
 
 T_STABLE = LinearTrio(alpha=0.5, beta=2.0, gamma=1.0)  # delta = +2
 T_UNSTABLE = LinearTrio(alpha=2.0, beta=2.0, gamma=1.0)  # delta = -1
@@ -33,20 +33,6 @@ def shuffled_ring(trios, counts, seed=0) -> RingSystem:
     ring = [t for t, c in zip(trios, counts) for _ in range(c)]
     np.random.default_rng(seed).shuffle(ring)
     return RingSystem(tuple(ring))
-
-
-def single_class_spectrum(t: LinearTrio, n: int) -> np.ndarray:
-    """All 2n - 1 eigenvalues of n identical vehicles, in closed form.
-
-    ``T(lam) = exp(i theta_m)`` with ``theta_m = 2 pi m / n`` is the quadratic
-    ``lam^2 + (beta - gamma w) lam + alpha (1 - w) = 0`` with ``w = exp(-i theta_m)``;
-    ``m = 0`` gives the structural zero, dropped here, and ``gamma - beta``.
-    """
-    w = np.exp(-2j * np.pi * np.arange(n) / n)
-    b = t.beta - t.gamma * w
-    root = np.sqrt(b * b - 4.0 * t.alpha * (1.0 - w))
-    lams = np.concatenate(((-b + root) / 2.0, (-b - root) / 2.0))
-    return np.delete(lams, np.argmin(np.abs(lams)))
 
 
 def test_count_single_vehicle():
