@@ -15,7 +15,6 @@ from .equilibrium import (
     spread_ordering,
 )
 from .errors import (
-    AmbiguousHeadwayError,
     CollisionError,
     ConfigError,
     InsufficientDataError,
@@ -34,8 +33,6 @@ from .linearize import (
 )
 from .model import (
     BandoFtl,
-    CarFollowingModel,
-    Custom,
     VelocityPreference,
     accel,
     eval_preference,

@@ -9,6 +9,7 @@ collision, invalid model), 4 internal numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from datetime import datetime, timezone
@@ -28,7 +29,6 @@ from .equilibrium import (
     spread_ordering,
 )
 from .errors import (
-    AmbiguousHeadwayError,
     CollisionError,
     ConfigError,
     ModelInvalidError,
@@ -144,11 +144,25 @@ def _config_schema(command: str) -> dict:
     return _obj({"schema_version": {"const": 1}, **required, **optional}, optional=optional)
 
 
+@contextlib.contextmanager
+def _config_values():
+    """Re-raise a constructor's ``ValueError`` as the config mistake it is."""
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+
+
+def _refuse_constant(name: str):
+    raise ConfigError(f"{name} is not a number a config may hold")
+
+
 def _build_preference(cfg: dict) -> VelocityPreference:
-    if "calibrate" in cfg:
-        c = cfg["calibrate"]
-        return preference_with_slope(c["slope"], c["h_ref"], c["l_v"], c["d0"])
-    return VelocityPreference(v_max=cfg["v_max"], l_v=cfg["l_v"], d0=cfg["d0"])
+    with _config_values():
+        if "calibrate" in cfg:
+            c = cfg["calibrate"]
+            return preference_with_slope(c["slope"], c["h_ref"], c["l_v"], c["d0"])
+        return VelocityPreference(v_max=cfg["v_max"], l_v=cfg["l_v"], d0=cfg["d0"])
 
 
 def _build_model(cfg: dict) -> BandoFtl:
@@ -156,6 +170,9 @@ def _build_model(cfg: dict) -> BandoFtl:
 
 
 def _build_populations(cfgs: list[dict]) -> list[PopulationSpec]:
+    ids = [c["class_id"] for c in cfgs]
+    if len(set(ids)) != len(ids):
+        raise ConfigError(f"duplicate class ids: {ids}")
     return [
         PopulationSpec(
             class_id=c["class_id"],
@@ -175,7 +192,8 @@ def _build_composition(cfg: dict) -> Composition:
         ordering = spread_ordering(pops)
     else:
         ordering = tuple(ordering)
-    return Composition(populations=pops, ordering=ordering)
+    with _config_values():
+        return Composition(populations=pops, ordering=ordering)
 
 
 def _resolve_v_bar(eq_cfg: dict, populations: Sequence[PopulationSpec]) -> float:
@@ -294,8 +312,10 @@ def cmd_tau0(config: dict, out: Path, deterministic: bool) -> int:
 
 def cmd_margin(config: dict, out: Path, deterministic: bool) -> int:
     pops = _build_populations(config["populations"])
-    trios = _trios_at(pops, _resolve_v_bar(config["equilibrium"], pops))
     counts = [p.count for p in pops]
+    if not any(counts):
+        raise ConfigError("populations must contain at least one vehicle")
+    trios = _trios_at(pops, _resolve_v_bar(config["equilibrium"], pops))
     rep = multi_phase_margin(trios, counts)
     _write_csv(
         out / "margin.csv",
@@ -347,19 +367,20 @@ def cmd_spectrum(config: dict, out: Path, deterministic: bool) -> int:
 
 def cmd_simulate(config: dict, out: Path, deterministic: bool) -> int:
     comp = _build_composition(config["composition"])
-    eq = _resolve_equilibrium(config["equilibrium"], comp)
     sim_cfg = config["sim"]
     pert_cfg = sim_cfg["perturbation"]
-    pert = Perturbation(
-        amplitude=pert_cfg["amplitude"],
-        kind=_PERT_KINDS[pert_cfg["kind"]](pert_cfg),
-    )
-    cfg = SimConfig(
-        t_end=sim_cfg["t_end"],
-        dt=sim_cfg.get("dt", 0.05),
-        record_every=sim_cfg.get("record_every", 1),
-        perturbation=pert,
-    )
+    with _config_values():
+        pert = Perturbation(
+            amplitude=pert_cfg["amplitude"],
+            kind=_PERT_KINDS[pert_cfg["kind"]](pert_cfg),
+        )
+        cfg = SimConfig(
+            t_end=sim_cfg["t_end"],
+            dt=sim_cfg.get("dt", 0.05),
+            record_every=sim_cfg.get("record_every", 1),
+            perturbation=pert,
+        )
+    eq = _resolve_equilibrium(config["equilibrium"], comp)
     trace = simulate(comp, eq, cfg)
     rows = list(
         zip(trace.times, trace.speed_variance, trace.min_headway, trace.max_headway)
@@ -434,7 +455,6 @@ _DOMAIN_ERRORS = (
     NoEquilibriumError,
     CollisionError,
     ModelInvalidError,
-    AmbiguousHeadwayError,
     PoleError,
     ValueError,
 )
@@ -465,11 +485,12 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         raw = Path(args.config).read_text(encoding="utf-8")
-        config = json.loads(raw)
+        # NaN and +-Infinity are JSON extensions that no config value may take
+        config = json.loads(raw, parse_constant=_refuse_constant)
         jsonschema.validate(config, _config_schema(args.command))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, json.JSONDecodeError, ConfigError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except jsonschema.ValidationError as err:

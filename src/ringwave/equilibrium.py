@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from ._numerics import bisect_root
 from .errors import NoEquilibriumError
-from .model import BandoFtl, CarFollowingModel, preferred_headway
+from .model import BandoFtl, preferred_headway
 
 # |sum of headways - L| accepted when solving for the equilibrium speed (m)
 LENGTH_TOL = 1e-8
@@ -26,7 +26,7 @@ class PopulationSpec:
     """One vehicle class: an id, its driver law, and how many are on the road."""
 
     class_id: int
-    model: CarFollowingModel
+    model: BandoFtl
     count: int
 
     def __post_init__(self):
@@ -64,7 +64,7 @@ class Composition:
     def n(self) -> int:
         return len(self.ordering)
 
-    def model_of(self, class_id: int) -> CarFollowingModel:
+    def model_of(self, class_id: int) -> BandoFtl:
         for p in self.populations:
             if p.class_id == class_id:
                 return p.model
@@ -132,7 +132,8 @@ def equilibrium_from_length(comp: Composition, length: float) -> EquilibriumFlow
         return equilibrium_from_velocity(comp, v).length
 
     lo_len = total(0.0)
-    v_hi = _speed_ceiling(comp, length)
+    # the largest speed below every present class's supremum v_max
+    v_hi = min(p.model.pref.v_max for p in comp.populations if p.count > 0) * (1.0 - 1e-12)
     hi_len = total(v_hi)
     if not (lo_len < length < hi_len):
         raise NoEquilibriumError(
@@ -147,34 +148,3 @@ def equilibrium_from_length(comp: Composition, length: float) -> EquilibriumFlow
         ftol=LENGTH_TOL,
     )
     return equilibrium_from_velocity(comp, v_bar)
-
-
-def _speed_ceiling(comp: Composition, length: float) -> float:
-    """Largest speed the solver may probe without leaving any class's range."""
-    ceilings = []
-    unknown = False
-    for p in comp.populations:
-        if p.count == 0:
-            continue
-        if isinstance(p.model, BandoFtl):
-            ceilings.append(p.model.pref.v_max * (1.0 - 1e-12))
-        elif p.model.v_sup is not None:
-            ceilings.append(p.model.v_sup * (1.0 - 1e-12))
-        else:
-            unknown = True
-    if not unknown:
-        return min(ceilings)
-    # expand until the target length is bracketed or a class runs out of range
-    v = 1.0
-    cap = min(ceilings) if ceilings else math.inf
-    for _ in range(60):
-        v = min(v, cap)
-        try:
-            if equilibrium_from_velocity(comp, v).length >= length or v == cap:
-                return v
-        except NoEquilibriumError as err:
-            raise NoEquilibriumError(
-                f"length {length} unreachable: {err}"
-            ) from err
-        v *= 2.0
-    return v

@@ -22,10 +22,6 @@ class ModelInvalidError(TrafficError):
     """A linearized trio violates alpha > 0 or beta > gamma > 0."""
 
 
-class AmbiguousHeadwayError(TrafficError):
-    """A custom driver law has more than one zero-acceleration headway."""
-
-
 class PoleError(TrafficError):
     """The transfer product was evaluated at one of its poles."""
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ModelInvalidError
-from .model import CarFollowingModel, accel, model_partials
+from .model import BandoFtl, accel, model_partials
 
 # half-width of the numeric band classified as critical
 TOL_ZERO = 1e-10
@@ -62,7 +62,7 @@ class StabilityClass(enum.Enum):
     UNSTABLE = "unstable"
 
 
-def linearize(model: CarFollowingModel, h_bar: float, v_bar: float) -> LinearTrio:
+def linearize(model: BandoFtl, h_bar: float, v_bar: float) -> LinearTrio:
     """Trio of the law at the equilibrium point ``(h_bar, 0, v_bar)``.
 
     From the law's partials at ``hdot = 0``.  Raises ``ValueError`` if the
@@ -75,7 +75,7 @@ def linearize(model: CarFollowingModel, h_bar: float, v_bar: float) -> LinearTri
 
 
 def linearize_fd(
-    model: CarFollowingModel, h_bar: float, v_bar: float, eps: float
+    model: BandoFtl, h_bar: float, v_bar: float, eps: float
 ) -> LinearTrio:
     """Trio by central finite differences of the law with step ``eps``.
 
@@ -106,7 +106,7 @@ def classify(trio: LinearTrio) -> StabilityClass:
     return StabilityClass.CRITICAL
 
 
-def _require_equilibrium(model: CarFollowingModel, h_bar: float, v_bar: float) -> None:
+def _require_equilibrium(model: BandoFtl, h_bar: float, v_bar: float) -> None:
     residual = accel(model, h_bar, 0.0, v_bar)
     if abs(residual) > _EQ_RESIDUAL:
         raise ValueError(

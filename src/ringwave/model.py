@@ -3,20 +3,19 @@
 A driver law is an acceleration function ``f(h, hdot, v)`` of the headway to
 the leader, its rate of change, and the vehicle's own speed.  The concrete
 law shipped here combines a relaxation toward a preferred speed ``V(h)`` with
-a follow-the-leader coupling ``b * hdot / h**2``.  Arbitrary laws can be
-plugged in through :class:`Custom`.
+a follow-the-leader coupling ``b * hdot / h**2``.  It is the package's one
+driver law; another law enters the stability analyses through its linearized
+trio (:class:`~ringwave.linearize.LinearTrio`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from ._numerics import bisect_root
-from .errors import AmbiguousHeadwayError, CollisionError, NoEquilibriumError
+from .errors import CollisionError, NoEquilibriumError
 
 _TANH2 = math.tanh(2.0)
 
@@ -124,113 +123,42 @@ class BandoFtl:
             raise ValueError(f"require a > 0 and b > 0; got a={self.a}, b={self.b}")
 
 
-@dataclass(frozen=True)
-class Custom:
-    """User-supplied driver law ``f(h, hdot, v)``.
-
-    partials, when given, must return ``(df/dh, df/dhdot, df/dv)`` at a point;
-    otherwise central differences with step ``max(1e-6, 1e-6*|x|)`` are used.
-    headway_range bounds the search bracket for zero-acceleration headways.
-    v_sup, when known, bounds the achievable equilibrium speeds.
-    """
-
-    f: Callable[[float, float, float], float]
-    partials: Callable[[float, float, float], tuple[float, float, float]] | None = None
-    headway_range: tuple[float, float] = (1e-9, 1e6)
-    v_sup: float | None = None
-
-
-CarFollowingModel = BandoFtl | Custom
-
-
-def accel(model: CarFollowingModel, h: float, hdot: float, v: float) -> float:
+def accel(model: BandoFtl, h: float, hdot: float, v: float) -> float:
     """Acceleration of the driver law at ``(h, hdot, v)`` (m/s^2)."""
     if not (math.isfinite(h) and math.isfinite(hdot) and math.isfinite(v)):
         raise ValueError(f"arguments must be finite, got ({h!r}, {hdot!r}, {v!r})")
     if h <= 0.0:
         raise CollisionError(f"headway {h} <= 0: the law is undefined at contact")
-    if isinstance(model, BandoFtl):
-        return model.a * (eval_preference(model.pref, h) - v) + model.b * hdot / (h * h)
-    return float(model.f(h, hdot, v))
-
-
-def _fd_step(x: float) -> float:
-    return max(1e-6, 1e-6 * abs(x))
+    return model.a * (eval_preference(model.pref, h) - v) + model.b * hdot / (h * h)
 
 
 def model_partials(
-    model: CarFollowingModel, h: float, hdot: float, v: float
+    model: BandoFtl, h: float, hdot: float, v: float
 ) -> tuple[float, float, float]:
-    """``(df/dh, df/dhdot, df/dv)`` at a point, analytic where available."""
-    if isinstance(model, BandoFtl):
-        fh = model.a * eval_preference_slope(model.pref, h) - 2.0 * model.b * hdot / h**3
-        return fh, model.b / (h * h), -model.a
-    if model.partials is not None:
-        fh, fhd, fv = model.partials(h, hdot, v)
-        return float(fh), float(fhd), float(fv)
-    eh, ed, ev = _fd_step(h), _fd_step(hdot), _fd_step(v)
-    fh = (model.f(h + eh, hdot, v) - model.f(h - eh, hdot, v)) / (2.0 * eh)
-    fhd = (model.f(h, hdot + ed, v) - model.f(h, hdot - ed, v)) / (2.0 * ed)
-    fv = (model.f(h, hdot, v + ev) - model.f(h, hdot, v - ev)) / (2.0 * ev)
-    return float(fh), float(fhd), float(fv)
+    """Analytic ``(df/dh, df/dhdot, df/dv)`` at a point."""
+    fh = model.a * eval_preference_slope(model.pref, h) - 2.0 * model.b * hdot / h**3
+    return fh, model.b / (h * h), -model.a
 
 
-def preferred_headway(model: CarFollowingModel, v: float) -> float:
+def preferred_headway(model: BandoFtl, v: float) -> float:
     """The unique headway at which the law exerts zero acceleration at speed ``v``.
 
-    For :class:`BandoFtl` this is the closed-form inverse of the preferred-speed
-    curve, ``l_v + d0 * (2 + atanh(v (1 + tanh 2) / v_max - tanh 2))``.
-    Raises :class:`NoEquilibriumError` when ``v`` is outside the achievable
-    range and :class:`AmbiguousHeadwayError` when a custom law has several
-    zero-acceleration headways.
+    This is the closed-form inverse of the preferred-speed curve,
+    ``l_v + d0 * (2 + atanh(v (1 + tanh 2) / v_max - tanh 2))``.  Raises
+    :class:`NoEquilibriumError` when ``v`` is outside ``[0, v_max)``.
     """
     if not math.isfinite(v):
         raise ValueError(f"speed must be finite, got {v!r}")
     if v < 0.0:
         raise NoEquilibriumError(f"no equilibrium at negative speed {v}")
-
-    if isinstance(model, BandoFtl):
-        pref = model.pref
-        if v >= pref.v_max:
-            raise NoEquilibriumError(
-                f"speed {v} is not below the supremum {pref.v_max}"
-            )
-        if v == 0.0:
-            return pref.l_v
-        t = v * (1.0 + _TANH2) / pref.v_max - _TANH2
-        if t >= 1.0:  # v rounds onto the supremum, where the curve has no inverse
-            raise NoEquilibriumError(
-                f"speed {v} is indistinguishable from the supremum {pref.v_max}"
-            )
-        return pref.l_v + pref.d0 * (2.0 + math.atanh(t))
-
-    if model.v_sup is not None and v >= model.v_sup:
-        raise NoEquilibriumError(f"speed {v} is not below the supremum {model.v_sup}")
-    return _custom_preferred_headway(model, v)
-
-
-def _custom_preferred_headway(model: Custom, v: float) -> float:
-    lo, hi = model.headway_range
-    grid = np.geomspace(lo, hi, 512)
-    vals = np.array([model.f(float(h), 0.0, v) for h in grid])
-    exact = np.flatnonzero(vals == 0.0)
-    signs = np.sign(vals)
-    flips = np.flatnonzero(signs[:-1] * signs[1:] < 0)
-    if len(exact) + len(flips) > 1:
-        raise AmbiguousHeadwayError(
-            f"driver law has multiple zero-acceleration headways at speed {v}"
-        )
-    if len(exact) == 1:
-        return float(grid[exact[0]])
-    if len(flips) == 0:
+    pref = model.pref
+    if v >= pref.v_max:
+        raise NoEquilibriumError(f"speed {v} is not below the supremum {pref.v_max}")
+    if v == 0.0:
+        return pref.l_v
+    t = v * (1.0 + _TANH2) / pref.v_max - _TANH2
+    if t >= 1.0:  # v rounds onto the supremum, where the curve has no inverse
         raise NoEquilibriumError(
-            f"no zero-acceleration headway in {model.headway_range} at speed {v}"
+            f"speed {v} is indistinguishable from the supremum {pref.v_max}"
         )
-    i = flips[0]
-    return bisect_root(
-        lambda h: model.f(h, 0.0, v),
-        float(grid[i]),
-        float(grid[i + 1]),
-        f_lo=float(vals[i]),
-        f_hi=float(vals[i + 1]),
-    )
+    return pref.l_v + pref.d0 * (2.0 + math.atanh(t))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .equilibrium import Composition, EquilibriumFlow
 from .errors import CollisionError, InsufficientDataError
-from .model import BandoFtl, _speed, accel, model_partials
+from .model import _speed, model_partials
 
 
 @dataclass(frozen=True)
@@ -82,39 +82,30 @@ class SimTrace:
 
 @functools.lru_cache(maxsize=32)
 def _compile_rhs(comp: Composition):
-    """Right-hand side ``rhs(z, k, tmp)`` for a composition, vectorized when possible.
+    """Vectorized right-hand side ``rhs(z, k, tmp)`` for a composition.
 
     ``z`` is the stacked state ``[h, v]`` of shape ``(2, n)``; the rates are
     written into ``k`` of the same shape, and ``tmp`` is an ``(n,)`` scratch.
     """
     models = [comp.model_of(a) for a in comp.ordering]
-    if all(isinstance(m, BandoFtl) for m in models):
-        # a parameter every vehicle shares enters as a scalar: same bits, cheaper
-        columns = zip(*((m.a, m.b, m.pref.v_max, m.pref.l_v, m.pref.d0) for m in models))
-        a, b, v_max, l_v, d0 = (
-            col[0] if len(set(col)) == 1 else np.array(col) for col in columns
-        )
-
-        def rhs(z, k, tmp):
-            h, v = z
-            hdot, vdot = k
-            _headway_rate(v, hdot)
-            # a * (V(h) - v) + b * hdot / (h * h), operation by operation
-            np.multiply(h, h, out=tmp)
-            np.multiply(b, hdot, out=vdot)
-            np.divide(vdot, tmp, out=vdot)
-            _speed(h, v_max, l_v, d0, out=tmp)
-            np.subtract(tmp, v, out=tmp)
-            np.multiply(a, tmp, out=tmp)
-            np.add(tmp, vdot, out=vdot)
-
-        return rhs
+    # a parameter every vehicle shares enters as a scalar: same bits, cheaper
+    columns = zip(*((m.a, m.b, m.pref.v_max, m.pref.l_v, m.pref.d0) for m in models))
+    a, b, v_max, l_v, d0 = (
+        col[0] if len(set(col)) == 1 else np.array(col) for col in columns
+    )
 
     def rhs(z, k, tmp):
         h, v = z
         hdot, vdot = k
         _headway_rate(v, hdot)
-        vdot[:] = [accel(m, h[j], hdot[j], v[j]) for j, m in enumerate(models)]
+        # a * (V(h) - v) + b * hdot / (h * h), operation by operation
+        np.multiply(h, h, out=tmp)
+        np.multiply(b, hdot, out=vdot)
+        np.divide(vdot, tmp, out=vdot)
+        _speed(h, v_max, l_v, d0, out=tmp)
+        np.subtract(tmp, v, out=tmp)
+        np.multiply(a, tmp, out=tmp)
+        np.add(tmp, vdot, out=vdot)
 
     return rhs
 

@@ -466,3 +466,50 @@ def test_schema_rejects_config(tmp_path, capsys, command, payload):
 def test_valid_config_is_accepted(tmp_path, command):
     cfg = write_config(tmp_path, valid_config(command))
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+def config_mistakes():
+    """Configs the schema passes that hold a mistake only the CLI can see."""
+    for command in COMMANDS:
+        cfg = valid_config(command)
+        pops = cfg["composition"]["populations"] if "composition" in cfg else cfg["populations"]
+        pops[1]["class_id"] = pops[0]["class_id"]
+        yield command, "duplicate_ids", cfg, "duplicate class ids"
+    for why, c1, c2, ordering, message in [
+        ("ordering_miscounts", 2, 2, [1, 1, 2], "ordering must contain"),
+        ("ordering_unknown_class", 2, 2, [1, 1, 2, 2, 3], "ordering must contain"),
+        ("all_counts_zero", 0, 0, "spread", "at least one vehicle"),
+    ]:
+        cfg = dict(valid_config("equilibrium"), composition=composition_payload(c1, c2, ordering))
+        yield "equilibrium", why, cfg, message
+    cfg = valid_config("margin")
+    for p in cfg["populations"]:
+        p["count"] = 0
+    yield "margin", "all_counts_zero", cfg, "at least one vehicle"
+    cfg = valid_config("tau0")
+    below_length = {"calibrate": {"h_ref": REF_LV, "slope": REF_SLOPE, "l_v": REF_LV, "d0": REF_D0}}
+    cfg["populations"][1]["model"] = dict(MODEL_2, preference=below_length)
+    yield "tau0", "h_ref_at_vehicle_length", cfg, "h_ref must exceed"
+    cfg = valid_config("simulate")
+    cfg["sim"]["t_end"] = 0.01
+    yield "simulate", "t_end_below_dt", cfg, "t_end >= dt"
+    nan, inf = float("nan"), float("inf")
+    yield "equilibrium", "nan_v_bar", dict(valid_config("equilibrium"), equilibrium={"v_bar": nan}), "NaN"
+    yield "equilibrium", "infinite_length", dict(valid_config("equilibrium"), equilibrium={"length": inf}), "Infinity"
+    cfg = valid_config("margin")
+    cfg["populations"][0]["model"] = dict(MODEL_1, a=nan)
+    yield "margin", "nan_gain", cfg, "NaN"
+    cfg = valid_config("sweep")
+    cfg["sweep"]["rate_class1"] = nan
+    yield "sweep", "nan_rate", cfg, "NaN"
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [pytest.param(c, p, m, id=f"{c}-{why}") for c, why, p, m in config_mistakes()],
+)
+def test_config_mistake_exits_2(tmp_path, capsys, command, payload, message):
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err

@@ -153,17 +153,3 @@ def test_composition_validation():
         Composition(populations=(pop, pop), ordering=(1, 1, 1))  # duplicate id
     with pytest.raises(ValueError):
         PopulationSpec(class_id=1, model=model, count=-2)
-
-
-def test_length_inversion_with_custom_law():
-    # zero-acceleration headway 6 + 1.5 v, no declared speed ceiling
-    from ringwave import Custom
-
-    law = Custom(
-        f=lambda h, hd, v: 0.7 * (h - 6.0 - 1.5 * v) + 0.2 * hd,
-        headway_range=(1e-3, 1e4),
-    )
-    comp = composition_of([law], [12])
-    eq = equilibrium_from_length(comp, 12 * (6.0 + 1.5 * 3.0))
-    assert eq.v_bar == pytest.approx(3.0, abs=1e-7)
-    assert eq.h_bar[1] == pytest.approx(10.5, abs=1e-7)

@@ -3,7 +3,6 @@ import pytest
 
 from ringwave import (
     BandoFtl,
-    Custom,
     LinearTrio,
     ModelInvalidError,
     StabilityClass,
@@ -80,9 +79,11 @@ def test_linearize_fd_rejects_bad_step():
 
 
 def test_constant_custom_law_rejected():
-    law = Custom(f=lambda h, hd, v: 0.0)
+    # below the vehicle length the clamped preferred speed is constant 0, so
+    # (h, 0, 0) is an equilibrium whose finite-difference alpha is exactly 0
+    model = BandoFtl(a=2.0, b=9.0, pref=VelocityPreference(v_max=9.72, l_v=4.5, d0=2.23))
     with pytest.raises(ModelInvalidError):
-        linearize_fd(law, 10.0, 3.0, eps=1e-5)
+        linearize_fd(model, 3.0, 0.0, eps=1e-5)
 
 
 def test_linearize_requires_equilibrium_point():
@@ -134,25 +135,3 @@ def test_classification_is_a_function_of_the_trio():
     trio_b = LinearTrio(alpha=trio_a.alpha, beta=trio_a.beta, gamma=trio_a.gamma)
     assert classify(trio_a) is classify(trio_b)
     assert discriminant(trio_a) == discriminant(trio_b)
-
-
-def test_custom_law_with_analytic_partials():
-    def f(h, hd, v):
-        return 0.8 * (h - 9.0) + 0.25 * hd - 1.1 * (v - 4.0)
-
-    law = Custom(f=f, partials=lambda h, hd, v: (0.8, 0.25, -1.1))
-    trio = linearize(law, 9.0, 4.0)
-    assert trio.alpha == 0.8
-    assert trio.gamma == 0.25
-    assert trio.beta == pytest.approx(0.25 + 1.1)
-
-
-def test_custom_law_numeric_partials():
-    def f(h, hd, v):
-        return 0.9 * (h - 10.0) ** 1.0 + 0.4 * hd - 1.3 * (v - 5.0) + 0.05 * (h - 10.0) ** 2
-
-    law = Custom(f=f)
-    trio = linearize(law, 10.0, 5.0)
-    assert trio.alpha == pytest.approx(0.9, rel=1e-6)
-    assert trio.gamma == pytest.approx(0.4, rel=1e-6)
-    assert trio.beta == pytest.approx(0.4 + 1.3, rel=1e-6)

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from ringwave import (
-    AmbiguousHeadwayError,
     BandoFtl,
     CollisionError,
-    Custom,
     NoEquilibriumError,
     VelocityPreference,
     accel,
@@ -183,25 +181,6 @@ def test_accel_continuity():
         d1 = abs(accel(model, h + 1e-4, hd + 1e-4, v + 1e-4) - base)
         d2 = abs(accel(model, h + 1e-8, hd + 1e-8, v + 1e-8) - base)
         assert d2 <= max(1e-2 * d1, 1e-9)
-
-
-def test_custom_model_dispatch_and_partials():
-    # linear law with known derivatives
-    law = Custom(f=lambda h, hd, v: 0.5 * (h - 8.0) + 0.3 * hd - 0.9 * (v - 3.0))
-    assert accel(law, 10.0, 1.0, 3.0) == pytest.approx(0.5 * 2.0 + 0.3)
-    assert preferred_headway(law, 3.0) == pytest.approx(8.0, abs=1e-9)
-
-
-def test_custom_model_ambiguous_headway():
-    law = Custom(f=lambda h, hd, v: (h - 5.0) * (h - 20.0), headway_range=(1.0, 100.0))
-    with pytest.raises(AmbiguousHeadwayError):
-        preferred_headway(law, 1.0)
-
-
-def test_custom_model_no_equilibrium():
-    law = Custom(f=lambda h, hd, v: 1.0 + 0.0 * h, headway_range=(1.0, 100.0))
-    with pytest.raises(NoEquilibriumError):
-        preferred_headway(law, 1.0)
 
 
 def test_preference_validates_parameters():

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 from ringwave import (
     BandoFtl,
     CollisionError,
-    Custom,
     InsufficientDataError,
     Perturbation,
     RingSystem,
@@ -63,11 +62,6 @@ def test_rhs_matches_accel_with_one_preference():
     # the shared preference parameters enter the right-hand side as scalars
     other = BandoFtl(a=0.6, b=15.0, pref=PREF)
     _assert_rhs_matches_accel(composition_of([MODEL, other], [7, 5]))
-
-
-def test_rhs_matches_accel_for_custom_law():
-    custom = Custom(f=lambda h, hdot, v: accel(MODEL, h, hdot, v))
-    _assert_rhs_matches_accel(composition_of([MODEL, custom], [4, 3]))
 
 
 def _textbook_rk4_step(comp, h, v, dt):
