@@ -43,9 +43,9 @@ class VelocityPreference:
     d0: float
 
     def __post_init__(self):
-        if not (self.v_max > 0.0 and self.d0 > 0.0 and self.l_v >= 0.0):
+        if not (0.0 < self.v_max < math.inf and self.d0 > 0.0 and self.l_v >= 0.0):
             raise ValueError(
-                f"require v_max > 0, d0 > 0, l_v >= 0; got {self.v_max}, {self.d0}, {self.l_v}"
+                f"require finite v_max > 0, d0 > 0, l_v >= 0; got {self.v_max}, {self.d0}, {self.l_v}"
             )
 
 
@@ -100,7 +100,14 @@ def preference_with_slope(
     if h_ref <= l_v:
         raise ValueError("h_ref must exceed the vehicle length")
     x = (h_ref - l_v) / d0 - 2.0
-    v_max = slope * d0 * (1.0 + _TANH2) / float(_sech(x) ** 2)
+    # the ramp's slope decays like exp(-2x): far enough up it, no finite v_max attains ``slope``
+    sech_sq = float(_sech(x) ** 2)
+    v_max = slope * d0 * (1.0 + _TANH2) / sech_sq if sech_sq > 0.0 else math.inf
+    if v_max == math.inf:
+        raise ValueError(
+            f"no finite v_max has slope {slope} at h_ref = {h_ref}: "
+            f"h_ref is too far above l_v = {l_v} for d0 = {d0}"
+        )
     return VelocityPreference(v_max=v_max, l_v=l_v, d0=d0)
 
 

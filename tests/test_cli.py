@@ -1,10 +1,16 @@
 import csv
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ringwave.cli import main
+from ringwave import _schema
+from ringwave.cli import _config_schema, main
+from ringwave.errors import ConfigError
 
 from conftest import REF_D0, REF_HEADWAY, REF_LV, REF_SLOPE
 
@@ -502,6 +508,12 @@ def config_mistakes():
     cfg = valid_config("sweep")
     cfg["sweep"]["rate_class1"] = nan
     yield "sweep", "nan_rate", cfg, "NaN"
+    # sech^2 at h_ref makes v_max overflow to inf at 818.45 m and underflows to 0 at 2000 m
+    for h_ref in (818.45, 2000.0):
+        far = {"calibrate": {"h_ref": h_ref, "slope": 0.5, "l_v": REF_LV, "d0": REF_D0}}
+        cfg = valid_config("equilibrium")
+        cfg["composition"]["populations"][0]["model"] = dict(MODEL_1, preference=far)
+        yield "equilibrium", f"h_ref_{h_ref:g}_needs_infinite_v_max", cfg, "no finite v_max"
 
 
 @pytest.mark.parametrize(
@@ -513,3 +525,192 @@ def test_config_mistake_exits_2(tmp_path, capsys, command, payload, message):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main(["tau0", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def _fresh(value):
+    """A deep copy that, unlike ``copy.deepcopy``, shares no subtree (the models share a preference)."""
+    return json.loads(json.dumps(value))
+
+
+def _with(command, where, value):
+    """``valid_config(command)`` with the value at dotted path ``where`` replaced, or deleted for None."""
+    cfg = _fresh(valid_config(command))
+    *parents, last = [int(k) if k.isdigit() else k for k in where.split(".")]
+    node = cfg
+    for key in parents:
+        node = node[key]
+    if value is None:
+        del node[last]
+    else:
+        node[last] = value
+    return cfg
+
+
+# one rejection per kind of schema keyword: id, command, where, new value, JSON path named, message
+KEYWORD_REJECTIONS = [
+    ("type", "margin", "populations.0.model.a", "4", "$.populations[0].model.a", "is not of type 'number'"),
+    ("type_bool_is_no_number", "margin", "populations.1.model.b", True, "$.populations[1].model.b", "True is not"),
+    ("type_integer", "margin", "populations.0.class_id", 1.5, "$.populations[0].class_id", "not of type 'integer'"),
+    ("const", "tau0", "schema_version", 2, "$.schema_version", "2 is not 1"),
+    ("const_true_is_not_1", "tau0", "schema_version", True, "$.schema_version", "True is not 1"),
+    ("enum", "simulate", "sim.perturbation.kind", "kick", "$.sim.perturbation.kind", "is not one of"),
+    ("minimum", "margin", "populations.1.count", -1, "$.populations[1].count", "-1 must be >= 0"),
+    ("maximum", "sweep", "sweep.rate_class1", 1.5, "$.sweep.rate_class1", "1.5 must be <= 1"),
+    ("exclusiveMinimum", "equilibrium", "composition.populations.1.model.a", 0,
+     "$.composition.populations[1].model.a", "0 must be > 0"),
+    ("required", "tau0", "populations.0.model.b", None, "$.populations[0].model", "missing required key 'b'"),
+    ("additionalProperties", "simulate", "sim.surprise", 1, "$.sim", "unknown key 'surprise'"),
+    ("items", "sweep", "sweep.n_totals", [4, 1], "$.sweep.n_totals[1]", "1 must be >= 2"),
+    ("minItems", "sweep", "sweep.n_totals", [], "$.sweep.n_totals", "has 0 items, fewer than 1"),
+    ("maxItems", "tau0", "populations", [{"class_id": c, "model": MODEL_1} for c in (1, 2, 3)],
+     "$.populations", "has 3 items, more than 2"),
+    ("oneOf_no_form", "linearize", "equilibrium", {"v_bar": 4.0, "length": 50.0}, "$.equilibrium", "unknown key"),
+    ("oneOf_misspelt_name", "equilibrium", "composition.ordering", "sprad", "$.composition.ordering",
+     "'sprad' is not one of"),
+    ("oneOf_deepest_form", "equilibrium", "composition.ordering", [1, "2"], "$.composition.ordering[1]",
+     "is not of type 'integer'"),
+    ("oneOf_inner_value", "tau0", "populations.1.model.preference.calibrate.slope", -1.0,
+     "$.populations[1].model.preference.calibrate.slope", "-1.0 must be > 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, where, value, json_path, message", [pytest.param(*r[1:], id=r[0]) for r in KEYWORD_REJECTIONS]
+)
+def test_rejection_names_json_path(tmp_path, capsys, command, where, value, json_path, message):
+    cfg = write_config(tmp_path, _with(command, where, value))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {json_path}: ") and message in err, err
+@pytest.mark.parametrize(
+    "command, where, value",
+    [
+        ("margin", "populations.0.count", 2.0),  # Draft 2020-12: an integral float is an integer
+        ("margin", "populations.0.count", 0),
+        ("sweep", "sweep.rate_class1", 1),
+        ("sweep", "sweep.n_totals", [2]),
+    ],
+)
+def test_schema_accepts_boundary_values(tmp_path, command, where, value):
+    cfg = write_config(tmp_path, _with(command, where, value))
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_schema_uses_only_checked_keywords(command):
+    def walk(schema):
+        assert set(schema) <= _schema.KEYWORDS, set(schema) - _schema.KEYWORDS
+        assert schema.get("type", "object") in _schema.TYPES
+        assert schema.get("additionalProperties", False) is False
+        for value in [schema.get("const", 0), *schema.get("enum", [])]:
+            assert isinstance(value, (str, int, float, bool))
+        for sub in [*schema.get("properties", {}).values(), *schema.get("oneOf", [])]:
+            walk(sub)
+        if "items" in schema:
+            walk(schema["items"])
+
+    walk(_config_schema(command))
+
+
+def test_one_of_needs_exactly_one_match():
+    # no command schema has overlapping forms, so the rule is checked on its own
+    schema = {"oneOf": [{"type": "integer"}, {"type": "number"}]}
+    _schema.validate(1.5, schema)
+    with pytest.raises(ConfigError, match=r"^\$: matches 2 of its 2 allowed forms"):
+        _schema.validate(1, schema)
+
+
+# values a mutation puts in a config: scalars of every JSON kind near each bound,
+# and subtrees that are valid somewhere, so many mutants stay valid
+SCALARS = [
+    True, False, None, -1, 0, 1, 2, 3, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 1e300,
+    "blocks", "spread", "bando_ftl", "sinusoidal_mode", "x",
+]
+SUBTREES = [
+    [], [1], [1, 2, 1, 2], [4, 6.0], {}, {"v_bar": 4.0}, {"length": 50.0}, EQ_BY_HEADWAY, CAL_PREF, MODEL_2,
+    {"v_max": 30.0, "l_v": 4.5, "d0": 2.23}, {"class_id": 3, "count": 2, "model": MODEL_1},
+]
+NEW_KEYS = ["surprise", "svg", "mode", "seed", "dt", "count", "record_every", "calibrate"]
+
+
+def _slots(node):
+    """Every (container, key) pair in a JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in list(items):
+        yield node, key
+        yield from _slots(value)
+
+
+def _kind(value):
+    return "number" if type(value) in (int, float) else type(value)
+
+
+def mutant(command, rng):
+    cfg = _fresh(valid_config(command))
+    for _ in range(rng.randint(1, 2)):
+        parent, key = rng.choice(list(_slots(cfg)))
+        values = SCALARS + SUBTREES
+        if rng.random() < 0.7:  # mostly a value of the same kind, which may stay valid
+            values = [v for v in values if _kind(v) == _kind(parent[key])] or values
+        value = _fresh(rng.choice(values))
+        op = rng.choice([0, 0, 1, 2])
+        if op == 0:
+            parent[key] = value
+        elif op == 1:
+            del parent[key]
+        elif isinstance(parent, dict):
+            parent[rng.choice(NEW_KEYS)] = value
+        else:
+            parent.append(_fresh(parent[key]))
+    return cfg
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_checker_agrees_with_jsonschema(command):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = _config_schema(command)
+    oracle = jsonschema.Draft202012Validator(schema)
+    rng = random.Random(COMMANDS.index(command))
+    accepted = 0
+    for _ in range(500):
+        cfg = mutant(command, rng)
+        try:
+            _schema.validate(cfg, schema)
+            ok = True
+        except ConfigError:
+            ok = False
+        assert ok == oracle.is_valid(cfg), cfg
+        accepted += ok
+    assert min(accepted, 500 - accepted) >= 25  # both verdicts are well represented
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_python(*argv):
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_leaves_jsonschema_out():
+    proc = _run_python("-c", "import sys, ringwave.cli; print([m for m in sys.modules if 'jsonschema' in m])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_records_validate_span(tmp_path):
+    cfg = write_config(tmp_path, valid_config("tau0"))
+    trace = tmp_path / "trace.json"
+    tracecli = str(ROOT / "bench" / "tracecli.py")
+    proc = _run_python(tracecli, str(trace), "t", "tau0", "--config", cfg, "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(trace.read_text())["spans"]
+    assert [s for s in spans if s["name"] == "cli.validate" and "error" not in s]

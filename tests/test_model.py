@@ -188,5 +188,15 @@ def test_preference_validates_parameters():
         VelocityPreference(v_max=-1.0, l_v=4.5, d0=2.0)
     with pytest.raises(ValueError):
         VelocityPreference(v_max=9.0, l_v=4.5, d0=0.0)
+    with pytest.raises(ValueError, match="finite v_max"):
+        VelocityPreference(v_max=float("inf"), l_v=4.5, d0=2.0)
     with pytest.raises(ValueError):
         BandoFtl(a=0.0, b=1.0, pref=PREF)
+
+
+@pytest.mark.parametrize("h_ref", [818.45, 2000.0])
+def test_calibration_refuses_a_slope_no_finite_v_max_reaches(h_ref):
+    # sech^2 at h_ref is subnormal at 818.45 m (v_max overflows) and 0 at 2000 m
+    with pytest.raises(ValueError, match="no finite v_max"):
+        preference_with_slope(0.5, h_ref, 4.5, 2.23)
+    assert preference_with_slope(0.5, 700.0, 4.5, 2.23).v_max < float("inf")
