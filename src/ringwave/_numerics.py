@@ -5,14 +5,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-
 # cap on halvings; a bracket spanning a few binades reaches machine precision in about 60
 _BISECT_MAX_ITER = 200
-
-# golden-section search stops once the bracket is this fraction of its larger end
-_GOLDEN_RTOL = 1e-10
 
 
 def bisect_root(
@@ -49,31 +43,6 @@ def bisect_root(
         else:
             hi, fhi = mid, fm
     return 0.5 * (lo + hi)
-
-
-def golden_max(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """Golden-section maximization of ``fn`` on [a, b]; returns (x, fn(x))."""
-    if not b > a:
-        raise ValueError("empty bracket")
-    h = b - a
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    fc = fn(c)
-    fd = fn(d)
-    while h > _GOLDEN_RTOL * max(abs(a), abs(b), 1e-300):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INV_PHI2 * h
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INV_PHI * h
-            fd = fn(d)
-        if c >= d:  # bracket exhausted at float resolution
-            break
-    return (c, fc) if fc > fd else (d, fd)
 
 
 def check_rates(rates: Sequence[float]) -> None:

@@ -158,6 +158,18 @@ def _refuse_constant(name: str):
     raise ConfigError(f"{name} is not a number a config may hold")
 
 
+def _finite(parse):
+    """A ``json.loads`` number hook that refuses literals beyond the finite doubles."""
+
+    def hook(text: str):
+        if not np.isfinite(float(text)):
+            shown = text if len(text) <= 24 else text[:21] + "..."
+            raise ConfigError(f"number {shown} does not fit a finite double")
+        return parse(text)
+
+    return hook
+
+
 def _build_preference(cfg: dict) -> VelocityPreference:
     with _config_values():
         if "calibrate" in cfg:
@@ -486,12 +498,14 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         raw = Path(args.config).read_text(encoding="utf-8")
-        # NaN and +-Infinity are JSON extensions that no config value may take
-        config = json.loads(raw, parse_constant=_refuse_constant)
+        # NaN, +-Infinity (JSON extensions) and literals past the largest double are refused
+        config = json.loads(
+            raw, parse_constant=_refuse_constant, parse_float=_finite(float), parse_int=_finite(int)
+        )
         jsonschema.validate(config, _config_schema(args.command))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError, ConfigError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 

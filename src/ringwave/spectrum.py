@@ -316,7 +316,7 @@ def _resolve_line(fleet: Fleet, s: float, *, winding: bool):
     phase of F is resolved.
     """
     x_tail = _tail_start(fleet)
-    x = np.unique(
+    x = np.sort(
         np.concatenate(
             (
                 [0.0],
@@ -325,6 +325,8 @@ def _resolve_line(fleet: Fleet, s: float, *, winding: bool):
             )
         )
     )
+    # np.unique would import numpy.ma
+    x = x[np.concatenate(([True], x[1:] != x[:-1]))]
     # +1 for each zero of F (at -alpha/gamma), -1 for each pole (roots of q)
     weight = np.concatenate((fleet.count, -fleet.count, -fleet.count)).ravel()
     done = []

@@ -23,15 +23,15 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numerics import check_rates, golden_max
+from ._numerics import check_rates
 from .linearize import LinearTrio, discriminant
 from .spectrum import Fleet, count_right_of
 
 GRID_POINTS = 4096
 
-# a grid maximum rising less than this fraction of its value above its lower
-# neighbour is rounding noise (the flat y -> 0 end of a ratio), not a peak
-_PEAK_RTOL = 1e-13
+# Newton steps per grid peak: from the middle of a grid step (under 0.7 % wide)
+# three reach the rounding floor of the derivative
+_NEWTON_STEPS = 5
 
 # |sup margin| below this is reported as sitting on the critical boundary
 MARGIN_TOL = 1e-12
@@ -83,15 +83,35 @@ def log_gain(trio: LinearTrio, y):
     # ndarray methods, not np.all/np.any: the wrappers cost more than the math
     if not np.isfinite(arr).all() or (arr < 0.0).any():
         raise ValueError("y must be finite and nonnegative")
-    a2 = trio.alpha * trio.alpha
-    num = (trio.gamma * trio.gamma) * arr / a2
-    den = ((trio.beta * trio.beta - 2.0 * trio.alpha) * arr + arr * arr) / a2
-    if (den <= -1.0).any():
-        raise ValueError(
-            f"trio ({trio.alpha}, {trio.beta}, {trio.gamma}) leaves the admissible set"
-        )
-    out = np.log1p(num) - np.log1p(den)
+    out = _weighted_gain(_gain_columns([trio], [1.0]), arr)[0]
     return float(out) if arr.ndim == 0 else out
+
+
+def _gain_columns(trios: Sequence[LinearTrio], weights: Sequence[float]) -> np.ndarray:
+    """Per weighted class, a column of ``alpha^2``, ``gamma^2``, ``beta^2 - 2 alpha`` and weight."""
+    rows = [(t.alpha * t.alpha, t.gamma * t.gamma, t.beta * t.beta - 2.0 * t.alpha, w)
+            for t, w in zip(trios, weights) if w != 0.0]
+    return np.array(rows, dtype=float).reshape(-1, 4).T
+
+
+def _weighted_gain(cols: np.ndarray, y: np.ndarray):
+    """``S = sum_k w_k H_k(y)`` and its exact first and second derivatives in ``y``.
+
+    ``H = log p - log q`` with ``p = 1 + gamma^2 y / alpha^2`` and
+    ``q = 1 + ((beta^2 - 2 alpha) y + y^2) / alpha^2``.  The numerator of ``H'``,
+    ``-discriminant - y (2 + gamma^2 y / alpha^2)``, is free of cancellation.
+    Every step is a ``(classes x y)`` array operation.
+    """
+    a2, g2, c, w = cols.reshape(cols.shape + (1,) * y.ndim)
+    num = g2 * y / a2
+    den = (c * y + y * y) / a2
+    if (den <= -1.0).any():
+        raise ValueError("a trio leaves the admissible set: its gain has a pole on the axis")
+    p, q = 1.0 + num, 1.0 + den
+    h = np.log1p(num) - np.log1p(den)
+    dh = ((g2 - c) - y * (2.0 + num)) / (a2 * p * q)
+    d2h = -(2.0 * p + dh * (g2 * q + p * (c + 2.0 * y))) / (a2 * p * q)
+    return (w * h).sum(axis=0), (w * dh).sum(axis=0), (w * d2h).sum(axis=0)
 
 
 def gamma_squared(trio2: LinearTrio) -> float:
@@ -109,42 +129,36 @@ def gamma_squared(trio2: LinearTrio) -> float:
     return -a2 * d / (a2 + math.sqrt(a2 * a2 - a2 * g2 * d))
 
 
-def _grid_with_refinement(fn, ys: np.ndarray, vals: np.ndarray):
-    """Best grid point after a golden-section polish of every grid peak.
+def _polished_max(fn, ys: np.ndarray) -> tuple[float, float]:
+    """``(y, value)`` of the largest ``fn`` on the grid ``ys`` or at a polished grid peak.
 
-    The argmax and each interior local maximum are polished between their
-    grid neighbours, so an undersampled narrow peak is not lost to a flatter
-    one.  Refinement never descends below the first grid point: the caller
-    handles the y -> 0 limit analytically.
+    ``fn(y)`` returns the value and its first two derivatives.  Each grid step where the
+    derivative turns from positive to nonpositive gets ``_NEWTON_STEPS`` Newton steps on
+    the derivative, all peaks at once, each kept inside its step by falling back to bisection.
     """
-    i_best = int(np.argmax(vals))
-    best_y, best_v = float(ys[i_best]), float(vals[i_best])
-    mid = vals[1:-1]
-    rise = mid - np.minimum(vals[:-2], vals[2:])
-    is_peak = (mid > vals[:-2]) & (mid >= vals[2:]) & (rise > _PEAK_RTOL * np.abs(mid))
-    for i in sorted(set((np.flatnonzero(is_peak) + 1).tolist()) | {i_best}):
-        lo = float(ys[max(i - 1, 0)])
-        hi = float(ys[min(i + 1, len(ys) - 1)])
-        if hi > lo:
-            y_ref, v_ref = golden_max(fn, lo, hi)
-            if v_ref > best_v:
-                best_y, best_v = y_ref, v_ref
-    return best_y, best_v
+    vals, slope, _ = fn(ys)
+    i = np.flatnonzero((slope[:-1] > 0.0) & (slope[1:] <= 0.0))
+    lo, hi = ys[i], ys[i + 1]
+    y = 0.5 * (lo + hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            _, d1, d2 = fn(y)
+            lo, hi = np.where(d1 > 0.0, y, lo), np.where(d1 > 0.0, hi, y)
+            step = y - d1 / d2
+            y = np.where((d2 < 0.0) & (step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+    cand_y = np.concatenate((ys, y))
+    cand_v = np.concatenate((vals, fn(y)[0]))
+    best = int(np.argmax(cand_v))
+    return float(cand_y[best]), float(cand_v[best])
 
 
-def _weighted_log_gain(trios: Sequence[LinearTrio], weights: Sequence[float]):
-    """``y -> sum_k weights[k] * H_k(y)``: an ``fsum`` at a float, class by class on an array."""
-    live = [(t, w) for t, w in zip(trios, weights) if w != 0.0]
-
-    def at(y):
-        if isinstance(y, float):
-            return math.fsum(w * log_gain(t, y) for t, w in live)
-        total = np.zeros_like(y)
-        for t, w in live:
-            total += w * log_gain(t, y)
-        return total
-
-    return at
+def _gain_ratio(num: np.ndarray, den: np.ndarray, y: np.ndarray):
+    """``f = R / S`` of two weighted gains and its exact first and second derivatives in ``y``."""
+    r, r1, r2 = _weighted_gain(num, y)
+    s, s1, s2 = _weighted_gain(den, y)
+    f = r / s
+    f1 = (r1 - f * s1) / s
+    return f, f1, (r2 - f * s2 - 2.0 * f1 * s1) / s
 
 
 def _critical_ratio(
@@ -161,16 +175,13 @@ def _critical_ratio(
     if not unstable:
         return -math.inf
     ys = np.geomspace(max(unstable) * 1e-12, max(unstable), GRID_POINTS)
-    rest = _weighted_log_gain(others, weights)
-
-    def ratio_at(y):
-        return rest(y) / -log_gain(stable, y)
-
+    rest = _gain_columns(others, weights)
+    minus_h1 = _gain_columns([stable], [-1.0])
     d1, a1sq = discriminant(stable), stable.alpha**2
     limit0 = math.fsum(
         w * ((-discriminant(t) * a1sq) / (d1 * t.alpha**2)) for t, w in zip(others, weights)
     )
-    return max(_grid_with_refinement(ratio_at, ys, ratio_at(ys))[1], limit0)
+    return max(_polished_max(lambda y: _gain_ratio(rest, minus_h1, y), ys)[1], limit0)
 
 
 def critical_penetration(trio1: LinearTrio, trio2: LinearTrio) -> TwoPhaseReport:
@@ -234,15 +245,15 @@ def margin_curve(
     times the widest feature of any unstable class (its ``-discriminant`` or
     ``Gamma^2``), and at least up to 10.  Returns ``(ys, margin)``.
     """
-    spans = [1.0]
-    for t in trios:
-        d = discriminant(t)
-        if d < 0.0:
-            spans.append(-d)
-            spans.append(gamma_squared(t))
+    ys = _margin_grid(trios, points)
+    return ys, _weighted_gain(_gain_columns(trios, counts), ys)[0]
+
+
+def _margin_grid(trios: Sequence[LinearTrio], points: int) -> np.ndarray:
+    unstable = [t for t in trios if discriminant(t) < 0.0]
+    spans = [1.0] + [-discriminant(t) for t in unstable] + [gamma_squared(t) for t in unstable]
     window = 10.0 * max(spans)
-    ys = np.geomspace(window * 1e-9, window, points)
-    return ys, _weighted_log_gain(trios, counts)(ys)
+    return np.geomspace(window * 1e-9, window, points)
 
 
 def multi_phase_margin(
@@ -259,8 +270,8 @@ def multi_phase_margin(
         raise ValueError("need matching, nonempty trio and count lists")
     if any(c < 0 for c in counts) or sum(counts) <= 0:
         raise ValueError("counts must be nonnegative with a positive total")
-    ys, total = margin_curve(trios, counts, GRID_POINTS)
-    y_best, sup = _grid_with_refinement(_weighted_log_gain(trios, counts), ys, total)
+    cols = _gain_columns(trios, counts)
+    y_best, sup = _polished_max(lambda y: _weighted_gain(cols, y), _margin_grid(trios, GRID_POINTS))
     if sup > MARGIN_TOL:
         verdict = MarginVerdict.UNSTABLE_FOR_LARGE_N
     elif sup < -MARGIN_TOL:

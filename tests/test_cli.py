@@ -24,7 +24,7 @@ EQ_BY_HEADWAY = {"class_headway": {"class_id": 1, "headway": REF_HEADWAY}}
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8")
     return str(path)
 
 
@@ -474,6 +474,14 @@ def test_valid_config_is_accepted(tmp_path, command):
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
+_LITERAL = "<literal>"
+
+
+def _with_literal(cfg, literal):
+    """``cfg`` as JSON text, with the number ``literal`` written where ``_LITERAL`` was."""
+    return json.dumps(cfg).replace(json.dumps(_LITERAL), literal)
+
+
 def config_mistakes():
     """Configs the schema passes that hold a mistake only the CLI can see."""
     for command in COMMANDS:
@@ -508,6 +516,17 @@ def config_mistakes():
     cfg = valid_config("sweep")
     cfg["sweep"]["rate_class1"] = nan
     yield "sweep", "nan_rate", cfg, "NaN"
+    # number literals past the largest double, which json.dumps cannot write
+    for why, key, literal in [
+        ("v_bar_1e400", "v_bar", "1e400"),
+        ("length_1e400", "length", "1e400"),
+        ("v_bar_400_digits", "v_bar", "9" * 400),
+    ]:
+        cfg = dict(valid_config("equilibrium"), equilibrium={key: _LITERAL})
+        yield "equilibrium", why, _with_literal(cfg, literal), "does not fit a finite double"
+    cfg = valid_config("margin")
+    cfg["populations"][0]["model"] = dict(MODEL_1, a=_LITERAL)
+    yield "margin", "gain_1e400", _with_literal(cfg, "1e400"), "does not fit a finite double"
     # sech^2 at h_ref makes v_max overflow to inf at 818.45 m and underflows to 0 at 2000 m
     for h_ref in (818.45, 2000.0):
         far = {"calibrate": {"h_ref": h_ref, "slope": 0.5, "l_v": REF_LV, "d0": REF_D0}}
@@ -525,6 +544,13 @@ def test_config_mistake_exits_2(tmp_path, capsys, command, payload, message):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+
+
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["tau0", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_non_utf8_config_exits_2(tmp_path, capsys):
@@ -704,6 +730,18 @@ def test_cli_import_leaves_jsonschema_out():
     proc = _run_python("-c", "import sys, ringwave.cli; print([m for m in sys.modules if 'jsonschema' in m])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_sweep_leaves_numpy_ma_out(tmp_path):
+    cfg = write_config(tmp_path, valid_config("sweep"))
+    code = (
+        "import sys; from ringwave.cli import main; "
+        f"assert main(['sweep', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0; "
+        "print('numpy.ma' in sys.modules)"
+    )
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_benchmark_tracer_records_validate_span(tmp_path):

@@ -21,7 +21,7 @@ from ringwave import (
     rightmost_eigenvalue,
     tau0_bounds,
 )
-from ringwave.stability import ABSCISSA_TOL
+from ringwave.stability import ABSCISSA_TOL, _gain_columns, _gain_ratio, _weighted_gain
 
 from conftest import random_trio
 
@@ -208,6 +208,62 @@ def test_margin_curve_is_the_weighted_log_gain(ref_trios):
     np.testing.assert_array_equal(curve, 802 * log_gain(trios[0], ys) + 198 * log_gain(trios[1], ys))
     # the supremum, refined from a 4096-point grid of the same window, bounds the curve
     assert multi_phase_margin(trios, counts).sup_margin >= curve.max()
+
+
+def test_single_class_argmax_is_gamma_squared():
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(200):
+        trio = random_trio(rng, stable=False)
+        g = gamma_squared(trio)
+        worst = max(worst, abs(multi_phase_margin([trio], [1.0]).argmax_y - g) / g)
+    assert worst <= 1e-11
+
+
+def _central_differences(fn, y, h):
+    """First and second central differences of ``fn`` at ``y`` with step ``h``."""
+    lo, mid, hi = fn(y - h), fn(y), fn(y + h)
+    return (hi - lo) / (2.0 * h), (hi - 2.0 * mid + lo) / (h * h)
+
+
+def test_weighted_gain_derivatives_match_differences():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        trios = [random_trio(rng, stable=bool(rng.integers(2))) for _ in range(int(rng.integers(1, 4)))]
+        weights = rng.uniform(0.1, 50.0, len(trios)).tolist()
+        ys = np.geomspace(1e-3, 30.0, 41)
+
+        def total(y):
+            return sum(w * log_gain(t, y) for t, w in zip(trios, weights))
+
+        value, d1, d2 = _weighted_gain(_gain_columns(trios, weights), ys)
+        fd1, _ = _central_differences(total, ys, 1e-6 * ys)
+        _, fd2 = _central_differences(total, ys, 1e-3 * ys)
+        # the scale of each derivative is the sum of its terms' magnitudes
+        terms = [_weighted_gain(_gain_columns([t], [w]), ys) for t, w in zip(trios, weights)]
+        np.testing.assert_array_equal(value, total(ys))
+        assert np.all(np.abs(d1 - fd1) <= 1e-7 * sum(np.abs(term[1]) for term in terms))
+        assert np.all(np.abs(d2 - fd2) <= 1e-4 * sum(np.abs(term[2]) for term in terms))
+
+
+def test_gain_ratio_derivatives_match_differences():
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        stable = random_trio(rng, stable=True)
+        others = [random_trio(rng, stable=False) for _ in range(int(rng.integers(1, 3)))]
+        weights = rng.uniform(0.1, 1.0, len(others)).tolist()
+        ys = np.geomspace(1e-3, 1.0, 31) * max(gamma_squared(t) for t in others)
+
+        def ratio(y):
+            return sum(w * log_gain(t, y) for t, w in zip(others, weights)) / -log_gain(stable, y)
+
+        f, f1, f2 = _gain_ratio(_gain_columns(others, weights), _gain_columns([stable], [-1.0]), ys)
+        fd1, _ = _central_differences(ratio, ys, 1e-6 * ys)
+        _, fd2 = _central_differences(ratio, ys, 1e-3 * ys)
+        np.testing.assert_allclose(f, ratio(ys), rtol=1e-14)
+        # f changes on the scale of y, so f / y and f / y^2 bound the derivatives' rounding
+        assert np.all(np.abs(f1 - fd1) <= 1e-7 * (np.abs(fd1) + np.abs(f) / ys))
+        assert np.all(np.abs(f2 - fd2) <= 1e-4 * (np.abs(fd2) + np.abs(f) / ys**2))
 
 
 def test_multi_phase_margin_validation():
