@@ -104,8 +104,8 @@ _EQ_V = {
 _EQ_FULL = {"oneOf": _EQ_V["oneOf"] + [_obj({"length": _POS})]}
 _PERT_KINDS = {
     "single_vehicle_kick": lambda cfg: SingleVehicleKick(),
-    "sinusoidal_mode": lambda cfg: SinusoidalMode(mode=cfg.get("mode", 1)),
-    "seeded_random_zero_sum": lambda cfg: SeededRandomZeroSum(seed=cfg.get("seed", 0)),
+    "sinusoidal_mode": lambda cfg: SinusoidalMode(mode=int(cfg.get("mode", 1))),
+    "seeded_random_zero_sum": lambda cfg: SeededRandomZeroSum(seed=int(cfg.get("seed", 0))),
 }
 _SIM = _obj(
     {
@@ -158,6 +158,16 @@ def _refuse_constant(name: str):
     raise ConfigError(f"{name} is not a number a config may hold")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A ``json.loads`` object hook that refuses a key given twice in one object."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
 def _finite(parse):
     """A ``json.loads`` number hook that refuses literals beyond the finite doubles."""
 
@@ -183,16 +193,12 @@ def _build_model(cfg: dict) -> BandoFtl:
 
 
 def _build_populations(cfgs: list[dict]) -> list[PopulationSpec]:
-    ids = [c["class_id"] for c in cfgs]
+    ids = [int(c["class_id"]) for c in cfgs]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"duplicate class ids: {ids}")
     return [
-        PopulationSpec(
-            class_id=c["class_id"],
-            model=_build_model(c["model"]),
-            count=c.get("count", 0),
-        )
-        for c in cfgs
+        PopulationSpec(class_id=i, model=_build_model(c["model"]), count=int(c.get("count", 0)))
+        for i, c in zip(ids, cfgs)
     ]
 
 
@@ -204,7 +210,7 @@ def _build_composition(cfg: dict) -> Composition:
     elif ordering == "spread":
         ordering = spread_ordering(pops)
     else:
-        ordering = tuple(ordering)
+        ordering = tuple(int(a) for a in ordering)
     with _config_values():
         return Composition(populations=pops, ordering=ordering)
 
@@ -357,10 +363,9 @@ def cmd_spectrum(config: dict, out: Path, deterministic: bool) -> int:
     present = [p for p in comp.populations if p.count > 0]
     trios = _trios_at(present, eq.v_bar)
     trio_by_class = {p.class_id: t for p, t in zip(present, trios)}
-    ring = RingSystem(tuple(trio_by_class[a] for a in comp.ordering))
+    # the spectrum depends only on the counts; dense eigvals misleads on blocks or shuffles
+    ring = RingSystem(tuple(trio_by_class[a] for a in spread_ordering(present)))
     report = eigenvalues_on_H(ring)
-    # the spectrum depends only on the class counts; dense eigvals on a very
-    # non-normal ordering (such as blocks or a shuffle) can report spurious eigenvalues
     fleet = Fleet(trios, [p.count for p in present])
     certified = rightmost_eigenvalue(fleet).real
     lam = report.eigenvalues
@@ -369,12 +374,11 @@ def cmd_spectrum(config: dict, out: Path, deterministic: bool) -> int:
         raise FloatingPointError(
             f"dense eigenvalues give abscissa {report.abscissa}, and {off} of {lam.size} "
             f"miss F(lambda) = 1, but the class counts fix the abscissa at {certified} "
-            'and F = 1 at every eigenvalue: this ordering makes the ring matrix too '
-            'ill-conditioned for a dense spectrum ("spread" is safe)'
+            "and F = 1 at every eigenvalue"
         )
     rows = [(z.real, z.imag) for z in lam]
     _write_csv(out / "spectrum.csv", "re_1ps,im_1ps", rows, deterministic)
-    print(f"n = {comp.n}: abscissa = {report.abscissa}")
+    print(f"n = {ring.n}: abscissa = {report.abscissa}")
     return 0
 
 
@@ -390,7 +394,7 @@ def cmd_simulate(config: dict, out: Path, deterministic: bool) -> int:
         cfg = SimConfig(
             t_end=sim_cfg["t_end"],
             dt=sim_cfg.get("dt", 0.05),
-            record_every=sim_cfg.get("record_every", 1),
+            record_every=int(sim_cfg.get("record_every", 1)),
             perturbation=pert,
         )
     eq = _resolve_equilibrium(config["equilibrium"], comp)
@@ -424,7 +428,7 @@ def cmd_sweep(config: dict, out: Path, deterministic: bool) -> int:
     pops = _build_populations(config["populations"])
     trios = _trios_at(pops, _resolve_v_bar(config["equilibrium"], pops))
     rate = float(config["sweep"]["rate_class1"])
-    n_totals = config["sweep"]["n_totals"]
+    n_totals = [int(n) for n in config["sweep"]["n_totals"]]
 
     rows = []
     for n in n_totals:
@@ -498,9 +502,13 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         raw = Path(args.config).read_text(encoding="utf-8")
-        # NaN, +-Infinity (JSON extensions) and literals past the largest double are refused
+        # repeated keys, NaN, +-Infinity (JSON extensions) and literals past the largest double are refused
         config = json.loads(
-            raw, parse_constant=_refuse_constant, parse_float=_finite(float), parse_int=_finite(int)
+            raw,
+            object_pairs_hook=_unique_keys,
+            parse_constant=_refuse_constant,
+            parse_float=_finite(float),
+            parse_int=_finite(int),
         )
         jsonschema.validate(config, _config_schema(args.command))
         out = Path(args.out)

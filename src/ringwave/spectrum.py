@@ -57,8 +57,10 @@ class Fleet:
 
     The spectrum depends on this multiset and never on the ordering.  Classes
     with count zero are dropped.  The K remaining classes are also held as
-    read-only ``(K, 1)`` columns ``alpha``, ``beta``, ``gamma`` and ``count``,
-    and ``roots`` holds the two roots of each ``q_k = lam^2 + beta_k lam + alpha_k``.
+    read-only ``(K, 1)`` columns ``alpha``, ``beta``, ``gamma`` and ``count``;
+    ``roots`` holds the two roots of each ``q_k = lam^2 + beta_k lam + alpha_k``,
+    and the ``(3K, 1)`` columns ``sites`` and ``order`` hold each class's zero
+    ``-alpha_k/gamma_k`` of F and then its two poles, of order ``+n_k`` and ``-n_k``.
     """
 
     trios: tuple[LinearTrio, ...]
@@ -76,13 +78,14 @@ class Fleet:
         alpha, beta, gamma, count = (np.array(col)[:, None] for col in zip(*rows))
         disc = np.sqrt((beta * beta - 4.0 * alpha).astype(complex))
         roots = np.hstack([(-beta + disc) / 2.0, (-beta - disc) / 2.0])
-        for col in (alpha, beta, gamma, count, roots):
+        sites = np.vstack((-alpha / gamma, roots[:, :1], roots[:, 1:]))
+        order = np.vstack((count, -count, -count))
+        cols = dict(alpha=alpha, beta=beta, gamma=gamma, count=count, roots=roots, sites=sites, order=order)
+        for col in cols.values():
             col.flags.writeable = False
         trios, counts = zip(*kept)
         # set once, past the frozen __setattr__
-        vars(self).update(
-            trios=trios, counts=counts, alpha=alpha, beta=beta, gamma=gamma, count=count, roots=roots
-        )
+        vars(self).update(trios=trios, counts=counts, **cols)
 
     @classmethod
     def from_rates(cls, trios: Sequence[LinearTrio], rates: Sequence[float], n: int) -> Fleet:
@@ -97,20 +100,18 @@ class Fleet:
         return cls(tuple(counts), tuple(counts.values()))
 
     def transfer(self, z) -> np.ndarray:
-        """``F(z) = exp(sum_k n_k (log p_k(z) - log q_k(z)))`` at each of the points ``z``.
+        """``F(z) = prod_k T_k(z)^(n_k)`` at each of the points ``z``, as ``exp`` of :func:`_log_product`.
 
-        ``p_k = gamma_k z + alpha_k`` and ``q_k`` are the numerator and
-        denominator of class k's transfer factor; the sum of logs cannot
-        overflow or underflow as a product of n factors would, and is exactly
-        zero at ``z = 0``.  Raises :class:`PoleError` at a pole.
+        The sum of logs cannot overflow or underflow as a product of n factors
+        would, and is exactly zero at ``z = 0``.  Raises :class:`PoleError` at a pole.
         """
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         q = z * z + self.beta * z + self.alpha
         if not q.all():
             raise PoleError(f"transfer product evaluated at pole z={z[(q == 0).any(axis=0)][0]}")
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            log_f = (self.count * (np.log(self.gamma * z + self.alpha) - np.log(q))).sum(axis=0)
-            return np.exp(log_f)
+            g_re, g_im = _log_product(self, z)
+            return np.exp(g_re + 1j * g_im)
 
     def root_error(self, lam) -> np.ndarray:
         """First-order distance from each of the points ``lam`` to the nearest eigenvalue.
@@ -120,10 +121,9 @@ class Fleet:
         distance to the nearest zero or pole of F, where it measures nothing.
         """
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        sites = np.vstack((-self.alpha / self.gamma, self.roots[:, :1], self.roots[:, 1:]))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = np.abs(_newton_step(self, lam))
-            reach = 0.1 * np.abs(lam - sites).min(axis=0)
+            reach = 0.1 * np.abs(lam - self.sites).min(axis=0)
         return np.where(step <= reach, step, np.inf)
 
 
@@ -249,6 +249,8 @@ _BISECT_RTOL = 1e-12
 # Newton seeds sit where the phase of F crosses a multiple of this; eigenvalues
 # near the axis sit at multiples of 2 pi, the extra seeds serve small fleets
 _SEED_PHASE = math.pi / 2
+# |T_k| below this: 1 + u_k cancels next to the zero of p_k, log p_k - log q_k does not
+_DIRECT_BELOW = 0.5
 _NEWTON_ITERS = 60
 _NEWTON_RESIDUAL = 1e-9
 
@@ -262,12 +264,17 @@ def _log_product(fleet: Fleet, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     Each factor is written ``T_k = 1 + u_k`` with ``u_k = lam (gamma_k -
     beta_k - lam) / q_k(lam)``, so the logs stay accurate next to the
-    structural zero, where every ``T_k`` is close to one.
+    structural zero, where every ``T_k`` is close to one; where ``|T_k| <
+    _DIRECT_BELOW`` they are ``log p_k - log q_k``, ``p_k = gamma_k lam + alpha_k``.
     """
     q = lam * (lam + fleet.beta) + fleet.alpha
     u = lam * (fleet.gamma - fleet.beta - lam) / q
-    log_abs = 0.5 * np.log1p(u.real * (2.0 + u.real) + u.imag * u.imag)
+    near = np.abs(1.0 + u) < _DIRECT_BELOW
+    with np.errstate(divide="ignore", invalid="ignore"):  # replaced where near
+        log_abs = 0.5 * np.log1p(u.real * (2.0 + u.real) + u.imag * u.imag)
     arg = np.arctan2(u.imag, 1.0 + u.real)
+    log_t = np.log((fleet.gamma * lam + fleet.alpha)[near]) - np.log(q[near])
+    log_abs[near], arg[near] = log_t.real, log_t.imag
     return (fleet.count * log_abs).sum(axis=0), (fleet.count * arg).sum(axis=0)
 
 
@@ -300,9 +307,8 @@ def _tail_start(fleet: Fleet) -> float:
 def _sample_line(fleet: Fleet, s: float, x: np.ndarray) -> np.ndarray:
     """Rows ``log|F|``, ``arg(1 - F)`` and the angles of F's linear factors at ``s + ix``."""
     g_re, g_im = _log_product(fleet, s + 1j * x)
-    centers = (-fleet.alpha / fleet.gamma, fleet.roots[:, :1], fleet.roots[:, 1:])
-    angles = [np.arctan2(x - c.imag, s - c.real) for c in centers]
-    return np.vstack([g_re, _arg_one_minus_exp(g_re, g_im)] + angles)
+    angles = np.arctan2(x - fleet.sites.imag, s - fleet.sites.real)
+    return np.vstack((g_re, _arg_one_minus_exp(g_re, g_im), angles))
 
 
 def _resolve_line(fleet: Fleet, s: float, *, winding: bool):
@@ -327,15 +333,13 @@ def _resolve_line(fleet: Fleet, s: float, *, winding: bool):
     )
     # np.unique would import numpy.ma
     x = x[np.concatenate(([True], x[1:] != x[:-1]))]
-    # +1 for each zero of F (at -alpha/gamma), -1 for each pole (roots of q)
-    weight = np.concatenate((fleet.count, -fleet.count, -fleet.count)).ravel()
     done = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         data = _sample_line(fleet, s, x)
         arg_tail = float(data[1, -1])
         xa, xb, da, db = x[:-1], x[1:], data[:, :-1], data[:, 1:]
         for _ in range(_MAX_ROUNDS):
-            d_phase = weight @ _wrap(db[2:] - da[2:])
+            d_phase = fleet.order[:, 0] @ _wrap(db[2:] - da[2:])
             d_arg = _wrap(db[1] - da[1])
             # where |F| is negligible at both ends, 1 - F stays next to 1 whatever
             # the phase of F does (F vanishes at -alpha/gamma, which a line may cross)
@@ -393,9 +397,7 @@ def count_right_of(fleet: Fleet, s: float) -> int:
 def _newton_step(fleet: Fleet, lam: np.ndarray) -> np.ndarray:
     """Newton step on ``log F - 2 pi i m`` at ``lam``, ``m`` the nearest branch."""
     g_re, g_im = _log_product(fleet, lam)
-    q = lam * (lam + fleet.beta) + fleet.alpha
-    d_log = fleet.gamma / (fleet.gamma * lam + fleet.alpha) - (2.0 * lam + fleet.beta) / q
-    dg = (fleet.count * d_log).sum(axis=0)
+    dg = (fleet.order / (lam - fleet.sites)).sum(axis=0)
     return (g_re + 1j * _wrap(g_im)) / dg
 
 

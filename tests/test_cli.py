@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from ringwave import _schema
+from ringwave import _schema, cli
 from ringwave.cli import _config_schema, main
 from ringwave.errors import ConfigError
+from ringwave.spectrum import eigenvalues_on_H
 
 from conftest import REF_D0, REF_HEADWAY, REF_LV, REF_SLOPE
 
@@ -274,9 +275,26 @@ def test_spectrum_near_free_flow(tmp_path, c1, c2, headway):
     assert len(rows) == 2 * (c1 + c2) - 1
 
 
-def test_spectrum_refuses_spurious_dense_eigenvalues(tmp_path, capsys):
-    # block order makes the 800-vehicle reference ring so non-normal that dense
-    # eigvals reads abscissa 0.0249; the class counts fix it at 0.015896
+@pytest.mark.parametrize("c1, c2", [(98, 2), (390, 10)])
+def test_spectrum_with_a_small_minority_class(tmp_path, c1, c2):
+    # at 390 + 10 the minority's 10-fold zero of F has 10 eigenvalues 2e-8 from it, where
+    # log F written as sum n_k log(1 + u_k) cancelled, so root_error refused them all
+    cfg = write_config(
+        tmp_path,
+        {
+            "schema_version": 1,
+            "composition": composition_payload(c1, c2),
+            "equilibrium": EQ_BY_HEADWAY,
+        },
+    )
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "spectrum.csv")
+    assert len(rows) == 2 * (c1 + c2) - 1
+
+
+def test_spectrum_of_a_block_ordered_ring_is_solved_from_its_counts(tmp_path):
+    # dense eigvals on the block-ordered 800-vehicle reference ring reads abscissa
+    # 0.031 and misses F = 1 at 1437 of 1599 values; the counts fix it at 0.015896
     cfg = write_config(
         tmp_path,
         {
@@ -285,30 +303,49 @@ def test_spectrum_refuses_spurious_dense_eigenvalues(tmp_path, capsys):
             "equilibrium": EQ_BY_HEADWAY,
         },
     )
-    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 4
-    err = capsys.readouterr().err
-    assert "numeric failure" in err and "ordering" in err
-    assert not (tmp_path / "spectrum.csv").exists()
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "spectrum.csv")
+    assert len(rows) == 2 * 800 - 1
+    assert max(float(re) for re, _ in rows) == pytest.approx(0.015896, abs=1e-6)
 
 
-def test_spectrum_refuses_eigenvalues_off_the_level_set(tmp_path, capsys):
-    # a shuffled 320 + 80 reference ring keeps its rightmost eigenvalue, so the
-    # abscissa cross-check passes, but hundreds of its damped dense eigenvalues
-    # are far from every root of F(lambda) = 1
+def test_spectrum_of_a_shuffled_ring_equals_the_spread_one(tmp_path):
+    # the spectrum depends only on the class counts, so the ordering key leaves it alone
     ordering = [1] * 320 + [2] * 80
     random.Random(1).shuffle(ordering)
+    csvs = []
+    for name, order in (("shuffled", ordering), ("spread", "spread")):
+        out = tmp_path / name
+        cfg = {
+            "schema_version": 1,
+            "composition": composition_payload(320, 80, ordering=order),
+            "equilibrium": EQ_BY_HEADWAY,
+        }
+        assert main(["spectrum", "--config", write_config(tmp_path, cfg), "--out", str(out), "--deterministic"]) == 0
+        csvs.append((out / "spectrum.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+    assert csvs[0].count(b"\n") == 1 + 2 * 400 - 1
+
+
+def test_spectrum_refuses_a_dense_eigenvalue_off_its_root(tmp_path, capsys, monkeypatch):
+    def nudged(ring):
+        report = eigenvalues_on_H(ring)
+        report.eigenvalues[0] *= 1.0 + 1e-3
+        return report
+
+    monkeypatch.setattr(cli, "eigenvalues_on_H", nudged)
     cfg = write_config(
         tmp_path,
         {
             "schema_version": 1,
-            "composition": composition_payload(320, 80, ordering=ordering),
+            "composition": composition_payload(16, 4, ordering="blocks"),
             "equilibrium": EQ_BY_HEADWAY,
         },
     )
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
-    assert "numeric failure" in err and "miss F(lambda) = 1" in err and "ordering" in err
-    assert "and 0 of 799" not in err
+    assert err.startswith("numeric failure: ") and "1 of 39 miss F(lambda) = 1" in err
+    assert "ordering" not in err and "spread" not in err
     assert not (tmp_path / "spectrum.csv").exists()
 
 
@@ -527,6 +564,9 @@ def config_mistakes():
     cfg = valid_config("margin")
     cfg["populations"][0]["model"] = dict(MODEL_1, a=_LITERAL)
     yield "margin", "gain_1e400", _with_literal(cfg, "1e400"), "does not fit a finite double"
+    # json.loads keeps the last of two equal keys unless told otherwise
+    text = json.dumps(valid_config("tau0")).replace('"a": 4.0', '"a": 4.0, "a": 0.5', 1)
+    yield "tau0", "duplicate_key", text, "key 'a' appears twice"
     # sech^2 at h_ref makes v_max overflow to inf at 818.45 m and underflows to 0 at 2000 m
     for h_ref in (818.45, 2000.0):
         far = {"calibrate": {"h_ref": h_ref, "slope": 0.5, "l_v": REF_LV, "d0": REF_D0}}
@@ -565,17 +605,22 @@ def _fresh(value):
     return json.loads(json.dumps(value))
 
 
+def _slot(cfg, where):
+    """The container of the value at dotted path ``where`` in ``cfg``, and its key there."""
+    *parents, last = [int(k) if k.isdigit() else k for k in where.split(".")]
+    for key in parents:
+        cfg = cfg[key]
+    return cfg, last
+
+
 def _with(command, where, value):
     """``valid_config(command)`` with the value at dotted path ``where`` replaced, or deleted for None."""
     cfg = _fresh(valid_config(command))
-    *parents, last = [int(k) if k.isdigit() else k for k in where.split(".")]
-    node = cfg
-    for key in parents:
-        node = node[key]
+    node, key = _slot(cfg, where)
     if value is None:
-        del node[last]
+        del node[key]
     else:
-        node[last] = value
+        node[key] = value
     return cfg
 
 
@@ -627,6 +672,41 @@ def test_rejection_names_json_path(tmp_path, capsys, command, where, value, json
 def test_schema_accepts_boundary_values(tmp_path, command, where, value):
     cfg = write_config(tmp_path, _with(command, where, value))
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+SEEDED_SIM = {"t_end": 1.0, "perturbation": {"amplitude": 0.01, "kind": "seeded_random_zero_sum", "seed": 3}}
+MODE_SIM = {"t_end": 1.0, "record_every": 2, "perturbation": {"amplitude": 0.01, "kind": "sinusoidal_mode", "mode": 2}}
+
+# id, command, edits to valid_config(command), and the integer the twin writes as a float
+INTEGRAL_FLOATS = [
+    ("n_totals", "sweep", {"sweep.n_totals": [4, 10]}, "sweep.n_totals.0"),
+    ("count_spread", "equilibrium", {}, "composition.populations.0.count"),
+    ("count_blocks", "equilibrium", {"composition.ordering": "blocks"}, "composition.populations.0.count"),
+    ("count_spectrum", "spectrum", {}, "composition.populations.0.count"),
+    ("count_simulate", "simulate", {}, "composition.populations.0.count"),
+    ("class_id", "equilibrium", {}, "composition.populations.0.class_id"),
+    ("ordering_entry", "equilibrium", {"composition.ordering": [1, 2, 1, 2]}, "composition.ordering.0"),
+    ("seed", "simulate", {"sim": SEEDED_SIM}, "sim.perturbation.seed"),
+    ("mode", "simulate", {"sim": MODE_SIM}, "sim.perturbation.mode"),
+    ("record_every", "simulate", {"sim": MODE_SIM}, "sim.record_every"),
+]
+
+
+@pytest.mark.parametrize("command, edits, where", [pytest.param(*r[1:], id=r[0]) for r in INTEGRAL_FLOATS])
+def test_integral_float_reads_as_its_integer(tmp_path, command, edits, where):
+    # Draft 2020-12 counts 2.0 as an integer, so the builders must take it as one
+    cfg = _fresh(valid_config(command))
+    for path, value in edits.items():
+        node, key = _slot(cfg, path)
+        node[key] = _fresh(value)
+    node, key = _slot(cfg, where)
+    outs = []
+    for cast in (int, float):
+        node[key] = cast(node[key])
+        out = tmp_path / cast.__name__
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out), "--deterministic"]) == 0
+        outs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+    assert outs[0] and outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("command", COMMANDS)

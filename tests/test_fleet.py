@@ -14,6 +14,7 @@ from ringwave import (
     transfer_product,
 )
 from ringwave._numerics import largest_remainder
+from ringwave.spectrum import _log_product
 
 from conftest import random_trio, single_class_spectrum
 
@@ -128,3 +129,40 @@ def test_root_error_is_infinite_at_and_next_to_zeros_and_poles():
     offsets = np.array([0.0, 1e-12, 1e-6, 1e-6j, 1e-3, -1e-3j])
     for site in sites:
         assert np.all(fleet.root_error(site + offsets) == np.inf)
+
+
+def random_fleet(rng):
+    k = int(rng.integers(1, 4))
+    trios = [random_trio(rng, stable=bool(rng.integers(2))) for _ in range(k)]
+    return Fleet(trios, [int(c) for c in rng.integers(1, 60, k)])
+
+
+def test_sites_are_the_zeros_and_poles_of_f():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        fleet = random_fleet(rng)
+        k = len(fleet.counts)
+        assert fleet.sites.shape == fleet.order.shape == (3 * k, 1)
+        assert not fleet.sites.flags.writeable and not fleet.order.flags.writeable
+        zeros, poles = fleet.sites[:k], fleet.sites[k:].reshape(2, k, 1)
+        assert np.abs(fleet.gamma * zeros + fleet.alpha).max() <= 1e-12 * fleet.alpha.max()
+        assert np.abs(poles * poles + fleet.beta * poles + fleet.alpha).max() <= 1e-12 * fleet.alpha.max()
+        np.testing.assert_array_equal(fleet.order[:k], fleet.count)
+        np.testing.assert_array_equal(fleet.order[k:].reshape(2, k, 1), [-fleet.count] * 2)
+        assert fleet.order.sum() == -sum(fleet.counts)
+
+
+@pytest.mark.parametrize("distance", [1e-6, 1e-9, 1e-12])
+def test_log_product_matches_the_direct_sum_next_to_each_zero(distance):
+    # 1 + u_k cancels next to a zero of p_k: there the evaluator must read log p_k - log q_k
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        fleet = random_fleet(rng)
+        zeros = fleet.sites[: len(fleet.counts), 0]
+        lam = zeros + distance * np.exp(2j * np.pi * rng.random(zeros.size))
+        log_abs, arg = _log_product(fleet, lam)
+        p = fleet.gamma * lam + fleet.alpha
+        q = lam * lam + fleet.beta * lam + fleet.alpha
+        direct = (fleet.count * (np.log(p) - np.log(q))).sum(axis=0)
+        np.testing.assert_allclose(log_abs, direct.real, rtol=1e-12, atol=0)
+        assert np.abs(np.angle(np.exp(1j * (arg - direct.imag)))).max() <= 1e-11
