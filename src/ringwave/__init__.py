@@ -60,6 +60,7 @@ from .spectrum import (
     assemble,
     char_poly_eval,
     count_right_of,
+    eigenvalues,
     eigenvalues_on_H,
     rightmost_eigenvalue,
     transfer_product,

@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ModelInvalidError
+from .errors import ModelInvalidError, NoEquilibriumError
 from .model import BandoFtl, accel, model_partials
 
 # half-width of the numeric band classified as critical
@@ -65,8 +65,8 @@ class StabilityClass(enum.Enum):
 def linearize(model: BandoFtl, h_bar: float, v_bar: float) -> LinearTrio:
     """Trio of the law at the equilibrium point ``(h_bar, 0, v_bar)``.
 
-    From the law's partials at ``hdot = 0``.  Raises ``ValueError`` if the
-    point is not an equilibrium and :class:`ModelInvalidError` if the trio is
+    From the law's partials at ``hdot = 0``.  Raises :class:`NoEquilibriumError`
+    if the point is not an equilibrium and :class:`ModelInvalidError` if the trio is
     outside the admissible set.
     """
     _require_equilibrium(model, h_bar, v_bar)
@@ -109,6 +109,6 @@ def classify(trio: LinearTrio) -> StabilityClass:
 def _require_equilibrium(model: BandoFtl, h_bar: float, v_bar: float) -> None:
     residual = accel(model, h_bar, 0.0, v_bar)
     if abs(residual) > _EQ_RESIDUAL:
-        raise ValueError(
+        raise NoEquilibriumError(
             f"({h_bar}, 0, {v_bar}) is not an equilibrium: residual {residual}"
         )

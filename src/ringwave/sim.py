@@ -123,7 +123,8 @@ def initial_state(
 
     Headway perturbations are projected to zero sum (mean subtracted) so the
     state stays on the ring's invariant subspace; a seeded random kind also
-    perturbs the velocities and is reproducible from its seed.
+    perturbs the velocities and is reproducible from its seed.  Raises
+    :class:`CollisionError` at ``t = 0`` if a headway is not positive.
     """
     n = comp.n
     h = np.array([eq.h_bar[a] for a in comp.ordering], dtype=float)
@@ -143,8 +144,11 @@ def initial_state(
     else:
         raise TypeError(f"unknown perturbation kind {kind!r}")
     if np.any(h <= 0.0):
-        raise ValueError(
-            f"amplitude {amp} drives headway {h.min()} nonpositive"
+        j = int(np.argmin(h))
+        raise CollisionError(
+            f"amplitude {amp} puts vehicle {j} in collision at t = 0: its headway is {h[j]:.3g} m",
+            time=0.0,
+            index=j,
         )
     return SimState(t=0.0, headways=h, velocities=v)
 
@@ -228,9 +232,9 @@ def _max_beta(comp: Composition, eq: EquilibriumFlow) -> float:
 def simulate(comp: Composition, eq: EquilibriumFlow, cfg: SimConfig) -> SimTrace:
     """Integrate to ``t_end``, recording speed variance and headway extremes.
 
-    Samples are taken at t=0 and then every ``record_every`` steps.  The
-    number of steps is ``round(t_end / dt)``, so the final state is recorded
-    whenever that count is a multiple of ``record_every``.
+    Samples are taken at t=0, then every ``record_every`` steps, and at the
+    last of the ``round(t_end / dt)`` steps whether or not it falls on that
+    grid.
 
     A headway that reaches zero raises :class:`CollisionError`, unless
     ``dt * beta_max`` exceeds RK4's real-axis stability limit 2.785 (with
@@ -260,7 +264,7 @@ def simulate(comp: Composition, eq: EquilibriumFlow, cfg: SimConfig) -> SimTrace
     try:
         for i in range(1, n_steps + 1):
             _rk4_step(rhs, z, (i - 1) * cfg.dt, cfg.dt, ws)
-            if i % cfg.record_every == 0:
+            if i % cfg.record_every == 0 or i == n_steps:
                 record(i * cfg.dt)
     except CollisionError as err:
         beta = _max_beta(comp, eq)

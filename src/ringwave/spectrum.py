@@ -19,7 +19,9 @@ of ``1 - F`` with ``F = prod_k T_k^{n_k}``.  :func:`count_right_of` counts
 them right of a vertical line by the argument principle and
 :func:`rightmost_eigenvalue` locates the rightmost one by Newton's method,
 certified by that count; both cost O(K) per sample point and never form the
-ring matrix.
+ring matrix.  :func:`eigenvalues` finds all 2n - 1 of them at once by
+Aberth-Ehrlich iteration on ``Q (1 - F)``, ``Q = prod_k q_k^(n_k)``, in
+O(n) memory.
 """
 
 from __future__ import annotations
@@ -259,8 +261,8 @@ def _wrap(a):
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _log_product(fleet: Fleet, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``log|F|`` and ``Im log F`` (modulo 2 pi) at the points ``lam``.
+def _log_factors(fleet: Fleet, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``log|T_k|`` and the principal ``arg T_k`` of each class's factor at the points ``lam``.
 
     Each factor is written ``T_k = 1 + u_k`` with ``u_k = lam (gamma_k -
     beta_k - lam) / q_k(lam)``, so the logs stay accurate next to the
@@ -275,19 +277,25 @@ def _log_product(fleet: Fleet, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     arg = np.arctan2(u.imag, 1.0 + u.real)
     log_t = np.log((fleet.gamma * lam + fleet.alpha)[near]) - np.log(q[near])
     log_abs[near], arg[near] = log_t.real, log_t.imag
+    return log_abs, arg
+
+
+def _log_product(fleet: Fleet, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``log|F|`` and ``Im log F`` (modulo 2 pi) at the points ``lam``; see :func:`_log_factors`."""
+    log_abs, arg = _log_factors(fleet, lam)
     return (fleet.count * log_abs).sum(axis=0), (fleet.count * arg).sum(axis=0)
+
+
+def _one_minus_exp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``1 - e^(a+ib) = -(expm1(a) cos b - 2 sin^2(b/2)) - i e^a sin b``, exact near ``a = b = 0``."""
+    half = np.sin(0.5 * b)
+    return (2.0 * half * half - np.expm1(a) * np.cos(b)) - 1j * (np.exp(a) * np.sin(b))
 
 
 def _arg_one_minus_exp(g_re: np.ndarray, g_im: np.ndarray) -> np.ndarray:
     """Principal ``arg(1 - e^g)``; taken via ``-e^g (1 - e^-g)`` where ``|e^g| > 1``."""
     big = g_re > 0.0
-    a = np.where(big, -g_re, g_re)
-    b = np.where(big, -g_im, g_im)
-    # 1 - e^(a+ib) = -(expm1(a) cos b - 2 sin^2(b/2)) - i e^a sin b, exact near a = b = 0
-    half = np.sin(0.5 * b)
-    re = 2.0 * half * half - np.expm1(a) * np.cos(b)
-    im = -np.exp(a) * np.sin(b)
-    phi = np.arctan2(im, re)
+    phi = np.angle(_one_minus_exp(np.where(big, -g_re, g_re), np.where(big, -g_im, g_im)))
     return np.where(big, _wrap(phi + g_im + math.pi), phi)
 
 
@@ -401,18 +409,29 @@ def _newton_step(fleet: Fleet, lam: np.ndarray) -> np.ndarray:
     return (g_re + 1j * _wrap(g_im)) / dg
 
 
+def _newton(fleet: Fleet, lam: np.ndarray, iters: int) -> np.ndarray:
+    """Up to ``iters`` Newton steps on ``log F - 2 pi i m`` from each of ``lam``.
+
+    Stops early once no step is above rounding; iterates that meet a zero or
+    pole of F turn NaN.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(iters):
+            step = _newton_step(fleet, lam)
+            lam = lam - step
+            if not np.any(np.abs(step) > 4e-16 * (1.0 + np.abs(lam))):
+                break
+    return lam
+
+
 def _newton_roots(fleet: Fleet, lam: np.ndarray) -> np.ndarray:
     """Roots of ``F = 1`` reached by Newton on ``log F - 2 pi i m`` from each seed.
 
     The branch ``m`` is whichever is nearest at each step, so every converged
     iterate is an eigenvalue; seeds that diverge or stall are dropped.
     """
+    lam = _newton(fleet, lam, _NEWTON_ITERS)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_NEWTON_ITERS):
-            step = _newton_step(fleet, lam)
-            lam = lam - step
-            if not np.any(np.abs(step) > 4e-16 * (1.0 + np.abs(lam))):
-                break
         g_re, g_im = _log_product(fleet, lam)
         residual = np.abs(g_re + 1j * _wrap(g_im))
     return lam[residual <= _NEWTON_RESIDUAL]
@@ -431,21 +450,40 @@ def _axis_seeds(fleet: Fleet) -> np.ndarray:
     return 1j * x_cross[x_cross > 0.0]
 
 
+def _one_class_roots(alpha, beta, gamma, n: int, m: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a ring of ``n`` vehicles of one trio on the branches ``m``.
+
+    They are the roots of ``w lam^2 + (w beta - gamma) lam + alpha (w - 1) =
+    0``, ``w = e^(2 pi i m / n)``: first the ``+`` root of each branch, then the
+    ``-`` root.  Branch 0 holds the structural zero and ``gamma - beta``.
+    """
+    w = np.exp(2j * math.pi * m / n)
+    b = w * beta - gamma
+    root = np.sqrt(b * b - 4.0 * w * alpha * (w - 1.0))
+    return np.concatenate(((-b + root) / (2.0 * w), (-b - root) / (2.0 * w)))
+
+
 def _seeds(fleet: Fleet) -> np.ndarray:
     """Newton seeds for :func:`rightmost_eigenvalue`.
 
-    One class of n vehicles has as eigenvalues the roots of ``w lam^2 + (w
-    beta - gamma) lam + alpha (w - 1) = 0``, ``w = e^(2 pi i m / n)``, where
-    ``m <= n/2`` gives one of each conjugate pair.  A real eigenvalue has no
-    axis crossing, so several classes add each one's real root ``gamma_k - beta_k``.
+    One class has its eigenvalues in closed form, where ``m <= n/2`` gives
+    one of each conjugate pair.  A real eigenvalue has no axis crossing, so
+    several classes add each one's real root ``gamma_k - beta_k``.
     """
     if len(fleet.counts) > 1:
         return np.concatenate((_axis_seeds(fleet), (fleet.gamma - fleet.beta).ravel()))
     (n,) = fleet.counts
-    w = np.exp(2j * math.pi * np.arange(n // 2 + 1) / n)
-    b = w * fleet.beta[0] - fleet.gamma[0]
-    root = np.sqrt(b * b - 4.0 * w * fleet.alpha[0] * (w - 1.0))
-    return np.concatenate(((-b + root) / (2.0 * w), (-b - root) / (2.0 * w)))
+    return _one_class_roots(fleet.alpha[0], fleet.beta[0], fleet.gamma[0], n, np.arange(n // 2 + 1))
+
+
+def _zero_gap(fleet: Fleet) -> float:
+    """Distance from the origin within which a root of ``F = 1`` is the structural zero.
+
+    Next to the origin ``F(lam) - 1 ~ F'(0) lam``, and the nearest other root
+    is about ``2 pi / |F'(0)|`` away.
+    """
+    slope0 = abs(float((fleet.count * (fleet.gamma - fleet.beta) / fleet.alpha).sum()))
+    return 1e-6 * 2.0 * math.pi / slope0
 
 
 def rightmost_eigenvalue(fleet: Fleet) -> complex:
@@ -463,11 +501,8 @@ def rightmost_eigenvalue(fleet: Fleet) -> complex:
     fails, the abscissa is bracketed by bisection on the count and the root
     polished by Newton.
     """
-    # F(lam) - 1 ~ F'(0) lam: a root this close to the origin is the structural zero
-    slope0 = abs(float((fleet.count * (fleet.gamma - fleet.beta) / fleet.alpha).sum()))
-    zero_gap = 1e-6 * 2.0 * math.pi / slope0
     roots = _newton_roots(fleet, _seeds(fleet).astype(complex))
-    roots = roots[np.abs(roots) > zero_gap]
+    roots = roots[np.abs(roots) > _zero_gap(fleet)]
     # every eigenvalue lies in a Gershgorin disc of the ring matrix
     hi = 2.0 + float(fleet.alpha.max())
     lo = -3.0 - float((fleet.alpha + fleet.beta + fleet.gamma).max())
@@ -497,3 +532,185 @@ def rightmost_eigenvalue(fleet: Fleet) -> complex:
     if not roots.size:
         raise FloatingPointError(f"no eigenvalue found in the certified strip [{lo}, {hi}]")
     return complex(roots[np.argmax(roots.real)])
+
+
+# The whole spectrum: Aberth-Ehrlich iteration on P = Q (1 - F), Q = prod_k q_k^(n_k),
+# a polynomial of degree 2n whose roots are the structural zero and the 2n - 1 eigenvalues.
+
+# Newton steps that polish the closed-form seeds before the iteration
+_POLISH_ITERS = 8
+# a polished seed whose root_error is below this, relative to |lambda|, holds its root
+_HELD_RTOL = 1e-10
+# an m-fold zero or pole of F gets its leading-order root circle as seeds when the
+# circle's radius is below this share of the distance to the nearest other site
+_CIRCLE_GAP = 0.5
+# the iteration stops after the work of this many sweeps over all 2n - 1 iterates
+_ABERTH_SWEEPS = 100
+# seeds that hold no root restart on a circle this many times the radius of all the others
+_RESEED_REACH = 1.2
+# an iterate settles once its Newton ratio and its Aberth step are both below this, relative to |lambda|
+_ABERTH_RTOL = 1e-12
+# complex entries in one block of pairwise differences (1 MiB)
+_ABERTH_BLOCK = 1 << 16
+
+
+def coincident(lam: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Mask of the values within ``radius_i + radius_j`` of another value ``lam_j`` before them.
+
+    "Before" is in order of real part; of a coinciding pair or group, all but
+    one are marked.  Only values whose real parts lie within
+    ``radius_i + max(radius)`` of each other are compared, so no ``n x n``
+    array is formed.
+    """
+    order = np.argsort(lam.real)
+    x, r = lam[order], radius[order]
+    pos = np.arange(x.size)
+    reach = np.searchsorted(x.real, x.real + r + r.max(initial=0.0), side="right")
+    marked = np.zeros(x.size, dtype=bool)
+    for k in range(1, int((reach - pos).max(initial=1))):
+        i = np.flatnonzero(pos + k < reach)
+        marked[i[np.abs(x[i] - x[i + k]) <= r[i] + r[i + k]] + k] = True
+    out = np.empty_like(marked)
+    out[order] = marked
+    return out
+
+
+def _newton_ratio(fleet: Fleet, lam: np.ndarray) -> np.ndarray:
+    """``P / P'`` at ``lam``, written ``(1 - F) / ((1 - F)(log Q)' - F (log F)')``.
+
+    Where ``|F| > 1`` numerator and denominator are divided by F.  ``1 - F``
+    is exact next to a root, so the ratio is exactly zero at one and finite
+    next to a pole.
+    """
+    g_re, g_im = _log_product(fleet, lam)
+    flip = g_re > 0.0
+    a, b = np.where(flip, -g_re, g_re), _wrap(np.where(flip, -g_im, g_im))
+    one_minus = _one_minus_exp(a, b)
+    terms = fleet.order / (lam - fleet.sites)
+    d_log_f = terms.sum(axis=0)
+    d_log_q = -terms[len(fleet.counts) :].sum(axis=0)
+    f = np.where(flip, -1.0, np.exp(a + 1j * b))
+    return one_minus / (one_minus * d_log_q - f * d_log_f)
+
+
+def _root_circles(fleet: Fleet) -> list[tuple[complex, float, np.ndarray]]:
+    """Leading-order seeds for the roots next to each zero or pole of F of order ``m >= 2``.
+
+    Next to a site s of order ``o = +-m``, ``F ~ C (lam - s)^o``, so its m
+    roots lie near the circle ``s + C^(-1/o)``.  Returns ``(s, radius,
+    points)`` for each site whose radius is below ``_CIRCLE_GAP`` times its
+    distance to the nearest other site, where the leading order holds.
+    """
+    k = len(fleet.counts)
+    sites = fleet.sites[:, 0]
+    z, r1, r2 = sites[:k, None], fleet.roots[:, :1], fleet.roots[:, 1:]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_abs, arg = _log_factors(fleet, sites)  # (K, 3K)
+        own = np.arange(3 * k) % k == np.arange(k)[:, None]
+        rest = np.where(own, 0.0, fleet.count * (log_abs + 1j * arg)).sum(axis=0)
+        # each class's own factor less its vanishing or diverging part
+        own_log = np.vstack(
+            (
+                np.log(fleet.gamma) - np.log(z * (z + fleet.beta) + fleet.alpha),
+                np.log(fleet.gamma * r1 + fleet.alpha) - np.log(r1 - r2),
+                np.log(fleet.gamma * r2 + fleet.alpha) - np.log(r2 - r1),
+            )
+        )[:, 0]
+        order = fleet.order[:, 0]
+        log_c = rest + np.abs(order) * own_log
+        radius = np.exp(-log_c.real / order)
+        gap = np.abs(sites[:, None] - sites)
+        np.fill_diagonal(gap, np.inf)
+        circles = []
+        for i in np.flatnonzero((np.abs(order) >= 2) & (radius < _CIRCLE_GAP * gap.min(axis=1))):
+            m = int(abs(order[i]))
+            points = sites[i] + np.exp(-(log_c[i] + 2j * math.pi * np.arange(m)) / order[i])
+            circles.append((complex(sites[i]), float(radius[i]), points))
+    return circles
+
+
+def _seed_spectrum(fleet: Fleet) -> np.ndarray:
+    """2n - 1 starting points for :func:`_aberth`, as many as possible already roots.
+
+    The closed-form roots of one class with the count-weighted mean trio are
+    polished by Newton on ``log F - 2 pi i m``.  A polished seed holds its
+    root unless it is the structural zero or a root another seed holds
+    already.  Around an m-fold zero or pole whose circle holds fewer than m
+    roots, the circle's points take over.  The other seeds restart, evenly
+    spread, on a circle around all the points so far: from there Aberth's
+    steps are long, where among held roots they would be short.
+    """
+    n = int(fleet.count.sum())
+    share = fleet.count / n
+    mean = [float((share * col).sum()) for col in (fleet.alpha, fleet.beta, fleet.gamma)]
+    # branch 0's first root is the structural zero
+    seeds = _one_class_roots(*mean, n, np.arange(n))[1:]
+    lam = _newton(fleet, seeds, _POLISH_ITERS)
+    held = (fleet.root_error(lam) <= _HELD_RTOL * np.abs(lam)) & (np.abs(lam) > _zero_gap(fleet))
+    held[held] = ~coincident(lam[held], _HELD_RTOL * np.abs(lam[held]))
+    circles = []
+    for site, radius, points in _root_circles(fleet):
+        near = held & (np.abs(lam - site) <= 2.0 * radius)
+        if near.sum() < points.size:
+            held &= ~near
+            circles.append(points)
+    lam = np.concatenate((lam[held], *circles))[: seeds.size]
+    free = seeds.size - lam.size
+    centre = lam.real.mean() if lam.size else 0.0
+    radius = _RESEED_REACH * np.abs(np.concatenate((lam, seeds)) - centre).max()
+    # a quarter-step turn keeps the circle off the real axis
+    return np.concatenate((lam, centre + radius * np.exp(2j * math.pi * (np.arange(free) + 0.25) / free)))
+
+
+def _aberth(fleet: Fleet, lam: np.ndarray) -> np.ndarray:
+    """Aberth-Ehrlich iteration on the roots of ``P = Q (1 - F)`` from the points ``lam``.
+
+    Each unsettled iterate moves by ``N / (1 - N S)``, with ``N = P/P'`` and
+    ``S`` the sum of ``1 / (lam_i - lam_j)`` over the other iterates and the
+    structural zero, held as a known root.  Rows run in blocks of
+    ``_ABERTH_BLOCK`` differences, each block updated before the next is
+    formed.
+    """
+    lam = lam.copy()
+    active = np.ones(lam.size, dtype=bool)
+    rows = max(1, _ABERTH_BLOCK // lam.size)
+    budget = _ABERTH_SWEEPS * lam.size
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while budget > 0:
+            idx = np.flatnonzero(active)
+            if not idx.size:
+                break
+            budget -= idx.size
+            for start in range(0, idx.size, rows):
+                blk = idx[start : start + rows]
+                z = lam[blk]
+                ratio = _newton_ratio(fleet, z)
+                diff = z[:, None] - lam
+                diff[np.arange(blk.size), blk] = np.inf
+                np.reciprocal(diff, out=diff)
+                step = ratio / (1.0 - ratio * (1.0 / z + diff.sum(axis=1)))
+                # on a zero or pole of F the step is lost: the iterate stays there, for the certificate to judge
+                lost = ~np.isfinite(step)
+                lam[blk] = np.where(lost, z, z - step)
+                settled = np.maximum(np.abs(step), np.abs(ratio)) <= _ABERTH_RTOL * np.abs(z)
+                active[blk[settled | lost]] = False
+    return lam
+
+
+def eigenvalues(fleet: Fleet) -> SpectrumReport:
+    """All 2n - 1 eigenvalues of the ring of ``fleet``, from its class counts alone.
+
+    They are the roots of ``P = Q (1 - F)`` but its structural zero, found by
+    Aberth-Ehrlich iteration (:func:`_aberth`) from the seeds of
+    :func:`_seed_spectrum`, in O(n) memory.  P is real, so the values within
+    their root error of the real axis are put on it and the rest are taken
+    from the upper half plane with their mirror images: the result is
+    exactly closed under conjugation.  Nothing here certifies the values;
+    :meth:`Fleet.root_error` and :func:`coincident` can.
+    """
+    lam = _aberth(fleet, _seed_spectrum(fleet))
+    slack = np.maximum(fleet.root_error(lam), 4.0 * np.finfo(float).eps * np.abs(lam))
+    real = ~(np.abs(lam.imag) > slack)
+    upper = lam[~real & (lam.imag > 0.0)]
+    lam = np.sort_complex(np.concatenate((upper, upper.conj(), lam.real[real])))
+    return SpectrumReport(eigenvalues=lam, abscissa=float(lam.real.max(initial=-np.inf)))

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ._numerics import check_rates
+from .errors import ModelInvalidError
 from .linearize import LinearTrio, discriminant
 from .spectrum import Fleet, count_right_of
 
@@ -106,7 +107,7 @@ def _weighted_gain(cols: np.ndarray, y: np.ndarray):
     num = g2 * y / a2
     den = (c * y + y * y) / a2
     if (den <= -1.0).any():
-        raise ValueError("a trio leaves the admissible set: its gain has a pole on the axis")
+        raise ModelInvalidError("a trio leaves the admissible set: its gain has a pole on the axis")
     p, q = 1.0 + num, 1.0 + den
     h = np.log1p(num) - np.log1p(den)
     dh = ((g2 - c) - y * (2.0 + num)) / (a2 * p * q)

@@ -6,12 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ringwave import _schema, cli
 from ringwave.cli import _config_schema, main
 from ringwave.errors import ConfigError
-from ringwave.spectrum import eigenvalues_on_H
+from ringwave.equilibrium import spread_ordering
+from ringwave.spectrum import RingSystem, eigenvalues, eigenvalues_on_H
 
 from conftest import REF_D0, REF_HEADWAY, REF_LV, REF_SLOPE
 
@@ -255,10 +257,11 @@ def test_spectrum_command(tmp_path):
     assert len(rows) == 2 * 20 - 1
 
 
-@pytest.mark.parametrize("c1, c2, headway", [(80, 20, 20.0), (8, 2, 37.0)])
+@pytest.mark.parametrize("c1, c2, headway", [(80, 20, 20.0), (8, 2, 37.0), (80, 20, 18.0)])
 def test_spectrum_near_free_flow(tmp_path, c1, c2, headway):
     # eigenvalues crowd the origin and the zeros of F here: accurate ones read
-    # |F(lambda) - 1| up to 5e-5, and a tolerance on |lambda| finds 10 zeros at 37 m
+    # |F(lambda) - 1| up to 5e-5, and a tolerance on |lambda| finds 10 zeros at 37 m;
+    # at 18 m 20 of them circle a 20-fold pole of F at radius 9.2e-15
     composition = composition_payload(c1, c2)
     for pop in composition["populations"]:
         pop["model"] = {**pop["model"], "preference": {"v_max": 30.0, "l_v": 4.5, "d0": 2.23}}
@@ -327,26 +330,82 @@ def test_spectrum_of_a_shuffled_ring_equals_the_spread_one(tmp_path):
     assert csvs[0].count(b"\n") == 1 + 2 * 400 - 1
 
 
-def test_spectrum_refuses_a_dense_eigenvalue_off_its_root(tmp_path, capsys, monkeypatch):
-    def nudged(ring):
-        report = eigenvalues_on_H(ring)
+def _nudged(solve):
+    """``solve`` with its first eigenvalue moved off its root."""
+
+    def nudged(arg):
+        report = solve(arg)
         report.eigenvalues[0] *= 1.0 + 1e-3
         return report
 
-    monkeypatch.setattr(cli, "eigenvalues_on_H", nudged)
-    cfg = write_config(
-        tmp_path,
-        {
-            "schema_version": 1,
-            "composition": composition_payload(16, 4, ordering="blocks"),
-            "equilibrium": EQ_BY_HEADWAY,
-        },
-    )
+    return nudged
+
+
+SMALL_BLOCKS = {
+    "schema_version": 1,
+    "composition": composition_payload(16, 4, ordering="blocks"),
+    "equilibrium": EQ_BY_HEADWAY,
+}
+
+
+def test_spectrum_falls_back_to_dense_off_a_missed_root(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "eigenvalues", _nudged(lambda fleet: calls.append(fleet) or eigenvalues(fleet)))
+    cfg = write_config(tmp_path, SMALL_BLOCKS)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path), "--deterministic"]) == 0
+    assert len(calls) == 1
+    # the bytes dense eigvals gives on the spread ring of the counts
+    comp = cli._build_composition(SMALL_BLOCKS["composition"])
+    eq = cli._resolve_equilibrium(EQ_BY_HEADWAY, comp)
+    trio = dict(zip((p.class_id for p in comp.populations), cli._trios_at(comp.populations, eq.v_bar)))
+    dense = eigenvalues_on_H(RingSystem(tuple(trio[a] for a in spread_ordering(comp.populations))))
+    lines = ["re_1ps,im_1ps"] + [f"{float(z.real)!r},{float(z.imag)!r}" for z in dense.eigenvalues]
+    assert (tmp_path / "spectrum.csv").read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+
+def test_spectrum_refuses_a_dense_eigenvalue_off_its_root(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "eigenvalues", _nudged(eigenvalues))
+    monkeypatch.setattr(cli, "eigenvalues_on_H", _nudged(eigenvalues_on_H))
+    cfg = write_config(tmp_path, SMALL_BLOCKS)
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and "1 of 39 miss F(lambda) = 1" in err
     assert "ordering" not in err and "spread" not in err
     assert not (tmp_path / "spectrum.csv").exists()
+
+
+def test_spectrum_of_one_vehicle_is_gamma_minus_beta(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {
+            "schema_version": 1,
+            "composition": composition_payload(1, 0),
+            "equilibrium": EQ_BY_HEADWAY,
+        },
+    )
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "spectrum.csv")
+    # gamma - beta = -a for this law
+    assert len(rows) == 1 and float(rows[0][0]) == pytest.approx(-4.0, rel=1e-12) and rows[0][1] == "0.0"
+    assert capsys.readouterr().out.startswith("n = 1: abscissa = -")
+
+
+def test_spectrum_is_conjugate_closed_with_real_values_on_the_axis(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        {
+            "schema_version": 1,
+            "composition": composition_payload(80, 20),
+            "equilibrium": EQ_BY_HEADWAY,
+        },
+    )
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "spectrum.csv")
+    lam = np.array([complex(float(re), float(im)) for re, im in rows])
+    assert lam.size == 199
+    np.testing.assert_array_equal(np.sort_complex(lam.conj()), lam)
+    real = [im for _, im in rows if float(im) == 0.0]
+    assert real and set(real) == {"0.0"}
 
 
 def test_simulate_command_stable_envelope(tmp_path):
@@ -369,6 +428,53 @@ def test_simulate_command_stable_envelope(tmp_path):
     var = [float(r[1]) for r in rows]
     assert var[-1] < var[0]
     assert (tmp_path / "trace.svg").exists()
+
+
+def test_simulate_collision_at_the_start_is_a_domain_error(tmp_path, capsys):
+    payload = {
+        "schema_version": 1,
+        "composition": composition_payload(8, 2),
+        "equilibrium": EQ_BY_HEADWAY,
+        "sim": {"t_end": 1.0, "perturbation": {"amplitude": 50.0, "kind": "seeded_random_zero_sum", "seed": 3}},
+    }
+    cfg = write_config(tmp_path, payload)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and "collision at t = 0" in err
+
+
+def test_programming_error_is_no_domain_error(tmp_path, capsys, monkeypatch):
+    def broken(config, out, deterministic):
+        raise ValueError("a bug")
+
+    monkeypatch.setitem(cli._COMMANDS, "equilibrium", broken)
+    cfg = write_config(
+        tmp_path,
+        {"schema_version": 1, "composition": composition_payload(5, 3), "equilibrium": {"v_bar": 4.2}},
+    )
+    with pytest.raises(ValueError, match="a bug"):
+        main(["equilibrium", "--config", cfg, "--out", str(tmp_path)])
+    assert "domain error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_end, dt, record_every, last", [(0.07, 0.05, 20, 0.05), (40.0, 0.05, 100000, 40.0)])
+def test_simulate_records_its_last_step(tmp_path, capsys, t_end, dt, record_every, last):
+    payload = {
+        "schema_version": 1,
+        "composition": composition_payload(8, 2),
+        "equilibrium": EQ_BY_HEADWAY,
+        "sim": {
+            "dt": dt,
+            "t_end": t_end,
+            "record_every": record_every,
+            "perturbation": {"amplitude": 1e-3, "kind": "seeded_random_zero_sum", "seed": 1},
+        },
+    }
+    cfg = write_config(tmp_path, payload)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "trace.csv")
+    assert [float(r[0]) for r in rows] == [0.0, pytest.approx(last)]
+    assert f"to t = {rows[-1][0]} s" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("dt, code", [(1.0, 4), (0.6, 0)])

@@ -8,13 +8,17 @@ import pytest
 from ringwave import (
     Fleet,
     LinearTrio,
+    PopulationSpec,
     RingSystem,
+    eigenvalues,
+    eigenvalues_on_H,
     min_unstable_size,
     multi_phase_tau1,
+    spread_ordering,
     transfer_product,
 )
 from ringwave._numerics import largest_remainder
-from ringwave.spectrum import _log_product
+from ringwave.spectrum import _log_product, coincident
 
 from conftest import random_trio, single_class_spectrum
 
@@ -166,3 +170,48 @@ def test_log_product_matches_the_direct_sum_next_to_each_zero(distance):
         direct = (fleet.count * (np.log(p) - np.log(q))).sum(axis=0)
         np.testing.assert_allclose(log_abs, direct.real, rtol=1e-12, atol=0)
         assert np.abs(np.angle(np.exp(1j * (arg - direct.imag)))).max() <= 1e-11
+
+
+def _spread_ring(fleet):
+    pops = [PopulationSpec(class_id=k, model=None, count=c) for k, c in enumerate(fleet.counts)]
+    return RingSystem(tuple(fleet.trios[k] for k in spread_ordering(pops)))
+
+
+def _assert_one_to_one(lam, ref, rtol):
+    """Each value of ``lam`` within ``rtol max(1, |ref|)`` of a value of ``ref`` of its own."""
+    assert lam.size == ref.size
+    free = np.ones(ref.size, dtype=bool)
+    for z in lam:
+        gap = np.where(free, np.abs(ref - z), np.inf)
+        j = int(gap.argmin())
+        assert gap[j] <= rtol * max(1.0, abs(ref[j])), (z, ref[j])
+        free[j] = False
+
+
+def test_eigenvalues_match_dense_one_to_one():
+    # spread fleets of 1-3 classes and 2-198 vehicles (dense needs two)
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        k = int(rng.integers(1, 4))
+        trios = [random_trio(rng, stable=bool(rng.integers(2))) for _ in range(k)]
+        fleet = Fleet(trios, [int(c) for c in rng.integers(2, 67, k)])
+        lam = eigenvalues(fleet).eigenvalues
+        assert lam.size == 2 * sum(fleet.counts) - 1
+        np.testing.assert_array_equal(np.sort_complex(lam.conj()), lam)
+        _assert_one_to_one(lam, eigenvalues_on_H(_spread_ring(fleet)).eigenvalues, 1e-9)
+
+
+@pytest.mark.parametrize("trio, n", [(T_A, 1), (T_A, 12), (T_B, 2), (T_B, 31), (T_C, 64)])
+def test_eigenvalues_of_one_class_are_its_closed_form(trio, n):
+    lam = eigenvalues(Fleet([trio], [n])).eigenvalues
+    _assert_one_to_one(lam, single_class_spectrum(trio, n), 1e-12)
+
+
+def test_coincident_marks_all_but_one_of_each_group():
+    lam = np.array([1.0 + 1j, 1.0 - 1j, 1.0 + 1j + 1e-9, 2.0, 3.0, 3.0 + 1e-14, 3.0 - 1e-14])
+    marked = coincident(lam, np.full(lam.size, 1e-12))
+    assert not marked[:4].any() and marked[4:].sum() == 2
+    # radii of 1e-9 join the two values near 1 + 1j
+    marked = coincident(lam, np.full(lam.size, 1e-9))
+    assert marked[[0, 2]].sum() == 1 and not marked[[1, 3]].any() and marked[4:].sum() == 2
+    assert not coincident(lam[:0], lam.real[:0]).size

@@ -5,6 +5,7 @@ from ringwave import (
     BandoFtl,
     LinearTrio,
     ModelInvalidError,
+    NoEquilibriumError,
     StabilityClass,
     VelocityPreference,
     classify,
@@ -89,7 +90,7 @@ def test_constant_custom_law_rejected():
 def test_linearize_requires_equilibrium_point():
     pref = VelocityPreference(v_max=9.72, l_v=4.5, d0=2.23)
     model = BandoFtl(a=2.0, b=9.0, pref=pref)
-    with pytest.raises(ValueError):
+    with pytest.raises(NoEquilibriumError):
         linearize(model, 10.0, 0.5)  # far from V(10.0)
 
 

@@ -161,8 +161,11 @@ def test_seeded_random_zero_sum_properties():
 
 def test_excessive_amplitude_rejected():
     comp, eq = small_setup()
-    with pytest.raises(ValueError):
-        initial_state(eq, comp, Perturbation(1e3, SeededRandomZeroSum(0)))
+    pert = Perturbation(1e3, SeededRandomZeroSum(0))
+    with pytest.raises(CollisionError) as info:
+        initial_state(eq, comp, pert)
+    assert info.value.time == 0.0
+    assert "collision" in str(info.value)
 
 
 def test_step_fixed_point_drift():
@@ -254,6 +257,22 @@ def test_simulate_records_every_k_steps():
     assert trace.times[-1] == pytest.approx(1.0)
     assert trace.min_headway.shape == trace.times.shape
     assert trace.snapshots is None
+
+
+@pytest.mark.parametrize("t_end, record_every", [(1.0, 3), (1.0, 1000), (0.07, 20)])
+def test_simulate_records_the_last_step_off_the_grid(t_end, record_every):
+    comp, eq = small_setup()
+    cfg = SimConfig(
+        t_end=t_end,
+        dt=0.05,
+        record_every=record_every,
+        perturbation=Perturbation(0.01, SingleVehicleKick()),
+    )
+    trace = simulate(comp, eq, cfg)
+    steps = round(t_end / 0.05)
+    grid = [i * 0.05 for i in range(0, steps + 1, record_every)]
+    expected = grid if steps % record_every == 0 else grid + [steps * 0.05]
+    assert trace.times.tolist() == expected
 
 
 def test_simulate_snapshots_and_determinism():
