@@ -63,6 +63,7 @@ from .spectrum import (
     eigenvalues,
     eigenvalues_on_H,
     rightmost_eigenvalue,
+    rightmost_eigenvalues,
     transfer_product,
 )
 from .stability import (

@@ -60,6 +60,7 @@ from .spectrum import (
     eigenvalues,
     eigenvalues_on_H,
     rightmost_eigenvalue,
+    rightmost_eigenvalues,
 )
 from .stability import ABSCISSA_TOL, critical_penetration, margin_curve, multi_phase_margin
 
@@ -463,8 +464,10 @@ def cmd_sweep(config: dict, out: Path, deterministic: bool) -> int:
     n_totals = [int(n) for n in config["sweep"]["n_totals"]]
 
     rows = []
-    for n in n_totals:
-        ab = rightmost_eigenvalue(Fleet.from_rates(trios, [rate, 1.0 - rate], n)).real
+    # every size at once: if sizes fail, the first one's error is raised
+    tops = rightmost_eigenvalues([Fleet.from_rates(trios, [rate, 1.0 - rate], n) for n in n_totals])
+    for n, top in zip(n_totals, tops):
+        ab = top.real
         if ab > ABSCISSA_TOL:
             verdict = "unstable"
         elif ab < -ABSCISSA_TOL:

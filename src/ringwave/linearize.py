@@ -20,7 +20,7 @@ from .model import BandoFtl, accel, model_partials
 # half-width of the numeric band classified as critical
 TOL_ZERO = 1e-10
 
-# largest |f(h_bar, 0, v_bar)| accepted as an equilibrium point (m/s^2)
+# largest |f(h_bar, 0, v_bar)| accepted as an equilibrium point, in units of max(1, a v_max) m/s^2
 _EQ_RESIDUAL = 1e-6
 
 
@@ -107,8 +107,9 @@ def classify(trio: LinearTrio) -> StabilityClass:
 
 
 def _require_equilibrium(model: BandoFtl, h_bar: float, v_bar: float) -> None:
+    # V(h) and v each round off by about eps v_max, which the gain a scales up
     residual = accel(model, h_bar, 0.0, v_bar)
-    if abs(residual) > _EQ_RESIDUAL:
+    if abs(residual) > _EQ_RESIDUAL * max(1.0, model.a * model.pref.v_max):
         raise NoEquilibriumError(
             f"({h_bar}, 0, {v_bar}) is not an equilibrium: residual {residual}"
         )

@@ -17,9 +17,11 @@ Because the transfer product depends only on the multiset of trios, a
 :class:`Fleet` of classes ``(trios, counts)`` has its eigenvalues at the zeros
 of ``1 - F`` with ``F = prod_k T_k^{n_k}``.  :func:`count_right_of` counts
 them right of a vertical line by the argument principle and
-:func:`rightmost_eigenvalue` locates the rightmost one by Newton's method,
-certified by that count; both cost O(K) per sample point and never form the
-ring matrix.  :func:`eigenvalues` finds all 2n - 1 of them at once by
+:func:`rightmost_eigenvalues` locates the rightmost one of each of many fleets
+by Newton's method, certified by that count; neither forms the ring matrix.
+Fleets that share their trios share their array passes, in blocks of at
+most ``_BLOCK_POINTS`` points, every point weighted by its own fleet's
+counts.  :func:`eigenvalues` finds all 2n - 1 of them at once by
 Aberth-Ehrlich iteration on ``Q (1 - F)``, ``Q = prod_k q_k^(n_k)``, in
 O(n) memory.
 """
@@ -255,6 +257,12 @@ _SEED_PHASE = math.pi / 2
 _DIRECT_BELOW = 0.5
 _NEWTON_ITERS = 60
 _NEWTON_RESIDUAL = 1e-9
+# most points in one array pass of the line sampling, and most initial grid points (or Newton
+# seeds) in one block of fleets; a sweep peaks 1.7 MB above one size at a time, 4 MB at 8192
+_BLOCK_POINTS = 4096
+# a line with more unresolved intervals than this per initial grid point is given up; resolved
+# lines stay below 0.3, and one whose phase no grid resolves grows fourfold a round
+_REFINE_BUDGET = 4
 
 
 def _wrap(a):
@@ -280,10 +288,14 @@ def _log_factors(fleet: Fleet, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return log_abs, arg
 
 
-def _log_product(fleet: Fleet, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``log|F|`` and ``Im log F`` (modulo 2 pi) at the points ``lam``; see :func:`_log_factors`."""
+def _log_product(fleet: Fleet, lam: np.ndarray, count=None) -> tuple[np.ndarray, np.ndarray]:
+    """``log|F|`` and ``Im log F`` (modulo 2 pi) at ``lam``; see :func:`_log_factors`.
+
+    The classes are weighted by ``fleet.count``, or by ``count``, one column per point.
+    """
     log_abs, arg = _log_factors(fleet, lam)
-    return (fleet.count * log_abs).sum(axis=0), (fleet.count * arg).sum(axis=0)
+    count = fleet.count if count is None else count
+    return (count * log_abs).sum(axis=0), (count * arg).sum(axis=0)
 
 
 def _one_minus_exp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -312,67 +324,122 @@ def _tail_start(fleet: Fleet) -> float:
     return float(bound.max())
 
 
-def _sample_line(fleet: Fleet, s: float, x: np.ndarray) -> np.ndarray:
-    """Rows ``log|F|``, ``arg(1 - F)`` and the angles of F's linear factors at ``s + ix``."""
-    g_re, g_im = _log_product(fleet, s + 1j * x)
-    angles = np.arctan2(x - fleet.sites.imag, s - fleet.sites.real)
-    return np.vstack((g_re, _arg_one_minus_exp(g_re, g_im), angles))
+def _blocks(fleets: Sequence[Fleet], sizes: Sequence[int]) -> list[list[int]]:
+    """Runs of indices into ``fleets`` that share their trios, ``sizes`` summing to at most ``_BLOCK_POINTS``.
+
+    An item larger than that runs alone.
+    """
+    runs: dict = {}
+    for i, fleet in enumerate(fleets):
+        run = runs.setdefault(fleet.trios, [[]])
+        if run[-1] and sum(sizes[j] for j in run[-1]) + sizes[i] > _BLOCK_POINTS:
+            run.append([])
+        run[-1].append(i)
+    return [blk for run in runs.values() for blk in run]
 
 
-def _resolve_line(fleet: Fleet, s: float, *, winding: bool):
-    """Intervals covering the half line ``s + ix``, ``0 <= x <= x_tail``, fine enough to count on.
+def _unwrap(result):
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _resolve_lines(lines: Sequence[tuple[Fleet, float]], *, winding: bool) -> list:
+    """Per line ``(fleet, s)``, intervals covering ``s + ix``, ``0 <= x <= x_tail``, fine enough to count on.
 
     Unresolved intervals are cut into ``_SPLIT`` pieces, round after round,
-    until none is left; each round evaluates only the new points.  Returns,
-    per interval in no particular order, its ends, the exact increment of
-    ``Im log F`` and the increment of ``arg(1 - F)``, followed by
-    ``arg(1 - F)`` at ``x_tail``.  With ``winding=False`` only the continuous
-    phase of F is resolved.
+    until none is left or a line has more than ``_REFINE_BUDGET`` per initial
+    grid point; each round evaluates only the new points, one array pass for a
+    block of lines (see :func:`_blocks`).  Returns per line, per interval in no
+    particular order, its ends, the exact increment of ``Im log F`` and the
+    increment of ``arg(1 - F)``, followed by ``arg(1 - F)`` at ``x_tail``; or a
+    ``FloatingPointError``.  With ``winding=False`` only the continuous phase of F is resolved.
     """
-    x_tail = _tail_start(fleet)
-    x = np.sort(
-        np.concatenate(
-            (
-                [0.0],
-                np.geomspace(x_tail * 1e-6, x_tail, 64),
-                np.linspace(0.0, x_tail, 4 * int(fleet.count.sum()) + 64),
+    fleets = [fleet for fleet, _ in lines]
+    out: list = [None] * len(lines)
+    for blk in _blocks(fleets, [4 * int(f.count.sum()) + 129 for f in fleets]):
+        fleet, counts = fleets[blk[0]], np.hstack([fleets[i].count for i in blk])
+        s, order = np.array([lines[i][1] for i in blk], dtype=float), np.vstack((counts, -counts, -counts))
+
+        def sample(ln, x):
+            rows = []
+            for i in range(0, x.size, _BLOCK_POINTS):
+                j, xi = ln[i : i + _BLOCK_POINTS], x[i : i + _BLOCK_POINTS]
+                g_re, g_im = _log_product(fleet, s[j] + 1j * xi, counts[:, j])
+                angles = np.arctan2(xi - fleet.sites.imag, s[j] - fleet.sites.real)
+                rows.append(np.vstack((g_re, _arg_one_minus_exp(g_re, g_im), angles)))
+            return np.hstack(rows)
+
+        x_tail = _tail_start(fleet)
+        fixed = np.concatenate(([0.0], np.geomspace(x_tail * 1e-6, x_tail, 64)))
+        grids = [np.linspace(0.0, x_tail, 4 * int(fleets[i].count.sum()) + 64) for i in blk]
+        grids = [np.sort(np.concatenate((fixed, x))) for x in grids]
+        # np.unique would import numpy.ma
+        grids = [x[np.concatenate(([True], x[1:] != x[:-1]))] for x in grids]
+        ln = np.repeat(np.arange(len(blk)), [x.size for x in grids])
+        budget, x = _REFINE_BUDGET * np.bincount(ln), np.concatenate(grids)
+        failed, done = np.zeros(len(blk), dtype=bool), []
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            data = sample(ln, x)
+            arg_tail = data[1, np.append(np.flatnonzero(ln[1:] != ln[:-1]), -1)]
+            a = np.flatnonzero(ln[1:] == ln[:-1])  # left end of each interval
+            xa, xb, da, db, ln = x[a], x[a + 1], data[:, a], data[:, a + 1], ln[a]
+            for rnd in range(_MAX_ROUNDS):
+                d_phase = (order[:, ln] * _wrap(db[2:] - da[2:])).sum(axis=0)
+                d_arg = _wrap(db[1] - da[1])
+                # where |F| is negligible at both ends, 1 - F stays next to 1 whatever
+                # the phase of F does (F vanishes at -alpha/gamma, which a line may cross)
+                bad = ~(np.abs(d_phase) <= _MAX_PHASE_STEP)
+                bad &= np.maximum(da[0], db[0]) > _NEGLIGIBLE_LOG
+                if winding:
+                    near_unit = np.minimum(np.abs(da[0]), np.abs(db[0])) < _NEAR_UNIT_LOG
+                    bad |= ~(np.abs(d_arg) <= _MAX_PHASE_STEP)
+                    bad |= near_unit & ~(np.abs(db[0] - da[0]) <= _MAX_PHASE_STEP)
+                ok = ~bad
+                done.append((ln[ok], xa[ok], xb[ok], d_phase[ok], d_arg[ok]))
+                lo, hi = xa[bad], xb[bad]
+                cut = lo + np.outer(_SPLIT_AT, hi - lo)  # (_SPLIT - 1, m) inner points
+                stuck = (cut[0] <= lo) | (cut[-1] >= hi) | (cut[1:] <= cut[:-1]).any(axis=0)
+                failed[ln[bad][stuck]] = True
+                failed |= np.bincount(ln[bad], minlength=len(blk)) > (budget if rnd < _MAX_ROUNDS - 1 else 0)
+                live = ~failed[ln[bad]]
+                if not live.any():
+                    break
+                idx = np.flatnonzero(bad)[live]
+                lo, hi, cut, line = lo[live], hi[live], cut[:, live], ln[idx]
+                xs = np.vstack((lo, cut, hi))
+                inner = sample(np.tile(line, _SPLIT - 1), cut.ravel()).reshape(-1, *cut.shape)
+                ds = np.concatenate((da[:, None, idx], inner, db[:, None, idx]), axis=1)
+                xa, xb, ln = xs[:-1].ravel(), xs[1:].ravel(), np.tile(line, _SPLIT)
+                da, db = ds[:, :-1].reshape(len(ds), -1), ds[:, 1:].reshape(len(ds), -1)
+        ln, *cols = (np.concatenate(col) for col in zip(*done))
+        for j, i in enumerate(blk):
+            out[i] = (*(col[ln == j] for col in cols), float(arg_tail[j]))
+            if failed[j]:
+                message = f"phase of 1 - F along Re(lambda) = {lines[i][1]} could not be resolved"
+                out[i] = FloatingPointError(message)
+    return out
+
+
+def _line_counts(lines: Sequence[tuple[Fleet, float]]) -> list:
+    """:func:`count_right_of` for each ``(fleet, s)`` of ``lines``, all resolved at once.
+
+    A line that fails holds its exception in place of its count.
+    """
+    out = []
+    for (fleet, s), res in zip(lines, _resolve_lines(lines, winding=True)):
+        if np.any(fleet.roots.real == s):
+            res = PoleError(f"the line Re(lambda) = {s} passes through a pole")
+        elif not isinstance(res, Exception):
+            # arg(1 - F) tends to 0 beyond the tail start, where Re(1 - F) > 0
+            half_turns = (math.fsum(res[3]) - res[4]) / math.pi
+            k = round(half_turns)
+            poles_right = int((fleet.count * (fleet.roots.real > s)).sum())
+            res = poles_right - k - int(s < 0.0) if abs(half_turns - k) <= _TURN_SLACK else FloatingPointError(
+                f"winding along Re(lambda) = {s} is not a whole count"
             )
-        )
-    )
-    # np.unique would import numpy.ma
-    x = x[np.concatenate(([True], x[1:] != x[:-1]))]
-    done = []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        data = _sample_line(fleet, s, x)
-        arg_tail = float(data[1, -1])
-        xa, xb, da, db = x[:-1], x[1:], data[:, :-1], data[:, 1:]
-        for _ in range(_MAX_ROUNDS):
-            d_phase = fleet.order[:, 0] @ _wrap(db[2:] - da[2:])
-            d_arg = _wrap(db[1] - da[1])
-            # where |F| is negligible at both ends, 1 - F stays next to 1 whatever
-            # the phase of F does (F vanishes at -alpha/gamma, which a line may cross)
-            bad = ~(np.abs(d_phase) <= _MAX_PHASE_STEP)
-            bad &= np.maximum(da[0], db[0]) > _NEGLIGIBLE_LOG
-            if winding:
-                near_unit = np.minimum(np.abs(da[0]), np.abs(db[0])) < _NEAR_UNIT_LOG
-                bad |= ~(np.abs(d_arg) <= _MAX_PHASE_STEP)
-                bad |= near_unit & ~(np.abs(db[0] - da[0]) <= _MAX_PHASE_STEP)
-            ok = ~bad
-            done.append((xa[ok], xb[ok], d_phase[ok], d_arg[ok]))
-            if not bad.any():
-                parts = [np.concatenate(col) for col in zip(*done)]
-                return (*parts, arg_tail)
-            lo, hi = xa[bad], xb[bad]
-            cut = lo + np.outer(_SPLIT_AT, hi - lo)  # (_SPLIT - 1, m) inner points
-            if np.any(cut[0] <= lo) or np.any(cut[-1] >= hi) or np.any(cut[1:] <= cut[:-1]):
-                break
-            xs = np.vstack((lo, cut, hi))
-            inner = _sample_line(fleet, s, cut.ravel()).reshape(-1, *cut.shape)
-            ds = np.concatenate((da[:, None, bad], inner, db[:, None, bad]), axis=1)
-            rows = len(ds)
-            xa, xb = xs[:-1].ravel(), xs[1:].ravel()
-            da, db = ds[:, :-1].reshape(rows, -1), ds[:, 1:].reshape(rows, -1)
-    raise FloatingPointError(f"phase of 1 - F along Re(lambda) = {s} could not be resolved")
+        out.append(res)
+    return out
 
 
 def count_right_of(fleet: Fleet, s: float) -> int:
@@ -390,56 +457,52 @@ def count_right_of(fleet: Fleet, s: float) -> int:
     s = float(s)
     if s == 0.0:
         raise ValueError("the line Re(lambda) = 0 passes through the structural zero")
-    if np.any(fleet.roots.real == s):
-        raise PoleError(f"the line Re(lambda) = {s} passes through a pole")
-    *_, d_arg, arg_tail = _resolve_line(fleet, s, winding=True)
-    # arg(1 - F) tends to 0 beyond the tail start, where Re(1 - F) > 0
-    half_turns = (math.fsum(d_arg) - arg_tail) / math.pi
-    k = round(half_turns)
-    if abs(half_turns - k) > _TURN_SLACK:
-        raise FloatingPointError(f"winding along Re(lambda) = {s} is not a whole count")
-    poles = int((fleet.count * (fleet.roots.real > s)).sum())
-    return poles - k - (1 if s < 0.0 else 0)
+    return _unwrap(_line_counts([(fleet, s)])[0])
 
 
-def _newton_step(fleet: Fleet, lam: np.ndarray) -> np.ndarray:
-    """Newton step on ``log F - 2 pi i m`` at ``lam``, ``m`` the nearest branch."""
-    g_re, g_im = _log_product(fleet, lam)
-    dg = (fleet.order / (lam - fleet.sites)).sum(axis=0)
+def _newton_step(fleet: Fleet, lam: np.ndarray, count=None) -> np.ndarray:
+    """Newton step on ``log F - 2 pi i m`` at ``lam``, ``m`` the nearest branch; see :func:`_log_product`."""
+    count = fleet.count if count is None else count
+    g_re, g_im = _log_product(fleet, lam, count)
+    dg = (np.vstack((count, -count, -count)) / (lam - fleet.sites)).sum(axis=0)
     return (g_re + 1j * _wrap(g_im)) / dg
 
 
-def _newton(fleet: Fleet, lam: np.ndarray, iters: int) -> np.ndarray:
-    """Up to ``iters`` Newton steps on ``log F - 2 pi i m`` from each of ``lam``.
+def _newton(fleet: Fleet, lam: np.ndarray, counts: np.ndarray, ln: np.ndarray, iters: int) -> np.ndarray:
+    """Up to ``iters`` Newton steps on ``log F - 2 pi i m`` from each of ``lam``, of fleet ``counts[:, ln]``.
 
-    Stops early once no step is above rounding; iterates that meet a zero or
-    pole of F turn NaN.
+    A fleet's iterates stop once none of its steps is above rounding;
+    iterates that meet a zero or pole of F turn NaN.
     """
+    lam, live = lam.copy(), np.ones(lam.size, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(iters):
-            step = _newton_step(fleet, lam)
-            lam = lam - step
-            if not np.any(np.abs(step) > 4e-16 * (1.0 + np.abs(lam))):
+            if not live.any():
                 break
+            i = np.flatnonzero(live)
+            step = _newton_step(fleet, lam[i], counts[:, ln[i]])
+            lam[i] -= step
+            moving = np.bincount(ln[i], np.abs(step) > 4e-16 * (1.0 + np.abs(lam[i])), counts.shape[1])
+            live[i] = moving[ln[i]] > 0
     return lam
 
 
-def _newton_roots(fleet: Fleet, lam: np.ndarray) -> np.ndarray:
-    """Roots of ``F = 1`` reached by Newton on ``log F - 2 pi i m`` from each seed.
+def _newton_roots(fleet: Fleet, lam: np.ndarray, counts: np.ndarray, ln: np.ndarray) -> tuple:
+    """Roots of ``F = 1`` reached by :func:`_newton` from each seed, with their ``ln``.
 
     The branch ``m`` is whichever is nearest at each step, so every converged
     iterate is an eigenvalue; seeds that diverge or stall are dropped.
     """
-    lam = _newton(fleet, lam, _NEWTON_ITERS)
+    lam = _newton(fleet, lam, counts, ln, _NEWTON_ITERS)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g_re, g_im = _log_product(fleet, lam)
-        residual = np.abs(g_re + 1j * _wrap(g_im))
-    return lam[residual <= _NEWTON_RESIDUAL]
+        g_re, g_im = _log_product(fleet, lam, counts[:, ln])
+        keep = np.abs(g_re + 1j * _wrap(g_im)) <= _NEWTON_RESIDUAL
+    return lam[keep], ln[keep]
 
 
-def _axis_seeds(fleet: Fleet) -> np.ndarray:
-    """Points ``ix``, ``x > 0``, where ``Im log F(ix)`` crosses a multiple of pi/2."""
-    xa, xb, d_phase, _, _ = _resolve_line(fleet, 0.0, winding=False)
+def _axis_seeds(axis: tuple) -> np.ndarray:
+    """Points ``ix``, ``x > 0``, where ``Im log F(ix)`` crosses a multiple of pi/2 on the resolved ``axis``."""
+    xa, xb, d_phase, _, _ = axis
     order = np.argsort(xa)
     x = np.append(xa[order], xb[order[-1]])
     phase = np.concatenate(([0.0], np.cumsum(d_phase[order])))  # F(0) = 1
@@ -463,19 +526,6 @@ def _one_class_roots(alpha, beta, gamma, n: int, m: np.ndarray) -> np.ndarray:
     return np.concatenate(((-b + root) / (2.0 * w), (-b - root) / (2.0 * w)))
 
 
-def _seeds(fleet: Fleet) -> np.ndarray:
-    """Newton seeds for :func:`rightmost_eigenvalue`.
-
-    One class has its eigenvalues in closed form, where ``m <= n/2`` gives
-    one of each conjugate pair.  A real eigenvalue has no axis crossing, so
-    several classes add each one's real root ``gamma_k - beta_k``.
-    """
-    if len(fleet.counts) > 1:
-        return np.concatenate((_axis_seeds(fleet), (fleet.gamma - fleet.beta).ravel()))
-    (n,) = fleet.counts
-    return _one_class_roots(fleet.alpha[0], fleet.beta[0], fleet.gamma[0], n, np.arange(n // 2 + 1))
-
-
 def _zero_gap(fleet: Fleet) -> float:
     """Distance from the origin within which a root of ``F = 1`` is the structural zero.
 
@@ -486,37 +536,69 @@ def _zero_gap(fleet: Fleet) -> float:
     return 1e-6 * 2.0 * math.pi / slope0
 
 
-def rightmost_eigenvalue(fleet: Fleet) -> complex:
-    """Eigenvalue of largest real part of the ring of ``fleet``.
+def rightmost_eigenvalues(fleets: Sequence[Fleet]) -> list[complex]:
+    """The eigenvalue of largest real part of the ring of each of ``fleets``, but the structural zero.
 
-    The structural zero is excluded; the real part, the spectral abscissa, is
-    the same for every ordering, and the imaginary part is the angular
-    frequency of the fastest-growing (or slowest-decaying) wave.  Newton on
-    ``log F = 2 pi i m`` starts from all seeds at once: for one class its
-    eigenvalues in closed form, otherwise every crossing of a multiple of
-    pi/2 by the phase of F along the imaginary axis.  The
-    rightmost converged root ``a`` is certified by :func:`count_right_of`:
-    no eigenvalue right of ``Re a + d`` and at least one right of
-    ``Re a - d``, with ``d = 1e-10 max(1, |Re a|)``.  If the certificate
-    fails, the abscissa is bracketed by bisection on the count and the root
-    polished by Newton.
+    The real part, the spectral abscissa, is the same for every ordering; the
+    imaginary part is the angular frequency of the fastest-growing (or
+    slowest-decaying) wave.  Newton on ``log F = 2 pi i m`` starts from all
+    fleets' seeds at once: for one class its eigenvalues in closed form, else
+    every crossing of a multiple of pi/2 by the phase of F along the imaginary
+    axis.  The rightmost root ``a`` is certified by two counts, all fleets'
+    taken at once: none right of ``Re a + d``, some right of ``Re a - d``, ``d
+    = 1e-10 max(1, |Re a|)``.  Failing that, the abscissa is bisected on the
+    count and the root polished by Newton.  Of fleets that fail, the first raises.
     """
-    roots = _newton_roots(fleet, _seeds(fleet).astype(complex))
-    roots = roots[np.abs(roots) > _zero_gap(fleet)]
-    # every eigenvalue lies in a Gershgorin disc of the ring matrix
-    hi = 2.0 + float(fleet.alpha.max())
-    lo = -3.0 - float((fleet.alpha + fleet.beta + fleet.gamma).max())
-    if roots.size:
-        top = complex(roots[np.argmax(roots.real)])
+    fleets = list(fleets)
+    multi = [i for i, f in enumerate(fleets) if len(f.counts) > 1]
+    axes = dict(zip(multi, _resolve_lines([(fleets[i], 0.0) for i in multi], winding=False)))
+    seeds = []
+    for i, f in enumerate(fleets):
+        if i not in axes:
+            (n,) = f.counts
+            seeds.append(_one_class_roots(f.alpha[0], f.beta[0], f.gamma[0], n, np.arange(n // 2 + 1)))
+        elif isinstance(axes[i], Exception):
+            seeds.append(np.zeros(0))
+        else:  # a real eigenvalue has no axis crossing: each class adds its real root
+            seeds.append(np.concatenate((_axis_seeds(axes[i]), (f.gamma - f.beta).ravel())))
+    tops = {}
+    for blk in _blocks(fleets, [seed.size for seed in seeds]):
+        ln = np.repeat(np.arange(len(blk)), [seeds[i].size for i in blk])
+        lam = np.concatenate([seeds[i] for i in blk]).astype(complex)
+        roots, ln = _newton_roots(fleets[blk[0]], lam, np.hstack([fleets[i].count for i in blk]), ln)
+        for j, i in enumerate(blk):
+            r = roots[(ln == j) & (np.abs(roots) > _zero_gap(fleets[i]))]
+            if r.size:
+                tops[i] = complex(r[np.argmax(r.real)])
+    edges = {}
+    for i, top in tops.items():
         d = _CERT_RTOL * max(1.0, abs(top.real))
         # (neither line may be the one through the structural zero)
-        above, below = top.real + d or 0.5 * d, top.real - d or -0.5 * d
-        if count_right_of(fleet, above) == 0:
-            if count_right_of(fleet, below) >= 1:
-                return top
-            hi = below
-        else:
-            lo = above
+        edges[i] = (top.real + d or 0.5 * d, top.real - d or -0.5 * d)
+    counts = _line_counts([(fleets[i], s) for i in edges for s in edges[i]])
+    cert = dict(zip(edges, zip(counts[::2], counts[1::2])))
+    out = []
+    for i, fleet in enumerate(fleets):  # in order, so that the first failure is raised
+        _unwrap(axes.get(i))
+        # every eigenvalue lies in a Gershgorin disc of the ring matrix
+        lo, hi = -3.0 - float((fleet.alpha + fleet.beta + fleet.gamma).max()), 2.0 + float(fleet.alpha.max())
+        if i in cert:
+            (above, below), (n_above, n_below) = edges[i], cert[i]
+            if _unwrap(n_above) == 0 and _unwrap(n_below) >= 1:
+                out.append(tops[i])
+                continue
+            lo, hi = (lo, below) if n_above == 0 else (above, hi)
+        out.append(_bisect_abscissa(fleet, lo, hi))
+    return out
+
+
+def rightmost_eigenvalue(fleet: Fleet) -> complex:
+    """Eigenvalue of largest real part of the ring of ``fleet``; see :func:`rightmost_eigenvalues`."""
+    return rightmost_eigenvalues([fleet])[0]
+
+
+def _bisect_abscissa(fleet: Fleet, lo: float, hi: float) -> complex:
+    """The rightmost eigenvalue, its real part bracketed in ``[lo, hi]`` by bisection on the count."""
     while hi - lo > _BISECT_RTOL * max(1.0, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi) or 0.5 * hi  # lo < 0 < hi: step off the zero line
         if count_right_of(fleet, mid) == 0:
@@ -524,9 +606,10 @@ def rightmost_eigenvalue(fleet: Fleet) -> complex:
         else:
             lo = mid
     # polish from where the phase of 1 - F turns fastest along Re(lambda) = lo
-    xa, xb, _, d_arg, _ = _resolve_line(fleet, lo, winding=True)
+    xa, xb, _, d_arg, _ = _unwrap(_resolve_lines([(fleet, lo)], winding=True)[0])
     pick = np.argsort(np.abs(d_arg) / (xb - xa))[-8:]
-    roots = _newton_roots(fleet, lo + 0.5j * (xa[pick] + xb[pick]))
+    seeds = lo + 0.5j * (xa[pick] + xb[pick])
+    roots, _ = _newton_roots(fleet, seeds, fleet.count, np.zeros(pick.size, dtype=int))
     tol = _BISECT_RTOL * max(1.0, abs(lo), abs(hi))
     roots = roots[(roots.real >= lo - tol) & (roots.real <= hi + tol)]
     if not roots.size:
@@ -645,7 +728,7 @@ def _seed_spectrum(fleet: Fleet) -> np.ndarray:
     mean = [float((share * col).sum()) for col in (fleet.alpha, fleet.beta, fleet.gamma)]
     # branch 0's first root is the structural zero
     seeds = _one_class_roots(*mean, n, np.arange(n))[1:]
-    lam = _newton(fleet, seeds, _POLISH_ITERS)
+    lam = _newton(fleet, seeds, fleet.count, np.zeros(seeds.size, dtype=int), _POLISH_ITERS)
     held = (fleet.root_error(lam) <= _HELD_RTOL * np.abs(lam)) & (np.abs(lam) > _zero_gap(fleet))
     held[held] = ~coincident(lam[held], _HELD_RTOL * np.abs(lam[held]))
     circles = []

@@ -26,7 +26,7 @@ import numpy as np
 from ._numerics import check_rates
 from .errors import ModelInvalidError
 from .linearize import LinearTrio, discriminant
-from .spectrum import Fleet, count_right_of
+from .spectrum import Fleet, _line_counts, count_right_of
 
 GRID_POINTS = 4096
 
@@ -311,9 +311,10 @@ def min_unstable_size(
 
     Counts at each candidate total are the rates rounded by largest
     remainder.  The totals 2, 4, 8, ..., ``n_max`` are probed until one is
-    unstable; then every total from 2 up is tested, because instability is
-    not monotone in the total (rounding changes the mix), so the result is
-    the true minimum.  Each verdict is one winding count, not an abscissa.
+    unstable; then every total below it that was not probed is counted, all
+    in one batched call, because instability is not monotone in the total
+    (rounding changes the mix), so the result is the true minimum.  Each
+    verdict is one winding count, not an abscissa.
     Returns ``None`` when no probe is unstable, which is not a proof of
     stability: a total between two probes may still be unstable, and with
     ``n_max < 2`` no fleet is built, so the rates are not checked.
@@ -330,4 +331,10 @@ def min_unstable_size(
     hit = next((n for n in probes if unstable(n)), None)
     if hit is None:
         return None
-    return next(n for n in range(2, hit + 1) if n == hit or (n not in probes and unstable(n)))
+    rest = [n for n in range(2, hit) if n not in probes]
+    for n, count in zip(rest, _line_counts([(Fleet.from_rates(trios, rates, n), ABSCISSA_TOL) for n in rest])):
+        if isinstance(count, Exception):
+            raise count
+        if count >= 1:
+            return n
+    return hit

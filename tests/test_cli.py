@@ -4,16 +4,18 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ringwave import _schema, cli
+from ringwave import _schema, cli, spectrum
 from ringwave.cli import _config_schema, main
 from ringwave.errors import ConfigError
 from ringwave.equilibrium import spread_ordering
-from ringwave.spectrum import RingSystem, eigenvalues, eigenvalues_on_H
+from ringwave.spectrum import Fleet, RingSystem, eigenvalues, eigenvalues_on_H, rightmost_eigenvalue
+from ringwave.stability import ABSCISSA_TOL
 
 from conftest import REF_D0, REF_HEADWAY, REF_LV, REF_SLOPE
 
@@ -374,6 +376,29 @@ def test_spectrum_refuses_a_dense_eigenvalue_off_its_root(tmp_path, capsys, monk
     assert not (tmp_path / "spectrum.csv").exists()
 
 
+def test_spectrum_gives_up_a_line_that_no_grid_resolves(tmp_path, capsys, monkeypatch):
+    # v_max = 1e300 makes alpha 3.9e296; the phase along a certificate line stays unresolved
+    # however fine the grid, and refining it fourfold a round once ran out of memory
+    real_log_factors = spectrum._log_factors
+
+    def capped(fleet, lam):
+        assert lam.size <= spectrum._BLOCK_POINTS
+        return real_log_factors(fleet, lam)
+
+    monkeypatch.setattr(spectrum, "_log_factors", capped)
+    pref = {"v_max": 1e300, "l_v": 0.85, "d0": 1000}
+    model = {"kind": "bando_ftl", "a": 10.4, "b": 21.1, "preference": pref}
+    payload = {
+        "schema_version": 1,
+        "composition": {"populations": [{"class_id": 1, "count": 6, "model": model}], "ordering": "spread"},
+        "equilibrium": {"class_headway": {"class_id": 1, "headway": 17.0}},
+    }
+    start = time.perf_counter()
+    assert main(["spectrum", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]) == 4
+    assert time.perf_counter() - start < 10.0
+    assert "could not be resolved" in capsys.readouterr().err
+
+
 def test_spectrum_of_one_vehicle_is_gamma_minus_beta(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -537,6 +562,27 @@ def test_sweep_command_crosses_zero(tmp_path):
     assert min(abscissas) < 0 < max(abscissas)
     assert "unstable" in verdicts and "stable" in verdicts
     assert (tmp_path / "sweep.svg").exists()
+
+
+def test_sweep_verdicts_equal_one_size_at_a_time(tmp_path):
+    # at rate 0.93 the sizes 4-7 round to one class and the others to two, so the batch mixes both
+    n_totals = list(range(4, 25)) + [50, 800]
+    payload = {
+        "schema_version": 1,
+        "populations": [{"class_id": 1, "model": MODEL_1}, {"class_id": 2, "model": MODEL_2}],
+        "equilibrium": EQ_BY_HEADWAY,
+        "sweep": {"n_totals": n_totals, "rate_class1": 0.93},
+    }
+    assert main(["sweep", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "sweep.csv")
+    pops = cli._build_populations(payload["populations"])
+    trios = cli._trios_at(pops, cli._resolve_v_bar(EQ_BY_HEADWAY, pops))
+    fleets = [Fleet.from_rates(trios, [0.93, 1.0 - 0.93], n) for n in n_totals]
+    assert {len(fleet.counts) for fleet in fleets} == {1, 2}
+    for row, n, fleet in zip(rows, n_totals, fleets):
+        ab = rightmost_eigenvalue(fleet).real
+        verdict = "unstable" if ab > ABSCISSA_TOL else "stable" if ab < -ABSCISSA_TOL else "marginal"
+        assert (int(row[0]), float(row[2]), row[3]) == (n, ab, verdict)
 
 
 def test_sweep_empty_grid_exits_2(tmp_path):

@@ -94,6 +94,25 @@ def test_linearize_requires_equilibrium_point():
         linearize(model, 10.0, 0.5)  # far from V(10.0)
 
 
+FREE_FLOW = VelocityPreference(v_max=30.0, l_v=4.5, d0=2.23)
+
+
+@pytest.mark.parametrize("a", [1e-3, 4.0, 1e30])
+@pytest.mark.parametrize("v", [1e-9, 15.0, 30.0 * (1.0 - 1e-9)])
+def test_linearize_accepts_the_closed_form_headway_at_any_gain(a, v):
+    # at a = 1e30 and v = 1e-9 the rounding in tanh(x) + tanh 2, times a, left a residual of 7e14
+    model = BandoFtl(a=a, b=20.0, pref=FREE_FLOW)
+    trio = linearize(model, preferred_headway(model, v), v)
+    assert trio.beta - trio.gamma == pytest.approx(a, rel=1e-9)
+
+
+def test_linearize_still_refuses_a_headway_off_equilibrium():
+    # the residual's tolerance grows with a v_max, but 1 mm off at half speed is 0.03 m/s^2 away
+    model = BandoFtl(a=4.0, b=20.0, pref=FREE_FLOW)
+    with pytest.raises(NoEquilibriumError):
+        linearize(model, preferred_headway(model, 15.0) + 1e-3, 15.0)
+
+
 def test_discriminant_identity_for_closed_form():
     # delta = a*(a + 2b/h^2 - 2*V'(h)) for this law family
     rng = np.random.default_rng(9)

@@ -13,11 +13,13 @@ from ringwave import (
     Fleet,
     LinearTrio,
     MarginVerdict,
+    PoleError,
     RingSystem,
     count_right_of,
     eigenvalues_on_H,
     multi_phase_margin,
     rightmost_eigenvalue,
+    rightmost_eigenvalues,
     transfer_product,
 )
 from ringwave import spectrum
@@ -47,6 +49,12 @@ def test_count_refuses_the_line_through_the_structural_zero():
         count_right_of(Fleet([T_STABLE], [4]), 0.0)
 
 
+def test_count_refuses_a_line_through_a_pole():
+    fleet = Fleet([T_STABLE, T_UNSTABLE], [3, 2])
+    with pytest.raises(PoleError):
+        count_right_of(fleet, float(fleet.roots.real[0, 0]))
+
+
 def test_count_ignores_empty_classes():
     assert count_right_of(Fleet([T_STABLE, T_UNSTABLE], [6, 0]), -0.3) == count_right_of(
         Fleet([T_STABLE], [6]), -0.3
@@ -73,15 +81,15 @@ def test_small_single_class_matches_closed_form(n):
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """The lines ``Re(lambda) = s`` that ``spectrum.count_right_of`` is asked about."""
+    """The lines ``Re(lambda) = s`` whose winding ``spectrum._line_counts`` is asked to count."""
     calls = []
-    real_count = spectrum.count_right_of
+    real_counts = spectrum._line_counts
 
-    def counted(fleet, s):
-        calls.append(s)
-        return real_count(fleet, s)
+    def counted(lines):
+        calls.extend(s for _, s in lines)
+        return real_counts(lines)
 
-    monkeypatch.setattr(spectrum, "count_right_of", counted)
+    monkeypatch.setattr(spectrum, "_line_counts", counted)
     return calls
 
 
@@ -134,9 +142,9 @@ def test_bisection_fallback_without_newton_roots(monkeypatch):
     real_newton = spectrum._newton_roots
     calls = []
 
-    def seeds_fail(cls, lam):
+    def seeds_fail(fleet, lam, counts, ln):
         calls.append(len(lam))
-        return real_newton(cls, lam) if len(calls) > 1 else lam[:0]
+        return real_newton(fleet, lam, counts, ln) if len(calls) > 1 else (lam[:0], ln[:0])
 
     monkeypatch.setattr(spectrum, "_newton_roots", seeds_fail)
     trios, counts = [T_STABLE, T_UNSTABLE], [5, 7]
@@ -174,3 +182,44 @@ def test_count_and_abscissa_match_shuffled_dense(fleet):
     # a negative margin means stable for these exact counts: no eigenvalue to the right
     if multi_phase_margin(trios, counts).verdict is MarginVerdict.STABLE_ALL_N:
         assert count_right_of(fleet, ABSCISSA_TOL) == 0
+
+
+@st.composite
+def batches(draw):
+    """2-8 fleets over two drawn sets of 1-3 classes, with counts 0-70 per class.
+
+    Zero counts leave a class out, so fleets over one set of classes still
+    differ in the classes they have, and sizes run from 1 to 210.
+    """
+    bases = [draw(fleets())[0] for _ in range(2)]
+    batch = []
+    for _ in range(draw(st.integers(2, 8))):
+        trios = bases[draw(st.integers(0, 1))]
+        sizes = st.lists(st.integers(0, 70), min_size=len(trios), max_size=len(trios))
+        batch.append(Fleet(trios, draw(sizes.filter(lambda c: sum(c) >= 1))))
+    return batch
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(batches(), st.sampled_from([-0.3, -0.05, ABSCISSA_TOL, 0.05]))
+def test_batched_counts_and_abscissas_equal_one_fleet_at_a_time(batch, s):
+    # each line's arithmetic is elementwise or summed in its own order, so the batch is bit-exact
+    lines = [(fleet, s) for fleet in batch]
+    assert spectrum._line_counts(lines) == [count_right_of(fleet, s) for fleet in batch]
+    assert rightmost_eigenvalues(batch) == [rightmost_eigenvalue(fleet) for fleet in batch]
+
+
+def test_the_first_failing_fleet_of_a_batch_raises(monkeypatch):
+    # as one fleet at a time would: the failure of the earliest fleet in the batch's order
+    first, second = Fleet([T_STABLE, T_UNSTABLE], [5, 7]), Fleet([T_STABLE, T_UNSTABLE], [3, 9])
+    errors = {id(first): FloatingPointError("first"), id(second): PoleError("second")}
+    real_counts = spectrum._line_counts
+
+    def failing(lines):
+        return [errors.get(id(fleet), count) for (fleet, _), count in zip(lines, real_counts(lines))]
+
+    monkeypatch.setattr(spectrum, "_line_counts", failing)
+    with pytest.raises(FloatingPointError, match="first"):
+        rightmost_eigenvalues([Fleet([T_STABLE], [4]), first, second])
+    with pytest.raises(PoleError, match="second"):
+        rightmost_eigenvalues([second, Fleet([T_STABLE], [4]), first])
