@@ -62,6 +62,7 @@ from .spectrum import (
     count_right_of,
     eigenvalues,
     eigenvalues_on_H,
+    misfit,
     rightmost_eigenvalue,
     rightmost_eigenvalues,
     transfer_product,

@@ -52,22 +52,8 @@ from .sim import (
     SinusoidalMode,
     simulate,
 )
-from .spectrum import (
-    Fleet,
-    RingSystem,
-    SpectrumReport,
-    coincident,
-    eigenvalues,
-    eigenvalues_on_H,
-    rightmost_eigenvalue,
-    rightmost_eigenvalues,
-)
+from .spectrum import Fleet, RingSystem, eigenvalues, eigenvalues_on_H, misfit, rightmost_eigenvalues
 from .stability import ABSCISSA_TOL, critical_penetration, margin_curve, multi_phase_margin
-
-# computed and certified abscissas further apart than this, relative to
-# max(1, |certified|), mean the solver lost the rightmost eigenvalue; a computed
-# eigenvalue with a larger root_error relative to |lambda| is none at all
-_SPECTRUM_AGREE_RTOL = 1e-6
 
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
@@ -366,48 +352,22 @@ def cmd_margin(config: dict, out: Path, deterministic: bool) -> int:
     return 0
 
 
-def _spectrum_misfit(fleet: Fleet, report: SpectrumReport, certified: float) -> str:
-    """Why ``report`` is not the spectrum of ``fleet``; empty when it is.
-
-    It is when it holds 2n - 1 finite values, each with a root_error below
-    ``_SPECTRUM_AGREE_RTOL |lambda|``, no two closer than their root errors
-    together (so no root is counted twice), and its abscissa is the
-    certified one.
-    """
-    lam = report.eigenvalues
-    due = 2 * int(fleet.count.sum()) - 1
-    err = fleet.root_error(lam)
-    # strictly below: the structural zero, where root_error is 0, is no eigenvalue
-    off = int((~(err < _SPECTRUM_AGREE_RTOL * np.abs(lam))).sum())
-    problems = []
-    if lam.size != due:
-        problems.append(f"{lam.size} values where there are {due} eigenvalues")
-    if off:
-        problems.append(f"{off} of {lam.size} miss F(lambda) = 1")
-    elif shared := int(coincident(lam, err).sum()):
-        problems.append(f"{shared} repeat another value's root")
-    if not abs(report.abscissa - certified) <= _SPECTRUM_AGREE_RTOL * max(1.0, abs(certified)):
-        problems.append(f"abscissa {report.abscissa}")
-    return ", ".join(problems)
-
-
 def cmd_spectrum(config: dict, out: Path, deterministic: bool) -> int:
     comp = _build_composition(config["composition"])
     eq = _resolve_equilibrium(config["equilibrium"], comp)
     present = [p for p in comp.populations if p.count > 0]
     trios = _trios_at(present, eq.v_bar)
     fleet = Fleet(trios, [p.count for p in present])
-    certified = rightmost_eigenvalue(fleet).real
     report = eigenvalues(fleet)
-    if _spectrum_misfit(fleet, report, certified):
+    fast = misfit(fleet, report)
+    if fast:
         # dense eigvals on the spread ring; it misleads on blocks or shuffles
         trio_by_class = {p.class_id: t for p, t in zip(present, trios)}
         report = eigenvalues_on_H(RingSystem(tuple(trio_by_class[a] for a in spread_ordering(present))))
-        misfit = _spectrum_misfit(fleet, report, certified)
-        if misfit:
+        dense = misfit(fleet, report)
+        if dense:
             raise FloatingPointError(
-                f"neither the class-count solver nor dense eigvals gives the spectrum (dense: {misfit}), "
-                f"but the class counts fix the abscissa at {certified} and F = 1 at every eigenvalue"
+                f"neither the class-count solver ({fast}) nor dense eigvals ({dense}) gives the spectrum"
             )
     rows = [(z.real, z.imag) for z in report.eigenvalues]
     _write_csv(out / "spectrum.csv", "re_1ps,im_1ps", rows, deterministic)

@@ -23,7 +23,8 @@ Fleets that share their trios share their array passes, in blocks of at
 most ``_BLOCK_POINTS`` points, every point weighted by its own fleet's
 counts.  :func:`eigenvalues` finds all 2n - 1 of them at once by
 Aberth-Ehrlich iteration on ``Q (1 - F)``, ``Q = prod_k q_k^(n_k)``, in
-O(n) memory.
+O(n) memory, and :func:`misfit` certifies any claimed spectrum by the
+same counts.
 """
 
 from __future__ import annotations
@@ -81,7 +82,9 @@ class Fleet:
         rows = [(t.alpha, t.beta, t.gamma, float(c)) for t, c in kept]
         alpha, beta, gamma, count = (np.array(col)[:, None] for col in zip(*rows))
         disc = np.sqrt((beta * beta - 4.0 * alpha).astype(complex))
-        roots = np.hstack([(-beta + disc) / 2.0, (-beta - disc) / 2.0])
+        big = (-beta - disc) / 2.0
+        # a real pair's small root is alpha / big: -beta + disc cancels where beta^2 >> alpha
+        roots = np.hstack([np.where(disc.imag == 0.0, alpha / big.real, (-beta + disc) / 2.0), big])
         sites = np.vstack((-alpha / gamma, roots[:, :1], roots[:, 1:]))
         order = np.vstack((count, -count, -count))
         cols = dict(alpha=alpha, beta=beta, gamma=gamma, count=count, roots=roots, sites=sites, order=order)
@@ -536,6 +539,16 @@ def _zero_gap(fleet: Fleet) -> float:
     return 1e-6 * 2.0 * math.pi / slope0
 
 
+def _cert_lines(abscissa: float) -> tuple[float, float]:
+    """The lines ``Re(lambda) = abscissa +- d``, ``d = _CERT_RTOL max(1, |abscissa|)``, that certify it.
+
+    No eigenvalue right of the first and some right of the second fix the
+    abscissa to within ``d``; a line through the structural zero moves to ``+-d/2``.
+    """
+    d = _CERT_RTOL * max(1.0, abs(abscissa))
+    return abscissa + d or 0.5 * d, abscissa - d or -0.5 * d
+
+
 def rightmost_eigenvalues(fleets: Sequence[Fleet]) -> list[complex]:
     """The eigenvalue of largest real part of the ring of each of ``fleets``, but the structural zero.
 
@@ -570,11 +583,7 @@ def rightmost_eigenvalues(fleets: Sequence[Fleet]) -> list[complex]:
             r = roots[(ln == j) & (np.abs(roots) > _zero_gap(fleets[i]))]
             if r.size:
                 tops[i] = complex(r[np.argmax(r.real)])
-    edges = {}
-    for i, top in tops.items():
-        d = _CERT_RTOL * max(1.0, abs(top.real))
-        # (neither line may be the one through the structural zero)
-        edges[i] = (top.real + d or 0.5 * d, top.real - d or -0.5 * d)
+    edges = {i: _cert_lines(top.real) for i, top in tops.items()}
     counts = _line_counts([(fleets[i], s) for i in edges for s in edges[i]])
     cert = dict(zip(edges, zip(counts[::2], counts[1::2])))
     out = []
@@ -635,6 +644,8 @@ _RESEED_REACH = 1.2
 _ABERTH_RTOL = 1e-12
 # complex entries in one block of pairwise differences (1 MiB)
 _ABERTH_BLOCK = 1 << 16
+# a value whose root_error is not below this, relative to |lambda|, is no eigenvalue
+_MISFIT_RTOL = 1e-6
 
 
 def coincident(lam: np.ndarray, radius: np.ndarray) -> np.ndarray:
@@ -789,7 +800,7 @@ def eigenvalues(fleet: Fleet) -> SpectrumReport:
     their root error of the real axis are put on it and the rest are taken
     from the upper half plane with their mirror images: the result is
     exactly closed under conjugation.  Nothing here certifies the values;
-    :meth:`Fleet.root_error` and :func:`coincident` can.
+    :func:`misfit` does.
     """
     lam = _aberth(fleet, _seed_spectrum(fleet))
     slack = np.maximum(fleet.root_error(lam), 4.0 * np.finfo(float).eps * np.abs(lam))
@@ -797,3 +808,34 @@ def eigenvalues(fleet: Fleet) -> SpectrumReport:
     upper = lam[~real & (lam.imag > 0.0)]
     lam = np.sort_complex(np.concatenate((upper, upper.conj(), lam.real[real])))
     return SpectrumReport(eigenvalues=lam, abscissa=float(lam.real.max(initial=-np.inf)))
+
+
+def misfit(fleet: Fleet, report: SpectrumReport) -> str:
+    """Why ``report`` is not the spectrum of ``fleet``; empty when it is.
+
+    It is when it holds 2n - 1 values, each with a root_error below
+    ``_MISFIT_RTOL |lambda|``, no two within their root errors together
+    (:func:`coincident`, so no root is counted twice), and when the two
+    counts of :func:`_cert_lines` fix its abscissa: no eigenvalue right of
+    the upper line, some right of the lower.  Only a report that passes the
+    other checks is counted; a count that fails raises.
+    """
+    lam = report.eigenvalues
+    due = 2 * int(fleet.count.sum()) - 1
+    err = fleet.root_error(lam)
+    # strictly below: the structural zero, where root_error is 0, is no eigenvalue
+    off = int((~(err < _MISFIT_RTOL * np.abs(lam))).sum())
+    problems = []
+    if lam.size != due:
+        problems.append(f"{lam.size} values where there are {due}")
+    if off:
+        problems.append(f"{off} of {lam.size} miss F(lambda) = 1")
+    elif shared := int(coincident(lam, err).sum()):
+        problems.append(f"{shared} repeat another value's root")
+    if problems:
+        return ", ".join(problems)
+    above, below = _cert_lines(report.abscissa)
+    n_above, n_below = (_unwrap(c) for c in _line_counts([(fleet, above), (fleet, below)]))
+    if n_above or not n_below:
+        return f"abscissa {report.abscissa}, with {n_above} eigenvalues right of {above} and {n_below} right of {below}"
+    return ""

@@ -26,7 +26,7 @@ import numpy as np
 from ._numerics import check_rates
 from .errors import ModelInvalidError
 from .linearize import LinearTrio, discriminant
-from .spectrum import Fleet, _line_counts, count_right_of
+from .spectrum import Fleet, _line_counts, _unwrap
 
 GRID_POINTS = 4096
 
@@ -302,6 +302,15 @@ def multi_phase_tau1(
     return n / (n + 1.0) if n > 0.0 else 0.0
 
 
+def _first_unstable(trios: Sequence[LinearTrio], rates: Sequence[float], sizes: Sequence[int]) -> int | None:
+    """The first of ``sizes`` with an eigenvalue right of ``ABSCISSA_TOL``, all counted in one call.
+
+    A size whose count fails raises, unless an earlier size is unstable.
+    """
+    lines = [(Fleet.from_rates(trios, rates, n), ABSCISSA_TOL) for n in sizes]
+    return next((n for n, count in zip(sizes, _line_counts(lines)) if _unwrap(count) >= 1), None)
+
+
 def min_unstable_size(
     trios: Sequence[LinearTrio],
     rates: Sequence[float],
@@ -310,31 +319,19 @@ def min_unstable_size(
     """Smallest total vehicle count with an eigenvalue right of ``ABSCISSA_TOL``.
 
     Counts at each candidate total are the rates rounded by largest
-    remainder.  The totals 2, 4, 8, ..., ``n_max`` are probed until one is
-    unstable; then every total below it that was not probed is counted, all
-    in one batched call, because instability is not monotone in the total
-    (rounding changes the mix), so the result is the true minimum.  Each
-    verdict is one winding count, not an abscissa.
-    Returns ``None`` when no probe is unstable, which is not a proof of
-    stability: a total between two probes may still be unstable, and with
-    ``n_max < 2`` no fleet is built, so the rates are not checked.
+    remainder.  The totals 2, 4, 8, ..., ``n_max`` are probed in one batched
+    winding count, then every unprobed total below the first unstable one
+    in another: instability is not monotone in the total (rounding changes
+    the mix), so the result is the true minimum.  ``None`` when no probe is
+    unstable, which is no proof of stability: a total between two probes may be.
     """
+    check_rates(rates)
     if n_max < 2:
         return None
-
-    def unstable(n: int) -> bool:
-        return count_right_of(Fleet.from_rates(trios, rates, n), ABSCISSA_TOL) >= 1
-
     probes = [2]
     while probes[-1] < n_max:
         probes.append(min(2 * probes[-1], n_max))
-    hit = next((n for n in probes if unstable(n)), None)
+    hit = _first_unstable(trios, rates, probes)
     if hit is None:
         return None
-    rest = [n for n in range(2, hit) if n not in probes]
-    for n, count in zip(rest, _line_counts([(Fleet.from_rates(trios, rates, n), ABSCISSA_TOL) for n in rest])):
-        if isinstance(count, Exception):
-            raise count
-        if count >= 1:
-            return n
-    return hit
+    return _first_unstable(trios, rates, [n for n in range(2, hit) if n not in probes]) or hit

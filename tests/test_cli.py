@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -350,19 +351,23 @@ SMALL_BLOCKS = {
 }
 
 
+def _dense_small_blocks_csv():
+    """The ``spectrum.csv`` that dense eigvals gives on the spread ring of ``SMALL_BLOCKS``' counts."""
+    comp = cli._build_composition(SMALL_BLOCKS["composition"])
+    eq = cli._resolve_equilibrium(EQ_BY_HEADWAY, comp)
+    trio = dict(zip((p.class_id for p in comp.populations), cli._trios_at(comp.populations, eq.v_bar)))
+    dense = eigenvalues_on_H(RingSystem(tuple(trio[a] for a in spread_ordering(comp.populations))))
+    lines = ["re_1ps,im_1ps"] + [f"{float(z.real)!r},{float(z.imag)!r}" for z in dense.eigenvalues]
+    return "\n".join(lines) + "\n"
+
+
 def test_spectrum_falls_back_to_dense_off_a_missed_root(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "eigenvalues", _nudged(lambda fleet: calls.append(fleet) or eigenvalues(fleet)))
     cfg = write_config(tmp_path, SMALL_BLOCKS)
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path), "--deterministic"]) == 0
     assert len(calls) == 1
-    # the bytes dense eigvals gives on the spread ring of the counts
-    comp = cli._build_composition(SMALL_BLOCKS["composition"])
-    eq = cli._resolve_equilibrium(EQ_BY_HEADWAY, comp)
-    trio = dict(zip((p.class_id for p in comp.populations), cli._trios_at(comp.populations, eq.v_bar)))
-    dense = eigenvalues_on_H(RingSystem(tuple(trio[a] for a in spread_ordering(comp.populations))))
-    lines = ["re_1ps,im_1ps"] + [f"{float(z.real)!r},{float(z.imag)!r}" for z in dense.eigenvalues]
-    assert (tmp_path / "spectrum.csv").read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+    assert (tmp_path / "spectrum.csv").read_text(encoding="utf-8") == _dense_small_blocks_csv()
 
 
 def test_spectrum_refuses_a_dense_eigenvalue_off_its_root(tmp_path, capsys, monkeypatch):
@@ -377,8 +382,8 @@ def test_spectrum_refuses_a_dense_eigenvalue_off_its_root(tmp_path, capsys, monk
 
 
 def test_spectrum_gives_up_a_line_that_no_grid_resolves(tmp_path, capsys, monkeypatch):
-    # v_max = 1e300 makes alpha 3.9e296; the phase along a certificate line stays unresolved
-    # however fine the grid, and refining it fourfold a round once ran out of memory
+    # v_max = 1e300 makes alpha 3.9e296; the phase along the sweep's certificate line stays
+    # unresolved however fine the grid, and refining it fourfold a round once ran out of memory
     real_log_factors = spectrum._log_factors
 
     def capped(fleet, lam):
@@ -388,15 +393,66 @@ def test_spectrum_gives_up_a_line_that_no_grid_resolves(tmp_path, capsys, monkey
     monkeypatch.setattr(spectrum, "_log_factors", capped)
     pref = {"v_max": 1e300, "l_v": 0.85, "d0": 1000}
     model = {"kind": "bando_ftl", "a": 10.4, "b": 21.1, "preference": pref}
+    eq = {"class_headway": {"class_id": 1, "headway": 17.0}}
+    payload = {
+        "schema_version": 1,
+        "populations": [{"class_id": 1, "model": model}, {"class_id": 2, "model": model}],
+        "equilibrium": eq,
+        "sweep": {"n_totals": [6], "rate_class1": 1.0},
+    }
+    start = time.perf_counter()
+    assert main(["sweep", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]) == 4
+    assert time.perf_counter() - start < 10.0
+    assert "could not be resolved" in capsys.readouterr().err
+    # neither solver's values pass the certificate, so no line is counted there
     payload = {
         "schema_version": 1,
         "composition": {"populations": [{"class_id": 1, "count": 6, "model": model}], "ordering": "spread"},
-        "equilibrium": {"class_headway": {"class_id": 1, "headway": 17.0}},
+        "equilibrium": eq,
     }
-    start = time.perf_counter()
     assert main(["spectrum", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]) == 4
-    assert time.perf_counter() - start < 10.0
-    assert "could not be resolved" in capsys.readouterr().err
+
+
+def _top_pair_moved(solve):
+    """``solve`` with its rightmost conjugate pair moved right by ``1e-8 |lambda|``."""
+
+    def moved(fleet):
+        report = solve(fleet)
+        lam = report.eigenvalues
+        top = np.flatnonzero(lam.real == report.abscissa)
+        lam[top] += 1e-8 * np.abs(lam[top])
+        return spectrum.SpectrumReport(eigenvalues=lam, abscissa=float(lam.real.max()))
+
+    return moved
+
+
+def test_spectrum_counts_the_abscissa_it_writes(tmp_path, monkeypatch):
+    # each moved value still passes root_error and coincident; only the counts see the abscissa move
+    fleet_of = []
+    moved = _top_pair_moved(lambda fleet: fleet_of.append(fleet) or eigenvalues(fleet))
+    monkeypatch.setattr(cli, "eigenvalues", moved)
+    cfg = write_config(tmp_path, SMALL_BLOCKS)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path), "--deterministic"]) == 0
+    assert (tmp_path / "spectrum.csv").read_text(encoding="utf-8") == _dense_small_blocks_csv()
+    (fleet,) = fleet_of
+    report = moved(fleet)
+    lam, err = report.eigenvalues, fleet.root_error(report.eigenvalues)
+    assert (lam.real == report.abscissa).sum() == 2 and (err < 1e-6 * np.abs(lam)).all()
+    assert not spectrum.coincident(lam, err).any()
+    assert spectrum.misfit(fleet, report).startswith("abscissa ")
+
+
+def test_cli_imports_no_private_name():
+    # the CLI reaches the library only through its public names
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_spectrum_of_one_vehicle_is_gamma_minus_beta(tmp_path, capsys):

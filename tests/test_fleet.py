@@ -1,6 +1,7 @@
 """The class multiset ``Fleet``: validation, construction and the transfer product."""
 
 import dataclasses
+import decimal
 
 import numpy as np
 import pytest
@@ -154,6 +155,18 @@ def test_sites_are_the_zeros_and_poles_of_f():
         np.testing.assert_array_equal(fleet.order[:k], fleet.count)
         np.testing.assert_array_equal(fleet.order[k:].reshape(2, k, 1), [-fleet.count] * 2)
         assert fleet.order.sum() == -sum(fleet.counts)
+
+
+@pytest.mark.parametrize("beta", [1e4, 1e5, 1e6, 1e7, 1e8])
+def test_small_real_pole_is_free_of_cancellation(beta):
+    # (-beta + sqrt(beta^2 - 4 alpha)) / 2 read -7.45e-9 for the root -1e-8 at beta = 1e8
+    small, big = Fleet([LinearTrio(1.0, beta, 0.5)], [1]).roots[0]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        b = decimal.Decimal(beta)
+        exact = float(2 / (-b - (b * b - 4).sqrt()))  # alpha over the large root, by Vieta
+    assert small.imag == 0.0 and big.imag == 0.0
+    assert abs(small.real - exact) <= 1e-15 * abs(exact)
 
 
 @pytest.mark.parametrize("distance", [1e-6, 1e-9, 1e-12])

@@ -363,6 +363,12 @@ def test_min_unstable_size_stable_composition():
         assert rightmost_eigenvalue(Fleet.from_rates([T_STABLE], [1.0], n)).real <= ABSCISSA_TOL, n
 
 
+@pytest.mark.parametrize("n_max", [1, 0, -5])
+def test_min_unstable_size_checks_its_rates_without_a_fleet(n_max):
+    with pytest.raises(ValueError, match="rates"):
+        min_unstable_size([T_STABLE, T_UNSTABLE], [0.5, 0.4], n_max)
+
+
 def test_min_unstable_size_straddles_critical_rate(ref_trios):
     # the abscissas are certified winding counts, free of eigensolver noise;
     # +-0.03 keeps the rounded class counts of small fleets on the intended
