@@ -53,12 +53,6 @@ class Composition:
             raise ValueError(
                 "ordering must contain each class exactly as many times as declared"
             )
-        # the value the dataclass hash would compute on every call, computed once:
-        # sim.step keys its compiled-RHS cache on the composition
-        object.__setattr__(self, "_hash", hash((self.populations, self.ordering)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def n(self) -> int:

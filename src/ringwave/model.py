@@ -18,6 +18,9 @@ import numpy as np
 from .errors import CollisionError, NoEquilibriumError
 
 _TANH2 = math.tanh(2.0)
+# _speed's constants as 0-d float64 arrays: a Python float operand is converted
+# on every ufunc call, which on a row of 100 costs most of what the call does
+_TWO, _TANH2_0D, _ONE_PLUS_TANH2, _ZERO = (np.array(x) for x in (2.0, _TANH2, 1.0 + _TANH2, 0.0))
 
 
 def _sech(x):
@@ -58,12 +61,12 @@ def _speed(h, v_max, l_v, d0, out=None):
     # v_max * (tanh((h - l_v)/d0 - 2) + tanh 2) / (1 + tanh 2), one ufunc per operation
     x = np.subtract(h, l_v, out=out)
     x = np.divide(x, d0, out=out)
-    x = np.subtract(x, 2.0, out=out)
+    x = np.subtract(x, _TWO, out=out)
     x = np.tanh(x, out=out)
-    x = np.add(x, _TANH2, out=out)
+    x = np.add(x, _TANH2_0D, out=out)
     x = np.multiply(v_max, x, out=out)
-    x = np.divide(x, 1.0 + _TANH2, out=out)
-    return np.maximum(x, 0.0, out=out)
+    x = np.divide(x, _ONE_PLUS_TANH2, out=out)
+    return np.maximum(x, _ZERO, out=out)
 
 
 def _speed_slope(pref: VelocityPreference, h):

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ringwave import (
     BandoFtl,
@@ -27,7 +28,7 @@ from ringwave import (
 )
 
 from ringwave.model import _speed
-from ringwave.sim import _compile_rhs
+from ringwave.sim import _Rk4, _check_headways, _vehicle_classes
 
 from conftest import composition_of
 
@@ -45,9 +46,10 @@ def _assert_rhs_matches_accel(comp):
     eq = equilibrium_from_velocity(comp, 4.0)
     state = initial_state(eq, comp, Perturbation(0.3, SeededRandomZeroSum(seed=5)))
     h, v = state.headways, state.velocities
-    k = np.empty((2, comp.n))
-    _compile_rhs(comp)(np.array([h, v]), k, np.empty(comp.n))
-    hdot, vdot = k
+    rk4 = _Rk4(*_vehicle_classes(comp), 0.05)
+    rk4.X[0] = (h, v)
+    rk4.rates(0)
+    hdot, vdot = rk4.K[0]
     assert np.array_equal(hdot, np.roll(v, -1) - v)
     expected = [accel(comp.model_of(c), h[j], hdot[j], v[j]) for j, c in enumerate(comp.ordering)]
     np.testing.assert_allclose(vdot, expected, rtol=1e-14, atol=1e-15)
@@ -64,8 +66,11 @@ def test_rhs_matches_accel_with_one_preference():
     _assert_rhs_matches_accel(composition_of([MODEL, other], [7, 5]))
 
 
-def _textbook_rk4_step(comp, h, v, dt):
-    """Out-of-place RK4 on separate headway and velocity arrays."""
+def _textbook_rk4_step(comp, h, v, dt, check=lambda h: None):
+    """Out-of-place RK4 on separate headway and velocity arrays.
+
+    ``check`` sees the headways of each stage input before its rates are taken.
+    """
     models = [comp.model_of(c) for c in comp.ordering]
     a, b, v_max, l_v, d0 = (
         np.array(col)
@@ -73,6 +78,7 @@ def _textbook_rk4_step(comp, h, v, dt):
     )
 
     def f(h, v):
+        check(h)
         hdot = np.roll(v, -1) - v
         return hdot, a * (_speed(h, v_max, l_v, d0) - v) + b * hdot / (h * h)
 
@@ -119,8 +125,19 @@ def perturbed_fleets(draw):
     return comp, state, draw(st.floats(0.01, 0.25)) / max(1.0, beta_max)
 
 
+def _benchmark_shaped_fleet():
+    """The simulate workload's shape: a shared preference and ``b``, a per-class ``a``."""
+    models = [BandoFtl(a=4.0, b=20.0, pref=PREF), BandoFtl(a=0.5, b=20.0, pref=PREF)]
+    order = [1] * 80 + [2] * 20
+    np.random.default_rng(3).shuffle(order)
+    comp = composition_of(models, [80, 20], ordering=order)
+    eq = equilibrium_from_velocity(comp, 4.0)
+    return comp, initial_state(eq, comp, Perturbation(0.05, SeededRandomZeroSum(3))), 0.05
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(perturbed_fleets())
+@example(_benchmark_shaped_fleet())
 def test_step_is_bit_identical_to_textbook_rk4(fleet):
     comp, state, dt = fleet
     h, v = state.headways, state.velocities
@@ -129,6 +146,79 @@ def test_step_is_bit_identical_to_textbook_rk4(fleet):
         h, v = _textbook_rk4_step(comp, h, v, dt)
         assert np.array_equal(state.headways, h)
         assert np.array_equal(state.velocities, v)
+
+
+def test_simulate_snapshots_equal_a_loop_of_steps(ref_models, ref_v_bar):
+    order = [1] * 12 + [2] * 8
+    np.random.default_rng(11).shuffle(order)
+    comp = composition_of(ref_models, [12, 8], ordering=order)
+    eq = equilibrium_from_velocity(comp, ref_v_bar)
+    pert = Perturbation(0.05, SeededRandomZeroSum(12))
+    cfg = SimConfig(t_end=3.1, dt=0.05, record_every=4, perturbation=pert, store_snapshots=True)
+    trace = simulate(comp, eq, cfg)
+    state, i = initial_state(eq, comp, pert), 0
+    for snap in trace.snapshots:
+        while i * cfg.dt < snap.t:
+            state, i = step(state, comp, cfg.dt), i + 1
+        assert snap.t == i * cfg.dt
+        assert np.array_equal(snap.headways, state.headways)
+        assert np.array_equal(snap.velocities, state.velocities)
+    assert i == 62
+
+
+# (model, equilibrium speed, perturbation, dt, the first stage whose input is bad, error)
+_LATE_BAD_STAGES = {
+    "collision at stage 2": (MODEL, 0.5, Perturbation(15.0, SingleVehicleKick()), 0.9, 2, CollisionError),
+    "collision at stage 3": (MODEL, 0.5, Perturbation(5.0, SeededRandomZeroSum(4)), 0.5, 3, CollisionError),
+    "collision at stage 4": (MODEL, 0.5, Perturbation(6.0, SingleVehicleKick()), 1.0, 4, CollisionError),
+    # 0.5 dt (v1 - v0) overflows to -inf
+    "-inf at stage 2": (MODEL, 0.5, Perturbation(1e150, SingleVehicleKick()), 1e159, 2, FloatingPointError),
+    # b * hdot overflows, so two stage-2 speeds are infinite
+    "-inf at stage 3": (
+        BandoFtl(a=2.0, b=1e308, pref=PREF), 0.5, Perturbation(10.0, SingleVehicleKick()), 0.5, 3, FloatingPointError
+    ),
+    # h * h underflows to 0 at a standstill, so b * hdot / (h * h) is 0 / 0
+    "nan at stage 3": (
+        BandoFtl(a=2.0, b=9.0, pref=VelocityPreference(v_max=9.72, l_v=1e-170, d0=2.23)),
+        0.0, Perturbation(0.0, SingleVehicleKick()), 0.5, 3, FloatingPointError,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _LATE_BAD_STAGES.values(), ids=_LATE_BAD_STAGES.keys())
+def test_a_bad_later_stage_raises_what_a_check_before_every_stage_raises(case):
+    model, v_bar, pert, dt, bad_stage, error = case
+    comp = composition_of([model], [6])
+    eq = equilibrium_from_velocity(comp, v_bar)
+    state = initial_state(eq, comp, pert)
+
+    def textbook_with_checks(t):
+        seen = []
+
+        def check(h):
+            seen.append(h)
+            _check_headways(h, t)
+
+        with np.errstate(all="ignore"), pytest.raises(error) as ref:
+            _textbook_rk4_step(comp, state.headways, state.velocities, dt, check)
+        assert len(seen) == bad_stage
+        return ref.value
+
+    def assert_same(got, ref):
+        assert type(got) is type(ref)
+        assert str(got) == str(ref)
+        assert getattr(got, "index", None) == getattr(ref, "index", None)
+        assert getattr(got, "time", None) == getattr(ref, "time", None)
+
+    later = type(state)(t=2.5, headways=state.headways, velocities=state.velocities)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning may escape
+        with pytest.raises(error) as by_step:
+            step(later, comp, dt)
+        with pytest.raises(error) as by_simulate:
+            simulate(comp, eq, SimConfig(t_end=3 * dt, dt=dt, perturbation=pert))
+    assert_same(by_step.value, textbook_with_checks(2.5))
+    assert_same(by_simulate.value, textbook_with_checks(0.0))
 
 
 def test_zero_amplitude_stays_at_equilibrium():
