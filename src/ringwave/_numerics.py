@@ -1,48 +1,9 @@
-"""Small scalar-search and rounding helpers used across modules."""
+"""Share checks and rounding helpers used across modules."""
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
-
-# cap on halvings; a bracket spanning a few binades reaches machine precision in about 60
-_BISECT_MAX_ITER = 200
-
-
-def bisect_root(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    f_lo: float | None = None,
-    f_hi: float | None = None,
-    ftol: float = 0.0,
-) -> float:
-    """Bisection root of ``fn`` on [lo, hi]; the endpoint values must straddle zero.
-
-    Stops when ``|fn(mid)| <= ftol`` or when the midpoint can no longer be
-    distinguished from an endpoint (machine precision).
-    """
-    flo = fn(lo) if f_lo is None else f_lo
-    if flo == 0.0:
-        return lo
-    fhi = fn(hi) if f_hi is None else f_hi
-    if fhi == 0.0:
-        return hi
-    if (flo < 0.0) == (fhi < 0.0):
-        raise ValueError(f"no sign change on bracket [{lo}, {hi}]")
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = fn(mid)
-        if fm == 0.0 or (ftol and abs(fm) <= ftol):
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return 0.5 * (lo + hi)
+from typing import Sequence
 
 
 def check_rates(rates: Sequence[float]) -> None:

@@ -257,11 +257,7 @@ def _write_svg(path: Path, xs, ys, x_label: str, y_label: str, title: str) -> No
 def cmd_equilibrium(config: dict, out: Path, deterministic: bool) -> int:
     comp = _build_composition(config["composition"])
     eq = _resolve_equilibrium(config["equilibrium"], comp)
-    rows = [
-        (p.class_id, eq.h_bar[p.class_id], eq.v_bar, eq.length)
-        for p in comp.populations
-        if p.count > 0
-    ]
+    rows = [(p.class_id, eq.h_bar[p.class_id], eq.v_bar, eq.length) for p in comp.classes]
     _write_csv(out / "equilibrium.csv", "class_id,h_bar_m,v_bar_mps,L_m", rows, deterministic)
     print(f"equilibrium: v_bar = {eq.v_bar} m/s, L = {eq.length} m, {comp.n} vehicles")
     return 0
@@ -270,10 +266,9 @@ def cmd_equilibrium(config: dict, out: Path, deterministic: bool) -> int:
 def cmd_linearize(config: dict, out: Path, deterministic: bool) -> int:
     comp = _build_composition(config["composition"])
     eq = _resolve_equilibrium(config["equilibrium"], comp)
-    present = [p for p in comp.populations if p.count > 0]
     rows = [
         (p.class_id, t.alpha, t.beta, t.gamma, discriminant(t), classify(t).value)
-        for p, t in zip(present, _trios_at(present, eq.v_bar))
+        for p, t in zip(comp.classes, _trios_at(comp.classes, eq.v_bar))
     ]
     _write_csv(
         out / "linearize.csv",
@@ -355,15 +350,15 @@ def cmd_margin(config: dict, out: Path, deterministic: bool) -> int:
 def cmd_spectrum(config: dict, out: Path, deterministic: bool) -> int:
     comp = _build_composition(config["composition"])
     eq = _resolve_equilibrium(config["equilibrium"], comp)
-    present = [p for p in comp.populations if p.count > 0]
-    trios = _trios_at(present, eq.v_bar)
-    fleet = Fleet(trios, [p.count for p in present])
+    trios = _trios_at(comp.classes, eq.v_bar)
+    fleet = Fleet(trios, [p.count for p in comp.classes])
     report = eigenvalues(fleet)
     fast = misfit(fleet, report)
     if fast:
         # dense eigvals on the spread ring; it misleads on blocks or shuffles
-        trio_by_class = {p.class_id: t for p, t in zip(present, trios)}
-        report = eigenvalues_on_H(RingSystem(tuple(trio_by_class[a] for a in spread_ordering(present))))
+        trio_by_class = {p.class_id: t for p, t in zip(comp.classes, trios)}
+        spread = spread_ordering(comp.classes)
+        report = eigenvalues_on_H(RingSystem(tuple(trio_by_class[a] for a in spread)))
         dense = misfit(fleet, report)
         if dense:
             raise FloatingPointError(

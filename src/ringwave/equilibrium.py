@@ -13,7 +13,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ._numerics import bisect_root
+import numpy as np
+
 from .errors import NoEquilibriumError
 from .model import BandoFtl, preferred_headway
 
@@ -36,7 +37,13 @@ class PopulationSpec:
 
 @dataclass(frozen=True)
 class Composition:
-    """Vehicle classes plus the (time-invariant) order they appear on the ring."""
+    """Vehicle classes plus the (time-invariant) order they appear on the ring.
+
+    ``classes`` holds the populations with at least one vehicle, in declaration
+    order, and the read-only ``index`` the position in ``classes`` of each
+    vehicle, in ring order.  Neither is a field: equality, hash and repr see
+    only ``populations`` and ``ordering``.
+    """
 
     populations: tuple[PopulationSpec, ...]
     ordering: tuple[int, ...]
@@ -45,7 +52,8 @@ class Composition:
         ids = [p.class_id for p in self.populations]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate class ids: {ids}")
-        declared = {p.class_id: p.count for p in self.populations if p.count > 0}
+        classes = tuple(p for p in self.populations if p.count > 0)
+        declared = {p.class_id: p.count for p in classes}
         total = sum(declared.values())
         if total < 1:
             raise ValueError("composition must contain at least one vehicle")
@@ -53,16 +61,15 @@ class Composition:
             raise ValueError(
                 "ordering must contain each class exactly as many times as declared"
             )
+        position = {p.class_id: i for i, p in enumerate(classes)}
+        index = np.array([position[c] for c in self.ordering])
+        index.flags.writeable = False
+        # set once, past the frozen __setattr__
+        vars(self).update(classes=classes, index=index)
 
     @property
     def n(self) -> int:
         return len(self.ordering)
-
-    def model_of(self, class_id: int) -> BandoFtl:
-        for p in self.populations:
-            if p.class_id == class_id:
-                return p.model
-        raise KeyError(class_id)
 
 
 def block_ordering(populations: Sequence[PopulationSpec]) -> tuple[int, ...]:
@@ -104,11 +111,7 @@ def equilibrium_from_velocity(comp: Composition, v_bar: float) -> EquilibriumFlo
     Raises :class:`NoEquilibriumError` if any class has no zero-acceleration
     headway at ``v_bar``.
     """
-    h_bar = {
-        p.class_id: preferred_headway(p.model, v_bar)
-        for p in comp.populations
-        if p.count > 0
-    }
+    h_bar = {p.class_id: preferred_headway(p.model, v_bar) for p in comp.classes}
     length = math.fsum(h_bar[a] for a in comp.ordering)
     return EquilibriumFlow(v_bar=v_bar, h_bar=h_bar, length=length)
 
@@ -127,18 +130,21 @@ def equilibrium_from_length(comp: Composition, length: float) -> EquilibriumFlow
 
     lo_len = total(0.0)
     # the largest speed below every present class's supremum v_max
-    v_hi = min(p.model.pref.v_max for p in comp.populations if p.count > 0) * (1.0 - 1e-12)
+    v_hi = min(p.model.pref.v_max for p in comp.classes) * (1.0 - 1e-12)
     hi_len = total(v_hi)
     if not (lo_len < length < hi_len):
         raise NoEquilibriumError(
             f"length {length} outside feasible interval ({lo_len}, {hi_len})"
         )
-    v_bar = bisect_root(
-        lambda v: total(v) - length,
-        0.0,
-        v_hi,
-        f_lo=lo_len - length,
-        f_hi=hi_len - length,
-        ftol=LENGTH_TOL,
-    )
-    return equilibrium_from_velocity(comp, v_bar)
+    # the excess total(v) - length is negative at lo and positive at hi; stop
+    # within LENGTH_TOL, or when the midpoint meets an endpoint
+    lo, hi = 0.0, v_hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        excess = total(mid) - length
+        if abs(excess) <= LENGTH_TOL:
+            break
+        if excess < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return equilibrium_from_velocity(comp, mid)

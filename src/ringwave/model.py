@@ -129,8 +129,8 @@ class BandoFtl:
     pref: VelocityPreference
 
     def __post_init__(self):
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise ValueError(f"require a > 0 and b > 0; got a={self.a}, b={self.b}")
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+            raise ValueError(f"require finite a > 0 and b > 0; got a={self.a}, b={self.b}")
 
 
 def accel(model: BandoFtl, h: float, hdot: float, v: float) -> float:

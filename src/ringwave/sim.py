@@ -86,17 +86,6 @@ class SimTrace:
     snapshots: tuple[SimState, ...] | None = None
 
 
-def _vehicle_classes(comp: Composition):
-    """The classes on the ring, and each vehicle's position among them.
-
-    This is the one mapping from the ordering to the classes: the kernel's
-    parameter columns and the initial headways are both indexed by it.
-    """
-    classes = [p for p in comp.populations if p.count > 0]
-    position = {p.class_id: i for i, p in enumerate(classes)}
-    return classes, np.array([position[c] for c in comp.ordering])
-
-
 def initial_state(
     eq: EquilibriumFlow, comp: Composition, pert: Perturbation
 ) -> SimState:
@@ -107,13 +96,8 @@ def initial_state(
     perturbs the velocities and is reproducible from its seed.  Raises
     :class:`CollisionError` at ``t = 0`` if a headway is not positive.
     """
-    return _initial_state(eq, pert, *_vehicle_classes(comp))
-
-
-def _initial_state(eq: EquilibriumFlow, pert: Perturbation, classes, index) -> SimState:
-    """:func:`initial_state` from the class index of :func:`_vehicle_classes`."""
-    n = len(index)
-    h = np.array([eq.h_bar[p.class_id] for p in classes], dtype=float)[index]
+    n = comp.n
+    h = np.array([eq.h_bar[p.class_id] for p in comp.classes], dtype=float)[comp.index]
     v = np.full(n, eq.v_bar, dtype=float)
     amp = pert.amplitude
     kind = pert.kind
@@ -170,8 +154,8 @@ class _Rk4:
     so the result is bit-identical to it.
     """
 
-    def __init__(self, classes, index, dt: float):
-        n = len(index)
+    def __init__(self, comp: Composition, dt: float):
+        n, index = comp.n, comp.index
         self.X = X = np.empty((4, 2, n))
         self.K = K = np.empty((4, 2, n))
         tmp = np.empty(n)
@@ -182,7 +166,7 @@ class _Rk4:
                 return np.array(values[0], dtype=float)
             return np.array(values, dtype=float)[index]
 
-        models = [p.model for p in classes]
+        models = [p.model for p in comp.classes]
         params = [
             column(col)
             for col in zip(*((m.a, m.b, m.pref.v_max, m.pref.l_v, m.pref.d0) for m in models))
@@ -246,7 +230,7 @@ class _Rk4:
         np.add(z, k1, out=z)
 
 
-# the error state ``_Rk4.advance`` runs under
+# the error state ``_Rk4.advance`` and every ``simulate`` sample run under
 _QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
 
@@ -260,7 +244,7 @@ def step(state: SimState, comp: Composition, dt: float) -> SimState:
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    rk4 = _Rk4(*_vehicle_classes(comp), dt)
+    rk4 = _Rk4(comp, dt)
     rk4.X[0] = (state.headways, state.velocities)
     with np.errstate(**_QUIET):
         rk4.advance(state.t)
@@ -271,10 +255,9 @@ def step(state: SimState, comp: Composition, dt: float) -> SimState:
 def _max_beta(comp: Composition, eq: EquilibriumFlow) -> float:
     """Largest trio damping ``beta = df/dhdot - df/dv`` over the classes at ``eq``."""
     betas = []
-    for p in comp.populations:
-        if p.count > 0:
-            _, fhd, fv = model_partials(p.model, eq.h_bar[p.class_id], 0.0, eq.v_bar)
-            betas.append(fhd - fv)
+    for p in comp.classes:
+        _, fhd, fv = model_partials(p.model, eq.h_bar[p.class_id], 0.0, eq.v_bar)
+        betas.append(fhd - fv)
     return max(betas)
 
 
@@ -291,10 +274,9 @@ def simulate(comp: Composition, eq: EquilibriumFlow, cfg: SimConfig) -> SimTrace
     blow-up is numeric and ``FloatingPointError`` names the safe step size.
     A non-finite headway always raises ``FloatingPointError``.
     """
-    classes, index = _vehicle_classes(comp)
-    init = _initial_state(eq, cfg.perturbation, classes, index)
+    init = initial_state(eq, comp, cfg.perturbation)
     dt, every = cfg.dt, cfg.record_every
-    rk4 = _Rk4(classes, index, dt)
+    rk4 = _Rk4(comp, dt)
     rk4.X[0] = (init.headways, init.velocities)
     z, advance = rk4.X[0], rk4.advance
 
@@ -311,9 +293,9 @@ def simulate(comp: Composition, eq: EquilibriumFlow, cfg: SimConfig) -> SimTrace
         if snaps is not None:
             snaps.append(SimState(t=t, headways=h.copy(), velocities=v.copy()))
 
-    record(0.0)
     try:
         with np.errstate(**_QUIET):
+            record(0.0)
             for i in range(1, n_steps + 1):
                 advance((i - 1) * dt)
                 if i % every == 0 or i == n_steps:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +10,12 @@ from ringwave import (
     NoEquilibriumError,
     PopulationSpec,
     VelocityPreference,
+    block_ordering,
     equilibrium_from_length,
     equilibrium_from_velocity,
     eval_preference,
     preferred_headway,
+    spread_ordering,
 )
 
 from conftest import REF_HEADWAY, composition_of
@@ -153,3 +157,47 @@ def test_composition_validation():
         Composition(populations=(pop, pop), ordering=(1, 1, 1))  # duplicate id
     with pytest.raises(ValueError):
         PopulationSpec(class_id=1, model=model, count=-2)
+
+
+def _pops(counts, ids=None):
+    ids = ids or range(1, len(counts) + 1)
+    return tuple(
+        PopulationSpec(class_id=i, model=BandoFtl(a=1.0 + i, b=9.0, pref=PREF), count=c)
+        for i, c in zip(ids, counts)
+    )
+
+
+def test_classes_drop_empty_populations_in_declaration_order():
+    pops = _pops([2, 0, 3, 0, 1], ids=[7, 3, 5, 1, 2])
+    comp = Composition(pops, block_ordering(pops))
+    assert comp.classes == (pops[0], pops[2], pops[4])
+    assert [p.class_id for p in comp.classes] == [7, 5, 2]
+
+
+@pytest.mark.parametrize("kind", ["blocks", "spread", "shuffled"])
+def test_index_maps_the_ordering_onto_classes(kind):
+    pops = _pops([4, 0, 3, 5], ids=[3, 9, 1, 2])
+    if kind == "blocks":
+        ordering = block_ordering(pops)
+    elif kind == "spread":
+        ordering = spread_ordering(pops)
+    else:
+        ordering = list(block_ordering(pops))
+        np.random.default_rng(11).shuffle(ordering)
+        ordering = tuple(ordering)
+    comp = Composition(pops, ordering)
+    assert comp.index.shape == (12,)
+    assert np.issubdtype(comp.index.dtype, np.integer)
+    assert [comp.classes[i].class_id for i in comp.index] == list(ordering)
+    with pytest.raises(ValueError):
+        comp.index[0] = 0
+
+
+def test_class_attributes_leave_equality_and_hash_alone():
+    pops = _pops([2, 0, 3])
+    first = Composition(pops, spread_ordering(pops))
+    second = Composition(pops, spread_ordering(pops))
+    assert first == second and hash(first) == hash(second)
+    assert first != Composition(pops, block_ordering(pops))
+    assert [f.name for f in dataclasses.fields(Composition)] == ["populations", "ordering"]
+    assert "index" not in repr(first) and "classes" not in repr(first)

@@ -106,6 +106,22 @@ def test_accel_pure_relaxation_at_rest():
         assert accel(model, h, 0.0, 0.0) == pytest.approx(eval_preference(PREF, h), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (math.inf, 20.0),
+        (4.0, math.inf),
+        (math.inf, math.inf),
+        (math.nan, 20.0),
+        (4.0, 0.0),
+        (-1.0, 20.0),
+    ],
+)
+def test_bando_ftl_requires_finite_positive_gains(a, b):
+    with pytest.raises(ValueError, match="require finite a > 0 and b > 0"):
+        BandoFtl(a=a, b=b, pref=PREF)
+
+
 def test_accel_rejects_contact_and_nonfinite():
     model = BandoFtl(a=1.0, b=1.0, pref=PREF)
     with pytest.raises(CollisionError):

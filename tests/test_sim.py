@@ -28,7 +28,7 @@ from ringwave import (
 )
 
 from ringwave.model import _speed
-from ringwave.sim import _Rk4, _check_headways, _vehicle_classes
+from ringwave.sim import _Rk4, _check_headways
 
 from conftest import composition_of
 
@@ -46,12 +46,12 @@ def _assert_rhs_matches_accel(comp):
     eq = equilibrium_from_velocity(comp, 4.0)
     state = initial_state(eq, comp, Perturbation(0.3, SeededRandomZeroSum(seed=5)))
     h, v = state.headways, state.velocities
-    rk4 = _Rk4(*_vehicle_classes(comp), 0.05)
+    rk4 = _Rk4(comp, 0.05)
     rk4.X[0] = (h, v)
     rk4.rates(0)
     hdot, vdot = rk4.K[0]
     assert np.array_equal(hdot, np.roll(v, -1) - v)
-    expected = [accel(comp.model_of(c), h[j], hdot[j], v[j]) for j, c in enumerate(comp.ordering)]
+    expected = [accel(comp.classes[i].model, h[j], hdot[j], v[j]) for j, i in enumerate(comp.index)]
     np.testing.assert_allclose(vdot, expected, rtol=1e-14, atol=1e-15)
 
 
@@ -71,7 +71,7 @@ def _textbook_rk4_step(comp, h, v, dt, check=lambda h: None):
 
     ``check`` sees the headways of each stage input before its rates are taken.
     """
-    models = [comp.model_of(c) for c in comp.ordering]
+    models = [comp.classes[i].model for i in comp.index]
     a, b, v_max, l_v, d0 = (
         np.array(col)
         for col in zip(*((m.a, m.b, m.pref.v_max, m.pref.l_v, m.pref.d0) for m in models))
@@ -317,6 +317,18 @@ def test_nonfinite_headway_is_a_numeric_failure():
     h[2] = np.nan
     with pytest.raises(FloatingPointError, match="vehicle 2"):
         step(type(state)(t=1.0, headways=h, velocities=state.velocities), comp, 0.05)
+
+
+def test_huge_kick_collides_without_warning_at_t0(ref_models, ref_v_bar):
+    # np.var of the kicked speeds overflows at the t = 0 sample; that must not
+    # warn (an error under this suite) but reach the collision in stage 2
+    comp = composition_of([ref_models[0]], [6])
+    eq = equilibrium_from_velocity(comp, ref_v_bar)
+    cfg = SimConfig(t_end=1.0, perturbation=Perturbation(1.5e308, SingleVehicleKick()))
+    message = r"^headway of vehicle 0 reached -3\.75e\+306 m near t=0\.000 s$"
+    with pytest.raises(CollisionError, match=message) as err:
+        simulate(comp, eq, cfg)
+    assert (err.value.index, err.value.time) == (0, 0.0)
 
 
 def test_unstable_step_size_is_reported_as_numeric(ref_models, ref_v_bar):
