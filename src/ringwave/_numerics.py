@@ -1,4 +1,4 @@
-"""Share checks and rounding helpers used across modules."""
+"""Share checks, rounding and interleaving helpers used across modules."""
 
 from __future__ import annotations
 
@@ -22,3 +22,19 @@ def largest_remainder(rates: Sequence[float], total: int) -> list[int]:
     for i in order[:short]:
         base[i] += 1
     return base
+
+
+def spread(counts: Sequence[int]) -> list[int]:
+    """Each index ``i`` of ``counts`` ``counts[i]`` times, interleaved as evenly as the counts allow.
+
+    Place ``j`` goes to the index furthest behind its share ``counts[i] j / total``; the leads
+    sum to 1, so a count of 0 is never ahead.  Ties go to the larger count, then the lower index.
+    """
+    total = sum(counts)
+    placed = [0] * len(counts)
+    out = []
+    for j in range(1, total + 1):
+        best = max(range(len(counts)), key=lambda i: (counts[i] * j / total - placed[i], counts[i], -i))
+        placed[best] += 1
+        out.append(best)
+    return out

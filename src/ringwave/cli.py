@@ -52,7 +52,7 @@ from .sim import (
     SinusoidalMode,
     simulate,
 )
-from .spectrum import Fleet, RingSystem, eigenvalues, eigenvalues_on_H, misfit, rightmost_eigenvalues
+from .spectrum import Fleet, eigenvalues, rightmost_eigenvalues
 from .stability import ABSCISSA_TOL, critical_penetration, margin_curve, multi_phase_margin
 
 _POS = {"type": "number", "exclusiveMinimum": 0}
@@ -350,20 +350,7 @@ def cmd_margin(config: dict, out: Path, deterministic: bool) -> int:
 def cmd_spectrum(config: dict, out: Path, deterministic: bool) -> int:
     comp = _build_composition(config["composition"])
     eq = _resolve_equilibrium(config["equilibrium"], comp)
-    trios = _trios_at(comp.classes, eq.v_bar)
-    fleet = Fleet(trios, [p.count for p in comp.classes])
-    report = eigenvalues(fleet)
-    fast = misfit(fleet, report)
-    if fast:
-        # dense eigvals on the spread ring; it misleads on blocks or shuffles
-        trio_by_class = {p.class_id: t for p, t in zip(comp.classes, trios)}
-        spread = spread_ordering(comp.classes)
-        report = eigenvalues_on_H(RingSystem(tuple(trio_by_class[a] for a in spread)))
-        dense = misfit(fleet, report)
-        if dense:
-            raise FloatingPointError(
-                f"neither the class-count solver ({fast}) nor dense eigvals ({dense}) gives the spectrum"
-            )
+    report = eigenvalues(Fleet(_trios_at(comp.classes, eq.v_bar), [p.count for p in comp.classes]))
     rows = [(z.real, z.imag) for z in report.eigenvalues]
     _write_csv(out / "spectrum.csv", "re_1ps,im_1ps", rows, deterministic)
     print(f"n = {comp.n}: abscissa = {report.abscissa}")

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._numerics import spread
 from .errors import NoEquilibriumError
 from .model import BandoFtl, preferred_headway
 
@@ -81,19 +82,9 @@ def block_ordering(populations: Sequence[PopulationSpec]) -> tuple[int, ...]:
 
 
 def spread_ordering(populations: Sequence[PopulationSpec]) -> tuple[int, ...]:
-    """Classes interleaved as evenly as the counts allow."""
-    total = sum(p.count for p in populations)
-    placed = {p.class_id: 0 for p in populations}
-    out: list[int] = []
-    for j in range(1, total + 1):
-        # place the class that is furthest behind its ideal share
-        best = max(
-            (p for p in populations if p.count > 0),
-            key=lambda p: (p.count * j / total - placed[p.class_id], p.count, -p.class_id),
-        )
-        placed[best.class_id] += 1
-        out.append(best.class_id)
-    return tuple(out)
+    """Classes interleaved as evenly as the counts allow, ties to the lower ``class_id``; see :func:`spread`."""
+    pops = sorted(populations, key=lambda p: p.class_id)
+    return tuple(pops[i].class_id for i in spread([p.count for p in pops]))
 
 
 @dataclass(frozen=True, eq=False)

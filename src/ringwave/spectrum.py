@@ -23,8 +23,8 @@ Fleets that share their trios share their array passes, in blocks of at
 most ``_BLOCK_POINTS`` points, every point weighted by its own fleet's
 counts.  :func:`eigenvalues` finds all 2n - 1 of them at once by
 Aberth-Ehrlich iteration on ``Q (1 - F)``, ``Q = prod_k q_k^(n_k)``, in
-O(n) memory, and :func:`misfit` certifies any claimed spectrum by the
-same counts.
+O(n) memory, or else by dense ``eigvals`` on the spread ring, and returns
+only a spectrum that :func:`misfit` certifies by the same counts.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numerics import check_rates, largest_remainder
+from ._numerics import check_rates, largest_remainder, spread
 from .errors import PoleError
 from .linearize import LinearTrio
 
@@ -251,8 +251,6 @@ _MAX_ROUNDS = 60
 _TURN_SLACK = 0.25
 # half-width of the abscissa certificate, relative to max(1, |abscissa|)
 _CERT_RTOL = 1e-10
-# relative width at which the fallback bisection on the count stops
-_BISECT_RTOL = 1e-12
 # Newton seeds sit where the phase of F crosses a multiple of this; eigenvalues
 # near the axis sit at multiples of 2 pi, the extra seeds serve small fleets
 _SEED_PHASE = math.pi / 2
@@ -553,14 +551,15 @@ def rightmost_eigenvalues(fleets: Sequence[Fleet]) -> list[complex]:
     """The eigenvalue of largest real part of the ring of each of ``fleets``, but the structural zero.
 
     The real part, the spectral abscissa, is the same for every ordering; the
-    imaginary part is the angular frequency of the fastest-growing (or
-    slowest-decaying) wave.  Newton on ``log F = 2 pi i m`` starts from all
-    fleets' seeds at once: for one class its eigenvalues in closed form, else
-    every crossing of a multiple of pi/2 by the phase of F along the imaginary
-    axis.  The rightmost root ``a`` is certified by two counts, all fleets'
-    taken at once: none right of ``Re a + d``, some right of ``Re a - d``, ``d
-    = 1e-10 max(1, |Re a|)``.  Failing that, the abscissa is bisected on the
-    count and the root polished by Newton.  Of fleets that fail, the first raises.
+    imaginary part, taken ``>= 0``, is the angular frequency of the
+    fastest-growing (or slowest-decaying) wave.  Newton on ``log F = 2 pi i
+    m`` starts from all fleets' seeds at once: for one class its eigenvalues
+    in closed form, else every crossing of a multiple of pi/2 by the phase of
+    F along the imaginary axis.  The rightmost root ``a`` is certified by two
+    counts, all fleets' taken at once: none right of ``Re a + d``, some right
+    of ``Re a - d``, ``d = 1e-10 max(1, |Re a|)``.  Failing that, or with no
+    root found, the top of :func:`_certified` with ``top`` is taken.
+    Of fleets that fail, the first raises.
     """
     fleets = list(fleets)
     multi = [i for i, f in enumerate(fleets) if len(f.counts) > 1]
@@ -583,47 +582,24 @@ def rightmost_eigenvalues(fleets: Sequence[Fleet]) -> list[complex]:
             r = roots[(ln == j) & (np.abs(roots) > _zero_gap(fleets[i]))]
             if r.size:
                 tops[i] = complex(r[np.argmax(r.real)])
-    edges = {i: _cert_lines(top.real) for i, top in tops.items()}
-    counts = _line_counts([(fleets[i], s) for i in edges for s in edges[i]])
-    cert = dict(zip(edges, zip(counts[::2], counts[1::2])))
+    counts = _line_counts([(fleets[i], s) for i in tops for s in _cert_lines(tops[i].real)])
+    cert = dict(zip(tops, zip(counts[::2], counts[1::2])))
     out = []
     for i, fleet in enumerate(fleets):  # in order, so that the first failure is raised
-        _unwrap(axes.get(i))
-        # every eigenvalue lies in a Gershgorin disc of the ring matrix
-        lo, hi = -3.0 - float((fleet.alpha + fleet.beta + fleet.gamma).max()), 2.0 + float(fleet.alpha.max())
-        if i in cert:
-            (above, below), (n_above, n_below) = edges[i], cert[i]
-            if _unwrap(n_above) == 0 and _unwrap(n_below) >= 1:
-                out.append(tops[i])
-                continue
-            lo, hi = (lo, below) if n_above == 0 else (above, hi)
-        out.append(_bisect_abscissa(fleet, lo, hi))
+        n_above, n_below = cert.get(i, (None, None))
+        if _unwrap(n_above) == 0 and _unwrap(n_below) >= 1:
+            top = tops[i]
+        else:
+            report = _certified(fleet, top=True)
+            top = report.eigenvalues[report.eigenvalues.real == report.abscissa][0]
+        # F is real, so the conjugate of an eigenvalue is one too
+        out.append(complex(top.real, abs(top.imag)))
     return out
 
 
 def rightmost_eigenvalue(fleet: Fleet) -> complex:
     """Eigenvalue of largest real part of the ring of ``fleet``; see :func:`rightmost_eigenvalues`."""
     return rightmost_eigenvalues([fleet])[0]
-
-
-def _bisect_abscissa(fleet: Fleet, lo: float, hi: float) -> complex:
-    """The rightmost eigenvalue, its real part bracketed in ``[lo, hi]`` by bisection on the count."""
-    while hi - lo > _BISECT_RTOL * max(1.0, abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi) or 0.5 * hi  # lo < 0 < hi: step off the zero line
-        if count_right_of(fleet, mid) == 0:
-            hi = mid
-        else:
-            lo = mid
-    # polish from where the phase of 1 - F turns fastest along Re(lambda) = lo
-    xa, xb, _, d_arg, _ = _unwrap(_resolve_lines([(fleet, lo)], winding=True)[0])
-    pick = np.argsort(np.abs(d_arg) / (xb - xa))[-8:]
-    seeds = lo + 0.5j * (xa[pick] + xb[pick])
-    roots, _ = _newton_roots(fleet, seeds, fleet.count, np.zeros(pick.size, dtype=int))
-    tol = _BISECT_RTOL * max(1.0, abs(lo), abs(hi))
-    roots = roots[(roots.real >= lo - tol) & (roots.real <= hi + tol)]
-    if not roots.size:
-        raise FloatingPointError(f"no eigenvalue found in the certified strip [{lo}, {hi}]")
-    return complex(roots[np.argmax(roots.real)])
 
 
 # The whole spectrum: Aberth-Ehrlich iteration on P = Q (1 - F), Q = prod_k q_k^(n_k),
@@ -791,7 +767,7 @@ def _aberth(fleet: Fleet, lam: np.ndarray) -> np.ndarray:
     return lam
 
 
-def eigenvalues(fleet: Fleet) -> SpectrumReport:
+def _class_count_spectrum(fleet: Fleet) -> SpectrumReport:
     """All 2n - 1 eigenvalues of the ring of ``fleet``, from its class counts alone.
 
     They are the roots of ``P = Q (1 - F)`` but its structural zero, found by
@@ -799,8 +775,7 @@ def eigenvalues(fleet: Fleet) -> SpectrumReport:
     :func:`_seed_spectrum`, in O(n) memory.  P is real, so the values within
     their root error of the real axis are put on it and the rest are taken
     from the upper half plane with their mirror images: the result is
-    exactly closed under conjugation.  Nothing here certifies the values;
-    :func:`misfit` does.
+    exactly closed under conjugation.  Nothing here certifies the values.
     """
     lam = _aberth(fleet, _seed_spectrum(fleet))
     slack = np.maximum(fleet.root_error(lam), 4.0 * np.finfo(float).eps * np.abs(lam))
@@ -820,8 +795,13 @@ def misfit(fleet: Fleet, report: SpectrumReport) -> str:
     the upper line, some right of the lower.  Only a report that passes the
     other checks is counted; a count that fails raises.
     """
-    lam = report.eigenvalues
-    due = 2 * int(fleet.count.sum()) - 1
+    return _misfit(fleet, report, top=False)
+
+
+def _misfit(fleet: Fleet, report: SpectrumReport, top: bool) -> str:
+    """:func:`misfit`; with ``top``, of the rightmost value alone, so that a value no double resolves is no obstacle."""
+    lam = report.eigenvalues[report.eigenvalues.real == report.abscissa][:1] if top else report.eigenvalues
+    due = 1 if top else 2 * int(fleet.count.sum()) - 1
     err = fleet.root_error(lam)
     # strictly below: the structural zero, where root_error is 0, is no eigenvalue
     off = int((~(err < _MISFIT_RTOL * np.abs(lam))).sum())
@@ -839,3 +819,25 @@ def misfit(fleet: Fleet, report: SpectrumReport) -> str:
     if n_above or not n_below:
         return f"abscissa {report.abscissa}, with {n_above} eigenvalues right of {above} and {n_below} right of {below}"
     return ""
+
+
+def _certified(fleet: Fleet, top: bool) -> SpectrumReport:
+    """The class-count spectrum, or else dense ``eigvals`` on the spread ring, whichever passes :func:`_misfit` first.
+
+    If neither does, ``FloatingPointError`` names both misfits.  The ring matrix
+    is non-normal: on block or shuffled orderings ``eigvals`` returns no eigenvalues.
+    """
+    report = _class_count_spectrum(fleet)
+    fast = _misfit(fleet, report, top)
+    if not fast:
+        return report
+    report = eigenvalues_on_H(RingSystem(tuple(fleet.trios[k] for k in spread(fleet.counts))))
+    dense = _misfit(fleet, report, top)
+    if dense:
+        raise FloatingPointError(f"neither the class-count solver ({fast}) nor dense eigvals ({dense}) gives the spectrum")
+    return report
+
+
+def eigenvalues(fleet: Fleet) -> SpectrumReport:
+    """All 2n - 1 eigenvalues of the ring of ``fleet``, certified by :func:`misfit`; see :func:`_certified`."""
+    return _certified(fleet, top=False)

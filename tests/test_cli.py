@@ -15,10 +15,10 @@ from ringwave import _schema, cli, spectrum
 from ringwave.cli import _config_schema, main
 from ringwave.errors import ConfigError
 from ringwave.equilibrium import spread_ordering
-from ringwave.spectrum import Fleet, RingSystem, eigenvalues, eigenvalues_on_H, rightmost_eigenvalue
+from ringwave.spectrum import Fleet, RingSystem, count_right_of, eigenvalues_on_H, rightmost_eigenvalue
 from ringwave.stability import ABSCISSA_TOL
 
-from conftest import REF_D0, REF_HEADWAY, REF_LV, REF_SLOPE
+from conftest import REF_D0, REF_HEADWAY, REF_LV, REF_SLOPE, single_class_spectrum
 
 CAL_PREF = {
     "calibrate": {"h_ref": REF_HEADWAY, "slope": REF_SLOPE, "l_v": REF_LV, "d0": REF_D0}
@@ -363,7 +363,8 @@ def _dense_small_blocks_csv():
 
 def test_spectrum_falls_back_to_dense_off_a_missed_root(tmp_path, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "eigenvalues", _nudged(lambda fleet: calls.append(fleet) or eigenvalues(fleet)))
+    solve = spectrum._class_count_spectrum
+    monkeypatch.setattr(spectrum, "_class_count_spectrum", _nudged(lambda fleet: calls.append(fleet) or solve(fleet)))
     cfg = write_config(tmp_path, SMALL_BLOCKS)
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path), "--deterministic"]) == 0
     assert len(calls) == 1
@@ -371,8 +372,8 @@ def test_spectrum_falls_back_to_dense_off_a_missed_root(tmp_path, monkeypatch):
 
 
 def test_spectrum_refuses_a_dense_eigenvalue_off_its_root(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "eigenvalues", _nudged(eigenvalues))
-    monkeypatch.setattr(cli, "eigenvalues_on_H", _nudged(eigenvalues_on_H))
+    monkeypatch.setattr(spectrum, "_class_count_spectrum", _nudged(spectrum._class_count_spectrum))
+    monkeypatch.setattr(spectrum, "eigenvalues_on_H", _nudged(eigenvalues_on_H))
     cfg = write_config(tmp_path, SMALL_BLOCKS)
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
@@ -381,8 +382,8 @@ def test_spectrum_refuses_a_dense_eigenvalue_off_its_root(tmp_path, capsys, monk
     assert not (tmp_path / "spectrum.csv").exists()
 
 
-def test_spectrum_gives_up_a_line_that_no_grid_resolves(tmp_path, capsys, monkeypatch):
-    # v_max = 1e300 makes alpha 3.9e296; the phase along the sweep's certificate line stays
+def test_spectrum_gives_up_a_line_that_no_grid_resolves(tmp_path, monkeypatch):
+    # v_max = 1e300 makes alpha 3.9e296; the phase along Re(lambda) = alpha / 2 stays
     # unresolved however fine the grid, and refining it fourfold a round once ran out of memory
     real_log_factors = spectrum._log_factors
 
@@ -400,11 +401,20 @@ def test_spectrum_gives_up_a_line_that_no_grid_resolves(tmp_path, capsys, monkey
         "equilibrium": eq,
         "sweep": {"n_totals": [6], "rate_class1": 1.0},
     }
+    pops = cli._build_populations(payload["populations"])
+    trio = cli._trios_at(pops, cli._resolve_v_bar(eq, pops))[0]
     start = time.perf_counter()
-    assert main(["sweep", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]) == 4
+    with pytest.raises(FloatingPointError, match="could not be resolved"):
+        count_right_of(Fleet([trio], [6]), trio.alpha / 2)
     assert time.perf_counter() - start < 10.0
-    assert "could not be resolved" in capsys.readouterr().err
-    # neither solver's values pass the certificate, so no line is counted there
+    # every root lies inside the structural zero's gap, 2 pi 1e-6 / |F'(0)|, so Newton finds no
+    # top; the sweep takes the class-count spectrum's, certified by its two counts
+    start = time.perf_counter()
+    assert main(["sweep", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]) == 0
+    assert time.perf_counter() - start < 10.0
+    _, rows = read_csv(tmp_path / "sweep.csv")
+    assert float(rows[0][2]) == pytest.approx(single_class_spectrum(trio, 6).real.max(), rel=1e-12)
+    # one of the 11 values is missing and dense misses one, so the full spectrum is refused
     payload = {
         "schema_version": 1,
         "composition": {"populations": [{"class_id": 1, "count": 6, "model": model}], "ordering": "spread"},
@@ -429,8 +439,9 @@ def _top_pair_moved(solve):
 def test_spectrum_counts_the_abscissa_it_writes(tmp_path, monkeypatch):
     # each moved value still passes root_error and coincident; only the counts see the abscissa move
     fleet_of = []
-    moved = _top_pair_moved(lambda fleet: fleet_of.append(fleet) or eigenvalues(fleet))
-    monkeypatch.setattr(cli, "eigenvalues", moved)
+    solve = spectrum._class_count_spectrum
+    moved = _top_pair_moved(lambda fleet: fleet_of.append(fleet) or solve(fleet))
+    monkeypatch.setattr(spectrum, "_class_count_spectrum", moved)
     cfg = write_config(tmp_path, SMALL_BLOCKS)
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path), "--deterministic"]) == 0
     assert (tmp_path / "spectrum.csv").read_text(encoding="utf-8") == _dense_small_blocks_csv()

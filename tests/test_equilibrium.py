@@ -193,6 +193,20 @@ def test_index_maps_the_ordering_onto_classes(kind):
         comp.index[0] = 0
 
 
+@pytest.mark.parametrize(
+    "counts, ids, expected",
+    [
+        ([4, 0, 3, 5], [3, 9, 1, 2], (2, 3, 1, 2, 3, 2, 1, 3, 2, 1, 3, 2)),
+        ([2, 2, 3], [5, 1, 3], (3, 1, 5, 3, 1, 5, 3)),
+        ([3, 3], [2, 1], (1, 2, 1, 2, 1, 2)),
+        ([1, 1, 1, 1], [4, 3, 2, 1], (1, 2, 3, 4)),
+        ([6, 4, 4], [9, 2, 7], (9, 2, 7, 9, 2, 7, 9, 9, 2, 7, 9, 2, 7, 9)),
+    ],
+)
+def test_spread_ordering_breaks_ties_by_class_id_whatever_the_declaration_order(counts, ids, expected):
+    assert spread_ordering(_pops(counts, ids)) == expected
+
+
 def test_class_attributes_leave_equality_and_hash_alone():
     pops = _pops([2, 0, 3])
     first = Composition(pops, spread_ordering(pops))

@@ -9,17 +9,14 @@ import pytest
 from ringwave import (
     Fleet,
     LinearTrio,
-    PopulationSpec,
     RingSystem,
-    eigenvalues,
     eigenvalues_on_H,
     min_unstable_size,
     multi_phase_tau1,
-    spread_ordering,
     transfer_product,
 )
-from ringwave._numerics import largest_remainder
-from ringwave.spectrum import _log_product, coincident
+from ringwave._numerics import largest_remainder, spread
+from ringwave.spectrum import _class_count_spectrum, _log_product, coincident
 
 from conftest import random_trio, single_class_spectrum
 
@@ -186,8 +183,7 @@ def test_log_product_matches_the_direct_sum_next_to_each_zero(distance):
 
 
 def _spread_ring(fleet):
-    pops = [PopulationSpec(class_id=k, model=None, count=c) for k, c in enumerate(fleet.counts)]
-    return RingSystem(tuple(fleet.trios[k] for k in spread_ordering(pops)))
+    return RingSystem(tuple(fleet.trios[k] for k in spread(fleet.counts)))
 
 
 def _assert_one_to_one(lam, ref, rtol):
@@ -208,7 +204,7 @@ def test_eigenvalues_match_dense_one_to_one():
         k = int(rng.integers(1, 4))
         trios = [random_trio(rng, stable=bool(rng.integers(2))) for _ in range(k)]
         fleet = Fleet(trios, [int(c) for c in rng.integers(2, 67, k)])
-        lam = eigenvalues(fleet).eigenvalues
+        lam = _class_count_spectrum(fleet).eigenvalues
         assert lam.size == 2 * sum(fleet.counts) - 1
         np.testing.assert_array_equal(np.sort_complex(lam.conj()), lam)
         _assert_one_to_one(lam, eigenvalues_on_H(_spread_ring(fleet)).eigenvalues, 1e-9)
@@ -216,7 +212,7 @@ def test_eigenvalues_match_dense_one_to_one():
 
 @pytest.mark.parametrize("trio, n", [(T_A, 1), (T_A, 12), (T_B, 2), (T_B, 31), (T_C, 64)])
 def test_eigenvalues_of_one_class_are_its_closed_form(trio, n):
-    lam = eigenvalues(Fleet([trio], [n])).eigenvalues
+    lam = _class_count_spectrum(Fleet([trio], [n])).eigenvalues
     _assert_one_to_one(lam, single_class_spectrum(trio, n), 1e-12)
 
 

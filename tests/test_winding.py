@@ -23,6 +23,7 @@ from ringwave import (
     transfer_product,
 )
 from ringwave import spectrum
+from ringwave._numerics import spread
 from ringwave.stability import ABSCISSA_TOL
 
 from conftest import random_trio, single_class_spectrum
@@ -137,8 +138,17 @@ def test_abscissa_reference_pair_at_800(ref_trios):
     assert ab == pytest.approx(0.015896452385883, abs=1e-12)
 
 
-def test_bisection_fallback_without_newton_roots(monkeypatch):
-    # when the seeds find nothing, the abscissa comes from bisection on the count
+@pytest.fixture
+def spectra(monkeypatch):
+    """The fleets whose spectrum ``spectrum._class_count_spectrum`` is asked to solve."""
+    calls = []
+    real_solve = spectrum._class_count_spectrum
+    monkeypatch.setattr(spectrum, "_class_count_spectrum", lambda fleet: calls.append(fleet) or real_solve(fleet))
+    return calls
+
+
+def test_certified_spectrum_fallback_without_newton_roots(monkeypatch, spectra):
+    # when the seeds find nothing, the top comes from the certified spectrum
     real_newton = spectrum._newton_roots
     calls = []
 
@@ -149,9 +159,76 @@ def test_bisection_fallback_without_newton_roots(monkeypatch):
     monkeypatch.setattr(spectrum, "_newton_roots", seeds_fail)
     trios, counts = [T_STABLE, T_UNSTABLE], [5, 7]
     root = rightmost_eigenvalue(Fleet(trios, counts))
-    assert len(calls) == 2
+    assert len(calls) == 1 and len(spectra) == 1
     assert abs(root.real - eigenvalues_on_H(shuffled_ring(trios, counts)).abscissa) <= 1e-9
     assert abs(transfer_product(shuffled_ring(trios, counts), root) - 1.0) <= 1e-9
+
+
+# the Newton top of each of these fails its two counts
+FALLBACK_FLEETS = [
+    (
+        [
+            LinearTrio(0.48329896108226544, 1.032813486166914, 0.8154842688655806),
+            LinearTrio(0.09711404612964356, 0.859940346119107, 0.5380908840323894),
+        ],
+        [1, 1],
+    ),
+    (
+        [
+            LinearTrio(0.2780147575566524, 1.313779267336212, 0.5261363075008848),
+            LinearTrio(1.5662397395682945, 1.7042953118044322, 0.4900168531262588),
+        ],
+        [3, 2],
+    ),
+]
+
+
+@pytest.mark.parametrize("trios, counts", FALLBACK_FLEETS)
+def test_uncertified_newton_top_falls_back_on_the_spectrum(spectra, trios, counts):
+    root = rightmost_eigenvalue(Fleet(trios, counts))
+    assert len(spectra) == 1
+    ring = RingSystem(tuple(trios[k] for k in spread(counts)))
+    assert abs(root.real - eigenvalues_on_H(ring).abscissa) <= 1e-9
+
+
+def test_fallback_certifies_the_top_where_a_root_sits_on_a_simple_pole():
+    # Newton misses the top pair; one root lies closer to the simple pole at -0.316277 than
+    # a double resolves, so no spectrum passes misfit, but the top passes its own certificate
+    trios = [
+        LinearTrio(0.4509827418348047, 2.3791363201764, 1.4193323848898762),
+        LinearTrio(0.3605738128559362, 1.4563341170277577, 1.0114160439256232),
+    ]
+    fleet = Fleet(trios, [8, 1])
+    with pytest.raises(FloatingPointError, match="1 of 17 miss F"):
+        spectrum.eigenvalues(fleet)
+    root = rightmost_eigenvalue(fleet)
+    ring = RingSystem(tuple(trios[k] for k in spread([8, 1])))
+    assert abs(root.real - eigenvalues_on_H(ring).abscissa) <= 1e-9
+    assert root.imag > 0.1 and fleet.root_error(root)[0] <= 1e-12
+
+
+def test_top_of_a_first_order_lag_ring():
+    # alpha and beta near 1e30 make the ring a first-order lag, lam = c (w - 1), c = alpha / beta,
+    # w^10 = 1; its Newton top fails the counts, and the closed-form roots leave the full spectrum
+    # uncertified
+    trio = LinearTrio(alpha=4.839339011899325e29, beta=1e30, gamma=0.9876543200805932)
+    root = rightmost_eigenvalue(Fleet([trio], [10]))
+    expected = trio.alpha / trio.beta * (np.exp(0.2j * np.pi) - 1.0)
+    assert abs(root - expected) <= 1e-12 * abs(expected)
+
+
+def test_top_is_the_upper_member_of_its_pair():
+    # Im is the wave's angular frequency, whichever member Newton or the spectrum found
+    rng = np.random.default_rng(23)
+    batch = []
+    for _ in range(200):
+        k, n = int(rng.integers(1, 3)), int(rng.integers(2, 40))
+        trios = [random_trio(rng, stable=bool(rng.integers(2))) for _ in range(k)]
+        batch.append(Fleet(trios, [int(c) for c in rng.integers(1, n, k)]))
+    batch += [Fleet(*fleet) for fleet in FALLBACK_FLEETS]
+    tops = rightmost_eigenvalues(batch)
+    assert min(top.imag for top in tops) >= 0.0
+    assert sum(top.imag > 0.0 for top in tops) > 100
 
 
 @st.composite
