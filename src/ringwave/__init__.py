@@ -3,7 +3,14 @@
 Equilibrium flows, linearized spectra, analytic stability margins with the
 critical penetration rate of stable drivers, and nonlinear stop-and-go
 simulation.
+
+``import ringwave`` loads the analytic layers: the driver law, equilibria,
+linearization and the stability margins.  The spectral layer (``spectrum``)
+and the simulator (``sim``) load on first use of one of their names, so a
+caller that needs only margins and ``tau0`` never compiles them.
 """
+
+import importlib
 
 from .equilibrium import (
     Composition,
@@ -40,33 +47,6 @@ from .model import (
     preference_with_slope,
     preferred_headway,
 )
-from .sim import (
-    Perturbation,
-    SeededRandomZeroSum,
-    SimConfig,
-    SimState,
-    SimTrace,
-    SingleVehicleKick,
-    SinusoidalMode,
-    growth_rate,
-    initial_state,
-    simulate,
-    step,
-)
-from .spectrum import (
-    Fleet,
-    RingSystem,
-    SpectrumReport,
-    assemble,
-    char_poly_eval,
-    count_right_of,
-    eigenvalues,
-    eigenvalues_on_H,
-    misfit,
-    rightmost_eigenvalue,
-    rightmost_eigenvalues,
-    transfer_product,
-)
 from .stability import (
     MarginReport,
     MarginVerdict,
@@ -82,3 +62,56 @@ from .stability import (
 )
 
 __version__ = "0.1.0"
+
+# name -> submodule, for the submodules loaded on first use and the names they serve
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "spectrum",
+            "Fleet",
+            "RingSystem",
+            "SpectrumReport",
+            "assemble",
+            "char_poly_eval",
+            "count_right_of",
+            "eigenvalues",
+            "eigenvalues_on_H",
+            "misfit",
+            "rightmost_eigenvalue",
+            "rightmost_eigenvalues",
+            "transfer_product",
+        ),
+        "spectrum",
+    ),
+    **dict.fromkeys(
+        (
+            "sim",
+            "Perturbation",
+            "SeededRandomZeroSum",
+            "SimConfig",
+            "SimState",
+            "SimTrace",
+            "SingleVehicleKick",
+            "SinusoidalMode",
+            "growth_rate",
+            "initial_state",
+            "simulate",
+            "step",
+        ),
+        "sim",
+    ),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = importlib.import_module(f".{module}", __name__)
+    value = loaded if name == module else getattr(loaded, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

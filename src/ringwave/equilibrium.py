@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -103,7 +104,9 @@ def equilibrium_from_velocity(comp: Composition, v_bar: float) -> EquilibriumFlo
     headway at ``v_bar``.
     """
     h_bar = {p.class_id: preferred_headway(p.model, v_bar) for p in comp.classes}
-    length = math.fsum(h_bar[a] for a in comp.ordering)
+    # fsum rounds the exact sum once, so each class's headway repeated by its count gives
+    # the same bits as the sum over the vehicles in ring order
+    length = math.fsum(chain.from_iterable(repeat(h_bar[p.class_id], p.count) for p in comp.classes))
     return EquilibriumFlow(v_bar=v_bar, h_bar=h_bar, length=length)
 
 

@@ -12,6 +12,13 @@ enough times when the sum is positive somewhere.  For one stable and one
 unstable class this yields a closed-form critical penetration rate: the
 minimal fraction of stable vehicles above which the fleet is stable at any
 size.
+
+Every maximum here (the margin, the ratio behind ``tau0`` and ``tau1``) is
+taken on a 4096-point log grid, where only the value and the slope are
+computed, and each grid peak is then polished by a few guarded Newton steps
+in plain floats.  Grid and polish run the same per-class formula, with
+``np.log1p`` for the logs in both, so a polished value has the bits the grid
+would give at that point.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +34,6 @@ import numpy as np
 from ._numerics import check_rates
 from .errors import ModelInvalidError
 from .linearize import LinearTrio, discriminant
-from .spectrum import Fleet, _line_counts, _unwrap
 
 GRID_POINTS = 4096
 
@@ -84,35 +91,54 @@ def log_gain(trio: LinearTrio, y):
     # ndarray methods, not np.all/np.any: the wrappers cost more than the math
     if not np.isfinite(arr).all() or (arr < 0.0).any():
         raise ValueError("y must be finite and nonnegative")
-    out = _weighted_gain(_gain_columns([trio], [1.0]), arr)[0]
+    out = _weighted_gain(_gain_classes([trio], [1.0]), arr, curvature=False)[0]
     return float(out) if arr.ndim == 0 else out
 
 
-def _gain_columns(trios: Sequence[LinearTrio], weights: Sequence[float]) -> np.ndarray:
-    """Per weighted class, a column of ``alpha^2``, ``gamma^2``, ``beta^2 - 2 alpha`` and weight."""
-    rows = [(t.alpha * t.alpha, t.gamma * t.gamma, t.beta * t.beta - 2.0 * t.alpha, w)
-            for t, w in zip(trios, weights) if w != 0.0]
-    return np.array(rows, dtype=float).reshape(-1, 4).T
+def _gain_classes(trios: Sequence[LinearTrio], weights: Sequence[float]) -> list[tuple[float, ...]]:
+    """Per class of nonzero weight: ``alpha^2``, ``gamma^2``, ``beta^2 - 2 alpha`` and the weight."""
+    return [
+        (float(t.alpha * t.alpha), float(t.gamma * t.gamma), float(t.beta * t.beta - 2.0 * t.alpha), float(w))
+        for t, w in zip(trios, weights)
+        if w != 0.0
+    ]
 
 
-def _weighted_gain(cols: np.ndarray, y: np.ndarray):
-    """``S = sum_k w_k H_k(y)`` and its exact first and second derivatives in ``y``.
+def _class_gain(a2, g2, c, y, curvature: bool):
+    """``H = log p - log q`` of one class, its slope and, if ``curvature``, its curvature in ``y``.
 
-    ``H = log p - log q`` with ``p = 1 + gamma^2 y / alpha^2`` and
-    ``q = 1 + ((beta^2 - 2 alpha) y + y^2) / alpha^2``.  The numerator of ``H'``,
-    ``-discriminant - y (2 + gamma^2 y / alpha^2)``, is free of cancellation.
-    Every step is a ``(classes x y)`` array operation.
+    ``p = 1 + gamma^2 y / alpha^2`` and ``q = 1 + ((beta^2 - 2 alpha) y + y^2) / alpha^2``.  The
+    numerator of ``H'``, ``-discriminant - y (2 + gamma^2 y / alpha^2)``, is free of cancellation.
+    ``y`` is a grid (an array) or one point (a float), and the same lines serve both, so a polished
+    point agrees bit for bit with the grid's formula.  The logs are ``np.log1p`` for floats too:
+    ``math.log1p`` differs from NumPy's vectorised ``log1p`` in the last bit on about 1 % of inputs.
     """
-    a2, g2, c, w = cols.reshape(cols.shape + (1,) * y.ndim)
     num = g2 * y / a2
     den = (c * y + y * y) / a2
-    if (den <= -1.0).any():
+    # np.count_nonzero takes a float's bool as cheaply as an array; .any() would need an array
+    if np.count_nonzero(den <= -1.0):
         raise ModelInvalidError("a trio leaves the admissible set: its gain has a pole on the axis")
     p, q = 1.0 + num, 1.0 + den
     h = np.log1p(num) - np.log1p(den)
-    dh = ((g2 - c) - y * (2.0 + num)) / (a2 * p * q)
-    d2h = -(2.0 * p + dh * (g2 * q + p * (c + 2.0 * y))) / (a2 * p * q)
-    return (w * h).sum(axis=0), (w * dh).sum(axis=0), (w * d2h).sum(axis=0)
+    apq = a2 * p * q
+    dh = ((g2 - c) - y * (2.0 + num)) / apq
+    if not curvature:
+        return h, dh
+    return h, dh, -(2.0 * p + dh * (g2 * q + p * (c + 2.0 * y))) / apq
+
+
+def _weighted_gain(classes: Sequence[tuple[float, ...]], y, curvature: bool = True):
+    """``S = sum_k w_k H_k(y)``, its exact slope and, if ``curvature``, its curvature in ``y``.
+
+    ``classes`` is a nonempty :func:`_gain_classes`; ``y`` is an array or a float.  The classes
+    are added one after the other in their order, which is how NumPy sums a ``(classes x y)``
+    array down its first axis, and a loop over the classes costs less than broadcasting them.
+    """
+    sums = None
+    for a2, g2, c, w in classes:
+        terms = [w * t for t in _class_gain(a2, g2, c, y, curvature)]
+        sums = terms if sums is None else [s + t for s, t in zip(sums, terms)]
+    return sums
 
 
 def gamma_squared(trio2: LinearTrio) -> float:
@@ -133,33 +159,42 @@ def gamma_squared(trio2: LinearTrio) -> float:
 def _polished_max(fn, ys: np.ndarray) -> tuple[float, float]:
     """``(y, value)`` of the largest ``fn`` on the grid ``ys`` or at a polished grid peak.
 
-    ``fn(y)`` returns the value and its first two derivatives.  Each grid step where the
-    derivative turns from positive to nonpositive gets ``_NEWTON_STEPS`` Newton steps on
-    the derivative, all peaks at once, each kept inside its step by falling back to bisection.
+    ``fn(y, curvature)`` returns the value, the slope and, if ``curvature``, the curvature,
+    for an array or a float ``y``.  The grid needs only the value and the slope.  Each grid
+    step where the slope turns from positive to nonpositive brackets a peak, which gets
+    ``_NEWTON_STEPS`` Newton steps on the slope in plain floats, each kept inside its step
+    by falling back to bisection.  Floats, because a Newton step on one point costs a few
+    microseconds there and tens as 1-element arrays.
     """
-    vals, slope, _ = fn(ys)
-    i = np.flatnonzero((slope[:-1] > 0.0) & (slope[1:] <= 0.0))
-    lo, hi = ys[i], ys[i + 1]
-    y = 0.5 * (lo + hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    vals, slope = fn(ys, False)
+    peaks = []
+    for i in np.flatnonzero((slope[:-1] > 0.0) & (slope[1:] <= 0.0)).tolist():
+        lo, hi = float(ys[i]), float(ys[i + 1])
+        y = 0.5 * (lo + hi)
         for _ in range(_NEWTON_STEPS):
-            _, d1, d2 = fn(y)
-            lo, hi = np.where(d1 > 0.0, y, lo), np.where(d1 > 0.0, hi, y)
-            step = y - d1 / d2
-            y = np.where((d2 < 0.0) & (step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-    cand_y = np.concatenate((ys, y))
-    cand_v = np.concatenate((vals, fn(y)[0]))
+            _, d1, d2 = fn(y, True)
+            if d1 > 0.0:
+                lo = y
+            else:
+                hi = y
+            y = step if d2 < 0.0 and lo <= (step := y - d1 / d2) <= hi else 0.5 * (lo + hi)
+        peaks.append(y)
+    cand_y = np.concatenate((ys, peaks))
+    cand_v = np.concatenate((vals, [fn(y, False)[0] for y in peaks]))
     best = int(np.argmax(cand_v))
     return float(cand_y[best]), float(cand_v[best])
 
 
-def _gain_ratio(num: np.ndarray, den: np.ndarray, y: np.ndarray):
-    """``f = R / S`` of two weighted gains and its exact first and second derivatives in ``y``."""
-    r, r1, r2 = _weighted_gain(num, y)
-    s, s1, s2 = _weighted_gain(den, y)
-    f = r / s
-    f1 = (r1 - f * s1) / s
-    return f, f1, (r2 - f * s2 - 2.0 * f1 * s1) / s
+def _gain_ratio(
+    num: Sequence[tuple[float, ...]], den: Sequence[tuple[float, ...]], y, curvature: bool = True
+):
+    """``f = R / S`` of two weighted gains, its exact slope and, if ``curvature``, its curvature in ``y``."""
+    r, s = _weighted_gain(num, y, curvature), _weighted_gain(den, y, curvature)
+    f = r[0] / s[0]
+    f1 = (r[1] - f * s[1]) / s[0]
+    if not curvature:
+        return f, f1
+    return f, f1, (r[2] - f * s[2] - 2.0 * f1 * s[1]) / s[0]
 
 
 def _critical_ratio(
@@ -176,13 +211,13 @@ def _critical_ratio(
     if not unstable:
         return -math.inf
     ys = np.geomspace(max(unstable) * 1e-12, max(unstable), GRID_POINTS)
-    rest = _gain_columns(others, weights)
-    minus_h1 = _gain_columns([stable], [-1.0])
+    rest = _gain_classes(others, weights)
+    minus_h1 = _gain_classes([stable], [-1.0])
     d1, a1sq = discriminant(stable), stable.alpha**2
     limit0 = math.fsum(
         w * ((-discriminant(t) * a1sq) / (d1 * t.alpha**2)) for t, w in zip(others, weights)
     )
-    return max(_polished_max(lambda y: _gain_ratio(rest, minus_h1, y), ys)[1], limit0)
+    return max(_polished_max(partial(_gain_ratio, rest, minus_h1), ys)[1], limit0)
 
 
 def critical_penetration(trio1: LinearTrio, trio2: LinearTrio) -> TwoPhaseReport:
@@ -243,15 +278,16 @@ def margin_curve(
     """Count-weighted log gain ``sum_k counts[k] * H_k(y)`` on a log-spaced grid.
 
     The grid has ``points`` values of ``y`` spanning nine decades up to ten
-    times the widest feature of any unstable class (its ``-discriminant`` or
-    ``Gamma^2``), and at least up to 10.  Returns ``(ys, margin)``.
+    times the widest feature of any unstable class with a nonzero count (its
+    ``-discriminant`` or ``Gamma^2``), and at least up to 10.  Returns ``(ys, margin)``.
     """
-    ys = _margin_grid(trios, points)
-    return ys, _weighted_gain(_gain_columns(trios, counts), ys)[0]
+    ys, classes = _margin_grid(trios, counts, points), _gain_classes(trios, counts)
+    return ys, _weighted_gain(classes, ys, curvature=False)[0] if classes else np.zeros_like(ys)
 
 
-def _margin_grid(trios: Sequence[LinearTrio], points: int) -> np.ndarray:
-    unstable = [t for t in trios if discriminant(t) < 0.0]
+def _margin_grid(trios: Sequence[LinearTrio], counts: Sequence[float], points: int) -> np.ndarray:
+    """The grid of :func:`margin_curve`, spanned by the classes with a nonzero count."""
+    unstable = [t for t, c in zip(trios, counts) if c != 0 and discriminant(t) < 0.0]
     spans = [1.0] + [-discriminant(t) for t in unstable] + [gamma_squared(t) for t in unstable]
     window = 10.0 * max(spans)
     return np.geomspace(window * 1e-9, window, points)
@@ -271,8 +307,8 @@ def multi_phase_margin(
         raise ValueError("need matching, nonempty trio and count lists")
     if any(c < 0 for c in counts) or sum(counts) <= 0:
         raise ValueError("counts must be nonnegative with a positive total")
-    cols = _gain_columns(trios, counts)
-    y_best, sup = _polished_max(lambda y: _weighted_gain(cols, y), _margin_grid(trios, GRID_POINTS))
+    gain = partial(_weighted_gain, _gain_classes(trios, counts))
+    y_best, sup = _polished_max(gain, _margin_grid(trios, counts, GRID_POINTS))
     if sup > MARGIN_TOL:
         verdict = MarginVerdict.UNSTABLE_FOR_LARGE_N
     elif sup < -MARGIN_TOL:
@@ -305,8 +341,11 @@ def multi_phase_tau1(
 def _first_unstable(trios: Sequence[LinearTrio], rates: Sequence[float], sizes: Sequence[int]) -> int | None:
     """The first of ``sizes`` with an eigenvalue right of ``ABSCISSA_TOL``, all counted in one call.
 
-    A size whose count fails raises, unless an earlier size is unstable.
+    A size whose count fails raises, unless an earlier size is unstable.  The spectral layer
+    is imported here, so the margins and ``tau0`` never load it.
     """
+    from .spectrum import Fleet, _line_counts, _unwrap
+
     lines = [(Fleet.from_rates(trios, rates, n), ABSCISSA_TOL) for n in sizes]
     return next((n for n, count in zip(sizes, _line_counts(lines)) if _unwrap(count) >= 1), None)
 

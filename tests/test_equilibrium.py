@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from ringwave import (
     preferred_headway,
     spread_ordering,
 )
+
+from ringwave.equilibrium import LENGTH_TOL
 
 from conftest import REF_HEADWAY, composition_of
 
@@ -135,6 +138,51 @@ def test_length_invariant_under_ordering_permutation():
         comp = Composition(base.populations, tuple(int(x) for x in order))
         lengths.append(equilibrium_from_velocity(comp, 4.4).length)
     assert len(set(lengths)) == 1  # fsum makes the sum order-independent
+
+
+def _random_composition(rng):
+    """1 to 4 classes of random gains on two preferences, 1 to 10^4 vehicles in a shuffled ring."""
+    k = int(rng.integers(1, 5))
+    models = [BandoFtl(a=rng.uniform(0.3, 5.0), b=rng.uniform(5.0, 25.0), pref=(PREF, OTHER_PREF)[i % 2])
+              for i in range(k)]
+    n = max(k, int(10 ** rng.uniform(0.0, 4.0)))
+    counts = [1] * k
+    for c in rng.integers(0, k, n - k):
+        counts[c] += 1
+    order = rng.permutation([i + 1 for i, c in enumerate(counts) for _ in range(c)])
+    pops = tuple(PopulationSpec(i + 1, m, c) for i, (m, c) in enumerate(zip(models, counts)))
+    return Composition(pops, tuple(int(x) for x in order))
+
+
+def _vehicle_length(comp, v):
+    """The ring length summed vehicle by vehicle, in ring order."""
+    h = {p.class_id: preferred_headway(p.model, v) for p in comp.classes}
+    return math.fsum(h[a] for a in comp.ordering)
+
+
+def _oracle_speed(comp, length):
+    """``equilibrium_from_length``'s bisection, on the per-vehicle sum."""
+    lo, hi = 0.0, min(p.model.pref.v_max for p in comp.classes) * (1.0 - 1e-12)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        excess = _vehicle_length(comp, mid) - length
+        if abs(excess) <= LENGTH_TOL:
+            break
+        if excess < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
+def test_length_from_class_counts_matches_the_vehicle_sum():
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        comp = _random_composition(rng)
+        v_max = min(p.model.pref.v_max for p in comp.classes)
+        for v in rng.uniform(0.0, v_max, 3):
+            assert equilibrium_from_velocity(comp, v).length == _vehicle_length(comp, v)
+        length = _vehicle_length(comp, rng.uniform(0.05, 0.95) * v_max)
+        assert equilibrium_from_length(comp, length).v_bar == _oracle_speed(comp, length)
 
 
 def test_length_monotone_in_velocity():

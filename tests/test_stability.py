@@ -21,7 +21,7 @@ from ringwave import (
     rightmost_eigenvalue,
     tau0_bounds,
 )
-from ringwave.stability import ABSCISSA_TOL, _gain_columns, _gain_ratio, _weighted_gain
+from ringwave.stability import ABSCISSA_TOL, _gain_classes, _gain_ratio, _weighted_gain
 
 from conftest import random_trio
 
@@ -236,11 +236,11 @@ def test_weighted_gain_derivatives_match_differences():
         def total(y):
             return sum(w * log_gain(t, y) for t, w in zip(trios, weights))
 
-        value, d1, d2 = _weighted_gain(_gain_columns(trios, weights), ys)
+        value, d1, d2 = _weighted_gain(_gain_classes(trios, weights), ys)
         fd1, _ = _central_differences(total, ys, 1e-6 * ys)
         _, fd2 = _central_differences(total, ys, 1e-3 * ys)
         # the scale of each derivative is the sum of its terms' magnitudes
-        terms = [_weighted_gain(_gain_columns([t], [w]), ys) for t, w in zip(trios, weights)]
+        terms = [_weighted_gain(_gain_classes([t], [w]), ys) for t, w in zip(trios, weights)]
         np.testing.assert_array_equal(value, total(ys))
         assert np.all(np.abs(d1 - fd1) <= 1e-7 * sum(np.abs(term[1]) for term in terms))
         assert np.all(np.abs(d2 - fd2) <= 1e-4 * sum(np.abs(term[2]) for term in terms))
@@ -257,13 +257,65 @@ def test_gain_ratio_derivatives_match_differences():
         def ratio(y):
             return sum(w * log_gain(t, y) for t, w in zip(others, weights)) / -log_gain(stable, y)
 
-        f, f1, f2 = _gain_ratio(_gain_columns(others, weights), _gain_columns([stable], [-1.0]), ys)
+        f, f1, f2 = _gain_ratio(_gain_classes(others, weights), _gain_classes([stable], [-1.0]), ys)
         fd1, _ = _central_differences(ratio, ys, 1e-6 * ys)
         _, fd2 = _central_differences(ratio, ys, 1e-3 * ys)
         np.testing.assert_allclose(f, ratio(ys), rtol=1e-14)
         # f changes on the scale of y, so f / y and f / y^2 bound the derivatives' rounding
         assert np.all(np.abs(f1 - fd1) <= 1e-7 * (np.abs(fd1) + np.abs(f) / ys))
         assert np.all(np.abs(f2 - fd2) <= 1e-4 * (np.abs(fd2) + np.abs(f) / ys**2))
+
+
+def _points_near_gamma_squared(rng, trios):
+    """Log-spaced ``y`` plus, for each unstable trio, ``Gamma^2`` and its two float neighbours."""
+    ys = list(np.geomspace(1e-9, 30.0, 25) * rng.uniform(0.5, 2.0))
+    for t in trios:
+        if discriminant(t) < 0.0:
+            g = gamma_squared(t)
+            ys += [np.nextafter(g, 0.0), g, np.nextafter(g, np.inf)]
+    return np.array(ys)
+
+
+def test_float_evaluation_matches_the_grid_bit_for_bit():
+    # the peak polish evaluates one float y; it must agree with the array pass
+    rng = np.random.default_rng(19)
+    for _ in range(60):
+        trios = [random_trio(rng, stable=bool(rng.integers(2))) for _ in range(int(rng.integers(1, 4)))]
+        classes = _gain_classes(trios, rng.uniform(0.1, 50.0, len(trios)).tolist())
+        ys = _points_near_gamma_squared(rng, trios)
+        grid = _weighted_gain(classes, ys)
+        for u, v in zip(_weighted_gain(classes, ys, curvature=False), grid):
+            np.testing.assert_array_equal(u, v)
+        floats = np.array([[float(x) for x in _weighted_gain(classes, float(y))] for y in ys])
+        np.testing.assert_array_equal(floats, np.array(grid).T)
+
+
+def test_float_gain_ratio_matches_the_grid_bit_for_bit():
+    rng = np.random.default_rng(20)
+    for _ in range(60):
+        stable = random_trio(rng, stable=True)
+        others = [random_trio(rng, stable=bool(rng.integers(2))) for _ in range(int(rng.integers(1, 3)))]
+        num = _gain_classes(others, rng.uniform(0.1, 1.0, len(others)).tolist())
+        den = _gain_classes([stable], [-1.0])
+        ys = _points_near_gamma_squared(rng, others)
+        grid = _gain_ratio(num, den, ys)
+        for u, v in zip(_gain_ratio(num, den, ys, curvature=False), grid):
+            np.testing.assert_array_equal(u, v)
+        floats = np.array([[float(x) for x in _gain_ratio(num, den, float(y))] for y in ys])
+        np.testing.assert_array_equal(floats, np.array(grid).T)
+
+
+def test_zero_count_class_leaves_the_margin_alone():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        trios = [random_trio(rng, stable=True), random_trio(rng, stable=False)]
+        counts = [int(rng.integers(1, 60)), int(rng.integers(1, 60))]
+        empty = random_trio(rng, stable=False)
+        assert multi_phase_margin(trios + [empty], counts + [0]) == multi_phase_margin(trios, counts)
+        ys, curve = margin_curve(trios, counts, 64)
+        ys_e, curve_e = margin_curve([empty] + trios, [0] + counts, 64)
+        np.testing.assert_array_equal(ys_e, ys)
+        np.testing.assert_array_equal(curve_e, curve)
 
 
 def test_multi_phase_margin_validation():
