@@ -4,10 +4,11 @@ Equilibrium flows, linearized spectra, analytic stability margins with the
 critical penetration rate of stable drivers, and nonlinear stop-and-go
 simulation.
 
-``import ringwave`` loads the analytic layers: the driver law, equilibria,
-linearization and the stability margins.  The spectral layer (``spectrum``)
-and the simulator (``sim``) load on first use of one of their names, so a
-caller that needs only margins and ``tau0`` never compiles them.
+``import ringwave`` loads the driver law, equilibria and linearization.  The
+stability margins (``stability``), the spectral layer (``spectrum``) and the
+simulator (``sim``) load on first use of one of their names, so a caller
+compiles only the layers it uses: margins and ``tau0`` never load
+``spectrum`` or ``sim``.
 """
 
 import importlib
@@ -47,24 +48,28 @@ from .model import (
     preference_with_slope,
     preferred_headway,
 )
-from .stability import (
-    MarginReport,
-    MarginVerdict,
-    TwoPhaseReport,
-    critical_penetration,
-    gamma_squared,
-    log_gain,
-    margin_curve,
-    min_unstable_size,
-    multi_phase_margin,
-    multi_phase_tau1,
-    tau0_bounds,
-)
-
 __version__ = "0.1.0"
 
-# name -> submodule, for the submodules loaded on first use and the names they serve
+# name -> submodule, for the submodules loaded on first use and the names they serve; not
+# ``linearize``, whose function shares its name: loading the submodule would rebind it
 _LAZY = {
+    **dict.fromkeys(
+        (
+            "stability",
+            "MarginReport",
+            "MarginVerdict",
+            "TwoPhaseReport",
+            "critical_penetration",
+            "gamma_squared",
+            "log_gain",
+            "margin_curve",
+            "min_unstable_size",
+            "multi_phase_margin",
+            "multi_phase_tau1",
+            "tau0_bounds",
+        ),
+        "stability",
+    ),
     **dict.fromkeys(
         (
             "spectrum",

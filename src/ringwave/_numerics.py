@@ -5,6 +5,10 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+# spectral abscissa above this counts as unstable in sweeps; served as
+# ``spectrum.ABSCISSA_TOL`` and ``stability.ABSCISSA_TOL``, so neither loads the other
+ABSCISSA_TOL = 1e-9
+
 
 def check_rates(rates: Sequence[float]) -> None:
     """Refuse shares that are negative or do not sum to 1."""

@@ -4,6 +4,10 @@
 
 Exit codes: 0 success, 2 config error, 3 domain error (no equilibrium,
 collision, invalid model), 4 internal numeric failure.
+
+Each command imports the layers it runs when it runs (``simulate`` the
+simulator, ``spectrum`` and ``sweep`` the spectral layer, ``tau0`` and
+``margin`` the stability margins), so a process compiles only those.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import argparse
 import contextlib
 import json
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
@@ -20,7 +23,6 @@ import numpy as np
 
 # bound as ``jsonschema``: the benchmark's tracer wraps ``cli.jsonschema.validate``
 from . import _schema as jsonschema
-from . import _svg
 from .equilibrium import (
     Composition,
     PopulationSpec,
@@ -44,16 +46,6 @@ from .model import (
     preference_with_slope,
     preferred_headway,
 )
-from .sim import (
-    Perturbation,
-    SeededRandomZeroSum,
-    SimConfig,
-    SingleVehicleKick,
-    SinusoidalMode,
-    simulate,
-)
-from .spectrum import Fleet, eigenvalues, rightmost_eigenvalues
-from .stability import ABSCISSA_TOL, critical_penetration, margin_curve, multi_phase_margin
 
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
@@ -97,10 +89,11 @@ _EQ_V = {
     ]
 }
 _EQ_FULL = {"oneOf": _EQ_V["oneOf"] + [_obj({"length": _POS})]}
+# perturbation kind -> its maker from the ``sim`` module and the perturbation config
 _PERT_KINDS = {
-    "single_vehicle_kick": lambda cfg: SingleVehicleKick(),
-    "sinusoidal_mode": lambda cfg: SinusoidalMode(mode=int(cfg.get("mode", 1))),
-    "seeded_random_zero_sum": lambda cfg: SeededRandomZeroSum(seed=int(cfg.get("seed", 0))),
+    "single_vehicle_kick": lambda sim, cfg: sim.SingleVehicleKick(),
+    "sinusoidal_mode": lambda sim, cfg: sim.SinusoidalMode(mode=int(cfg.get("mode", 1))),
+    "seeded_random_zero_sum": lambda sim, cfg: sim.SeededRandomZeroSum(seed=int(cfg.get("seed", 0))),
 }
 _SIM = _obj(
     {
@@ -243,6 +236,8 @@ def _cell(v) -> str:
 def _write_csv(path: Path, header: str, rows, deterministic: bool) -> None:
     lines = []
     if not deterministic:
+        from datetime import datetime, timezone
+
         lines.append("# generated " + datetime.now(timezone.utc).isoformat())
     lines.append(header)
     lines.extend(",".join(_cell(v) for v in row) for row in rows)
@@ -250,6 +245,8 @@ def _write_csv(path: Path, header: str, rows, deterministic: bool) -> None:
 
 
 def _write_svg(path: Path, xs, ys, x_label: str, y_label: str, title: str) -> None:
+    from . import _svg
+
     svg = _svg.line_plot(xs, ys, x_label=x_label, y_label=y_label, title=title)
     path.write_text(svg, encoding="utf-8", newline="\n")
 
@@ -282,6 +279,8 @@ def cmd_linearize(config: dict, out: Path, deterministic: bool) -> int:
 
 
 def cmd_tau0(config: dict, out: Path, deterministic: bool) -> int:
+    from .stability import critical_penetration
+
     pops = _build_populations(config["populations"])
     v_bar = _resolve_v_bar(config["equilibrium"], pops)
     trios = {p.class_id: t for p, t in zip(pops, _trios_at(pops, v_bar))}
@@ -320,6 +319,8 @@ def cmd_tau0(config: dict, out: Path, deterministic: bool) -> int:
 
 
 def cmd_margin(config: dict, out: Path, deterministic: bool) -> int:
+    from .stability import margin_curve, multi_phase_margin
+
     pops = _build_populations(config["populations"])
     counts = [p.count for p in pops]
     if not any(counts):
@@ -348,6 +349,8 @@ def cmd_margin(config: dict, out: Path, deterministic: bool) -> int:
 
 
 def cmd_spectrum(config: dict, out: Path, deterministic: bool) -> int:
+    from .spectrum import Fleet, eigenvalues
+
     comp = _build_composition(config["composition"])
     eq = _resolve_equilibrium(config["equilibrium"], comp)
     report = eigenvalues(Fleet(_trios_at(comp.classes, eq.v_bar), [p.count for p in comp.classes]))
@@ -358,22 +361,24 @@ def cmd_spectrum(config: dict, out: Path, deterministic: bool) -> int:
 
 
 def cmd_simulate(config: dict, out: Path, deterministic: bool) -> int:
+    from . import sim
+
     comp = _build_composition(config["composition"])
     sim_cfg = config["sim"]
     pert_cfg = sim_cfg["perturbation"]
     with _config_values():
-        pert = Perturbation(
+        pert = sim.Perturbation(
             amplitude=pert_cfg["amplitude"],
-            kind=_PERT_KINDS[pert_cfg["kind"]](pert_cfg),
+            kind=_PERT_KINDS[pert_cfg["kind"]](sim, pert_cfg),
         )
-        cfg = SimConfig(
+        cfg = sim.SimConfig(
             t_end=sim_cfg["t_end"],
             dt=sim_cfg.get("dt", 0.05),
             record_every=int(sim_cfg.get("record_every", 1)),
             perturbation=pert,
         )
     eq = _resolve_equilibrium(config["equilibrium"], comp)
-    trace = simulate(comp, eq, cfg)
+    trace = sim.simulate(comp, eq, cfg)
     rows = list(
         zip(trace.times, trace.speed_variance, trace.min_headway, trace.max_headway)
     )
@@ -400,6 +405,8 @@ def cmd_simulate(config: dict, out: Path, deterministic: bool) -> int:
 
 
 def cmd_sweep(config: dict, out: Path, deterministic: bool) -> int:
+    from .spectrum import ABSCISSA_TOL, Fleet, rightmost_eigenvalues
+
     pops = _build_populations(config["populations"])
     trios = _trios_at(pops, _resolve_v_bar(config["equilibrium"], pops))
     rate = float(config["sweep"]["rate_class1"])

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numerics import check_rates, largest_remainder, spread
+from ._numerics import ABSCISSA_TOL, check_rates, largest_remainder, spread
 from .errors import PoleError
 from .linearize import LinearTrio
 

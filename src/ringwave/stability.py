@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numerics import check_rates
+from ._numerics import ABSCISSA_TOL, check_rates
 from .errors import ModelInvalidError
 from .linearize import LinearTrio, discriminant
 
@@ -43,9 +43,6 @@ _NEWTON_STEPS = 5
 
 # |sup margin| below this is reported as sitting on the critical boundary
 MARGIN_TOL = 1e-12
-
-# spectral abscissa above this counts as unstable in sweeps
-ABSCISSA_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -279,14 +276,23 @@ def margin_curve(
 
     The grid has ``points`` values of ``y`` spanning nine decades up to ten
     times the widest feature of any unstable class with a nonzero count (its
-    ``-discriminant`` or ``Gamma^2``), and at least up to 10.  Returns ``(ys, margin)``.
+    ``-discriminant`` or ``Gamma^2``), and at least up to 10.  Returns ``(ys, margin)``, and
+    zeros when every count is 0.  ``ValueError`` when ``counts`` does not match ``trios`` one
+    to one or holds a negative count, as in :func:`multi_phase_margin`.
     """
     ys, classes = _margin_grid(trios, counts, points), _gain_classes(trios, counts)
     return ys, _weighted_gain(classes, ys, curvature=False)[0] if classes else np.zeros_like(ys)
 
 
 def _margin_grid(trios: Sequence[LinearTrio], counts: Sequence[float], points: int) -> np.ndarray:
-    """The grid of :func:`margin_curve`, spanned by the classes with a nonzero count."""
+    """The grid of :func:`margin_curve`, spanned by the classes with a nonzero count.
+
+    Refuses ``counts`` that do not match ``trios`` one to one or hold a negative count.
+    """
+    if len(trios) != len(counts) or len(trios) < 1:
+        raise ValueError("need matching, nonempty trio and count lists")
+    if any(c < 0 for c in counts):
+        raise ValueError(f"counts must be nonnegative, got {list(counts)}")
     unstable = [t for t, c in zip(trios, counts) if c != 0 and discriminant(t) < 0.0]
     spans = [1.0] + [-discriminant(t) for t in unstable] + [gamma_squared(t) for t in unstable]
     window = 10.0 * max(spans)
@@ -303,12 +309,10 @@ def multi_phase_margin(
     every ordering; sup > 0 means instability once the composition is
     replicated enough times.
     """
-    if len(trios) != len(counts) or len(trios) < 1:
-        raise ValueError("need matching, nonempty trio and count lists")
-    if any(c < 0 for c in counts) or sum(counts) <= 0:
-        raise ValueError("counts must be nonnegative with a positive total")
-    gain = partial(_weighted_gain, _gain_classes(trios, counts))
-    y_best, sup = _polished_max(gain, _margin_grid(trios, counts, GRID_POINTS))
+    ys = _margin_grid(trios, counts, GRID_POINTS)
+    if sum(counts) <= 0:
+        raise ValueError("counts must have a positive total")
+    y_best, sup = _polished_max(partial(_weighted_gain, _gain_classes(trios, counts)), ys)
     if sup > MARGIN_TOL:
         verdict = MarginVerdict.UNSTABLE_FOR_LARGE_N
     elif sup < -MARGIN_TOL:

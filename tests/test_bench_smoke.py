@@ -16,7 +16,21 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("workload", ["fleet_scan", "wave_growth", "design_scan"])
 def test_bench_single_pass(workload):
-    argv = ["--workload", workload, "--seed", "1", "--single-pass"]
+    result = _single_pass(workload)
+    assert result["correct"], result
+    assert result["failed"] == 0
+
+
+def test_traced_cli_children_see_the_layers_they_load_on_first_use():
+    # ``simulate`` imports the simulator when it runs and must still call the wrapped functions
+    metrics = _single_pass("wave_growth", "--trace", "1")["metrics"]
+    assert metrics["sim.simulate.self_s"]["value"] > 0
+    assert metrics["sim.step_us.small"]["value"] > 0
+
+
+def _single_pass(workload: str, *extra: str) -> dict:
+    """The result line of one pass of ``workload`` with seed 1, after a zero exit."""
+    argv = ["--workload", workload, "--seed", "1", *extra, "--single-pass"]
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), *argv],
         cwd=ROOT,
@@ -25,6 +39,4 @@ def test_bench_single_pass(workload):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["correct"], proc.stdout[-2000:]
-    assert result["failed"] == 0
+    return json.loads(proc.stdout.strip().splitlines()[-1])

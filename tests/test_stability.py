@@ -327,6 +327,24 @@ def test_multi_phase_margin_validation():
         multi_phase_margin([T_STABLE], [0])
 
 
+@pytest.mark.parametrize(
+    "pick, counts",
+    [((0, 1), [5]), ((0,), [5, 3]), ((0, 1), [5, -3])],
+    ids=["trio-without-count", "count-without-trio", "negative-count"],
+)
+def test_margin_curve_refuses_what_the_margin_refuses(ref_trios, pick, counts):
+    trios = [ref_trios[k] for k in pick]
+    with pytest.raises(ValueError):
+        multi_phase_margin(trios, counts)
+    with pytest.raises(ValueError):
+        margin_curve(trios, counts, 4)
+
+
+def test_margin_curve_of_empty_classes_is_zero(ref_trios):
+    ys, curve = margin_curve(list(ref_trios), [0, 0], 4)
+    assert len(ys) == 4 and not curve.any()
+
+
 def test_tau1_matches_tau0_for_two_classes(ref_trios):
     t1, t2 = ref_trios
     rep = critical_penetration(t1, t2)
