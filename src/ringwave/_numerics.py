@@ -16,6 +16,21 @@ def check_rates(rates: Sequence[float]) -> None:
         raise ValueError("rates must be nonnegative and sum to 1")
 
 
+def checked_counts(classes: Sequence, counts: Sequence[float], whole: bool = False) -> list:
+    """``counts``, one per class, each finite and >= 0; with ``whole``, whole numbers returned as ints.
+
+    A margin weighs real counts; vehicles are counted in whole numbers, so an
+    integral float such as 2.0 reads as 2.  ``ValueError`` for lists that do
+    not match one to one, are empty, or hold any other count.
+    """
+    if len(classes) != len(counts) or not counts:
+        raise ValueError("need matching, nonempty class and count lists")
+    if not all(c >= 0 and math.isfinite(c) and (not whole or float(c).is_integer()) for c in counts):
+        what = "whole numbers" if whole else "numbers"
+        raise ValueError(f"counts must be finite, nonnegative {what}, got {list(counts)}")
+    return [int(c) for c in counts] if whole else list(counts)
+
+
 def largest_remainder(rates: Sequence[float], total: int) -> list[int]:
     """Round ``rates * total`` to integers that sum exactly to ``total``."""
     raw = [r * total for r in rates]

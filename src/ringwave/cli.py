@@ -2,8 +2,9 @@
 
     ringwave <command> --config experiment.json [--out DIR] [--deterministic]
 
-Exit codes: 0 success, 2 config error, 3 domain error (no equilibrium,
-collision, invalid model), 4 internal numeric failure.
+Exit codes: 0 success, 2 config error, 3 domain error (any other
+:class:`~ringwave.errors.TrafficError`: no equilibrium, collision, invalid
+model, a pole), 4 internal numeric failure.
 
 Each command imports the layers it runs when it runs (``simulate`` the
 simulator, ``spectrum`` and ``sweep`` the spectral layer, ``tau0`` and
@@ -16,6 +17,7 @@ import argparse
 import contextlib
 import json
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -31,13 +33,7 @@ from .equilibrium import (
     equilibrium_from_velocity,
     spread_ordering,
 )
-from .errors import (
-    CollisionError,
-    ConfigError,
-    ModelInvalidError,
-    NoEquilibriumError,
-    PoleError,
-)
+from .errors import ConfigError, TrafficError
 from .linearize import LinearTrio, StabilityClass, classify, discriminant, linearize
 from .model import (
     BandoFtl,
@@ -89,20 +85,22 @@ _EQ_V = {
     ]
 }
 _EQ_FULL = {"oneOf": _EQ_V["oneOf"] + [_obj({"length": _POS})]}
-# perturbation kind -> its maker from the ``sim`` module and the perturbation config
+# perturbation kind -> the ``sim`` class it builds and that class's integer parameters,
+# all optional: a parameter a config leaves out takes the class's default
 _PERT_KINDS = {
-    "single_vehicle_kick": lambda sim, cfg: sim.SingleVehicleKick(),
-    "sinusoidal_mode": lambda sim, cfg: sim.SinusoidalMode(mode=int(cfg.get("mode", 1))),
-    "seeded_random_zero_sum": lambda sim, cfg: sim.SeededRandomZeroSum(seed=int(cfg.get("seed", 0))),
+    "single_vehicle_kick": ("SingleVehicleKick", ()),
+    "sinusoidal_mode": ("SinusoidalMode", ("mode",)),
+    "seeded_random_zero_sum": ("SeededRandomZeroSum", ("seed",)),
 }
+_PERT_PARAMS = {key: _INT for _, params in _PERT_KINDS.values() for key in params}
 _SIM = _obj(
     {
         "dt": _POS,
         "t_end": _POS,
         "record_every": {"type": "integer", "minimum": 1},
         "perturbation": _obj(
-            {"amplitude": _NONNEG, "kind": {"enum": list(_PERT_KINDS)}, "mode": _INT, "seed": _INT},
-            optional=("mode", "seed"),
+            {"amplitude": _NONNEG, "kind": {"enum": list(_PERT_KINDS)}, **_PERT_PARAMS},
+            optional=list(_PERT_PARAMS),
         ),
     },
     optional=("dt", "record_every"),
@@ -185,7 +183,7 @@ def _build_populations(cfgs: list[dict]) -> list[PopulationSpec]:
     if len(set(ids)) != len(ids):
         raise ConfigError(f"duplicate class ids: {ids}")
     return [
-        PopulationSpec(class_id=i, model=_build_model(c["model"]), count=int(c.get("count", 0)))
+        PopulationSpec(class_id=i, model=_build_model(c["model"]), count=c.get("count", 0))
         for i, c in zip(ids, cfgs)
     ]
 
@@ -297,22 +295,7 @@ def cmd_tau0(config: dict, out: Path, deterministic: bool) -> int:
 
     sid, uid = stable_ids[0], unstable_ids[0]
     rep = critical_penetration(trios[sid], trios[uid])
-    _write_csv(
-        out / "tau0.csv",
-        "delta1,delta2,gamma_sq,n0,tau0,bound_lower,bound_upper",
-        [
-            (
-                rep.delta1,
-                rep.delta2,
-                rep.gamma_sq,
-                rep.n0,
-                rep.tau0,
-                rep.bound_lower,
-                rep.bound_upper,
-            )
-        ],
-        deterministic,
-    )
+    _write_csv(out / "tau0.csv", ",".join(f.name for f in fields(rep)), [astuple(rep)], deterministic)
     print(f"stable class: {sid} (delta = {rep.delta1}); unstable class: {uid} (delta = {rep.delta2})")
     print(f"tau0 = {rep.tau0:.6f} (bounds: [{rep.bound_lower:.6f}, {rep.bound_upper:.6f}])")
     return 0
@@ -364,19 +347,17 @@ def cmd_simulate(config: dict, out: Path, deterministic: bool) -> int:
     from . import sim
 
     comp = _build_composition(config["composition"])
-    sim_cfg = config["sim"]
-    pert_cfg = sim_cfg["perturbation"]
+    # only the keys a config holds are passed, so every default is the simulator's own
+    sim_cfg = dict(config["sim"])
+    pert_cfg = sim_cfg.pop("perturbation")
+    if "record_every" in sim_cfg:  # the schema admits an integral float such as 2.0
+        sim_cfg["record_every"] = int(sim_cfg["record_every"])
+    name, params = _PERT_KINDS[pert_cfg["kind"]]
+    if stray := sorted(set(pert_cfg) - {"amplitude", "kind", *params}):
+        raise ConfigError(f"$.sim.perturbation: key {stray[0]!r} does not apply to kind {pert_cfg['kind']!r}")
     with _config_values():
-        pert = sim.Perturbation(
-            amplitude=pert_cfg["amplitude"],
-            kind=_PERT_KINDS[pert_cfg["kind"]](sim, pert_cfg),
-        )
-        cfg = sim.SimConfig(
-            t_end=sim_cfg["t_end"],
-            dt=sim_cfg.get("dt", 0.05),
-            record_every=int(sim_cfg.get("record_every", 1)),
-            perturbation=pert,
-        )
+        kind = getattr(sim, name)(**{key: int(pert_cfg[key]) for key in params if key in pert_cfg})
+        cfg = sim.SimConfig(perturbation=sim.Perturbation(pert_cfg["amplitude"], kind), **sim_cfg)
     eq = _resolve_equilibrium(config["equilibrium"], comp)
     trace = sim.simulate(comp, eq, cfg)
     rows = list(
@@ -452,12 +433,6 @@ _COMMANDS = {
     "sweep": cmd_sweep,
 }
 
-_DOMAIN_ERRORS = (
-    NoEquilibriumError,
-    CollisionError,
-    ModelInvalidError,
-    PoleError,
-)
 _NUMERIC_ERRORS = (
     FloatingPointError,
     np.linalg.LinAlgError,
@@ -505,12 +480,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    except TrafficError as err:
+        print(f"domain error: {err}", file=sys.stderr)
+        return 3
     except _NUMERIC_ERRORS as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 4
-    except _DOMAIN_ERRORS as err:
-        print(f"domain error: {err}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._numerics import spread
+from ._numerics import checked_counts, spread
 from .errors import NoEquilibriumError
 from .model import BandoFtl, preferred_headway
 
@@ -26,15 +26,15 @@ LENGTH_TOL = 1e-8
 
 @dataclass(frozen=True)
 class PopulationSpec:
-    """One vehicle class: an id, its driver law, and how many are on the road."""
+    """One vehicle class: an id, its driver law, and how many are on the road (an ``int``)."""
 
     class_id: int
     model: BandoFtl
     count: int
 
     def __post_init__(self):
-        if self.count < 0 or self.count != int(self.count):
-            raise ValueError(f"count must be a nonnegative integer, got {self.count}")
+        # set once, past the frozen __setattr__
+        vars(self)["count"] = checked_counts((self.model,), (self.count,), whole=True)[0]
 
 
 @dataclass(frozen=True)

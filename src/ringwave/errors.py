@@ -2,7 +2,11 @@
 
 
 class TrafficError(Exception):
-    """Base class for errors raised by ringwave."""
+    """Base class for errors raised by ringwave.
+
+    Every subclass but :class:`ConfigError` is a domain error: the CLI exits 3
+    on it, and 2 on a config error.
+    """
 
 
 class NoEquilibriumError(TrafficError):

@@ -64,8 +64,8 @@ class SimConfig:
     store_snapshots: bool = False
 
     def __post_init__(self):
-        if not (self.dt > 0.0 and self.t_end >= self.dt):
-            raise ValueError("require dt > 0 and t_end >= dt")
+        if not 0.0 < self.dt <= self.t_end < math.inf:
+            raise ValueError(f"require finite dt > 0 and t_end >= dt, got dt {self.dt} and t_end {self.t_end}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 

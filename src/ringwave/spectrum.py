@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numerics import ABSCISSA_TOL, check_rates, largest_remainder, spread
+from ._numerics import ABSCISSA_TOL, check_rates, checked_counts, largest_remainder, spread
 from .errors import PoleError
 from .linearize import LinearTrio
 
@@ -72,11 +72,8 @@ class Fleet:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.trios) != len(self.counts) or len(self.trios) < 1:
-            raise ValueError("need matching, nonempty trio and count lists")
-        if any(c < 0 or not float(c).is_integer() for c in self.counts):
-            raise ValueError(f"counts must be nonnegative integers, got {list(self.counts)}")
-        kept = [(t, int(c)) for t, c in zip(self.trios, self.counts) if c > 0]
+        counts = checked_counts(self.trios, self.counts, whole=True)
+        kept = [(t, c) for t, c in zip(self.trios, counts) if c > 0]
         if not kept:
             raise ValueError("a ring system needs at least one vehicle")
         rows = [(t.alpha, t.beta, t.gamma, float(c)) for t, c in kept]
@@ -452,12 +449,15 @@ def count_right_of(fleet: Fleet, s: float) -> int:
     on ``x >= 0`` and doubled by conjugate symmetry) plus the poles of F right
     of the line, ``n_k`` at each root of ``q_k`` there.  The zero at the
     origin is subtracted when ``s < 0``; ``s = 0`` is refused, since the line
-    passes through it.  Raises :class:`PoleError` if the line passes through a
-    pole and ``FloatingPointError`` if the phase cannot be resolved.
+    passes through it, and so is a non-finite ``s``.  Raises :class:`PoleError`
+    if the line passes through a pole and ``FloatingPointError`` if the phase
+    cannot be resolved.
     """
     s = float(s)
     if s == 0.0:
         raise ValueError("the line Re(lambda) = 0 passes through the structural zero")
+    if not math.isfinite(s):
+        raise ValueError(f"the line Re(lambda) = {s} is not finite")
     return _unwrap(_line_counts([(fleet, s)])[0])
 
 

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numerics import ABSCISSA_TOL, check_rates
+from ._numerics import ABSCISSA_TOL, check_rates, checked_counts
 from .errors import ModelInvalidError
 from .linearize import LinearTrio, discriminant
 
@@ -278,7 +278,7 @@ def margin_curve(
     times the widest feature of any unstable class with a nonzero count (its
     ``-discriminant`` or ``Gamma^2``), and at least up to 10.  Returns ``(ys, margin)``, and
     zeros when every count is 0.  ``ValueError`` when ``counts`` does not match ``trios`` one
-    to one or holds a negative count, as in :func:`multi_phase_margin`.
+    to one or holds a negative or non-finite count, as in :func:`multi_phase_margin`.
     """
     ys, classes = _margin_grid(trios, counts, points), _gain_classes(trios, counts)
     return ys, _weighted_gain(classes, ys, curvature=False)[0] if classes else np.zeros_like(ys)
@@ -287,12 +287,9 @@ def margin_curve(
 def _margin_grid(trios: Sequence[LinearTrio], counts: Sequence[float], points: int) -> np.ndarray:
     """The grid of :func:`margin_curve`, spanned by the classes with a nonzero count.
 
-    Refuses ``counts`` that do not match ``trios`` one to one or hold a negative count.
+    Refuses ``counts`` that :func:`checked_counts` refuses.
     """
-    if len(trios) != len(counts) or len(trios) < 1:
-        raise ValueError("need matching, nonempty trio and count lists")
-    if any(c < 0 for c in counts):
-        raise ValueError(f"counts must be nonnegative, got {list(counts)}")
+    checked_counts(trios, counts)
     unstable = [t for t, c in zip(trios, counts) if c != 0 and discriminant(t) < 0.0]
     spans = [1.0] + [-discriminant(t) for t in unstable] + [gamma_squared(t) for t in unstable]
     window = 10.0 * max(spans)

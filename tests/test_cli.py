@@ -225,6 +225,17 @@ def test_tau0_command_both_stable(tmp_path, capsys):
     assert not (tmp_path / "tau0.csv").exists()
 
 
+def test_tau0_command_both_unstable(tmp_path, capsys):
+    payload = tau0_payload()
+    payload["populations"][0]["model"] = dict(MODEL_2, a=1.0)
+    cfg = write_config(tmp_path, payload)
+    assert main(["tau0", "--config", cfg, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: unstable for sufficiently many vehicles" in out
+    assert "tau0 =" not in out
+    assert not (tmp_path / "tau0.csv").exists()
+
+
 def test_margin_command(tmp_path):
     payload = {
         "schema_version": 1,
@@ -520,6 +531,25 @@ def test_simulate_command_stable_envelope(tmp_path):
     var = [float(r[1]) for r in rows]
     assert var[-1] < var[0]
     assert (tmp_path / "trace.svg").exists()
+
+
+# each perturbation kind, with a parameter that belongs to another kind
+STRAY_PARAMETERS = [
+    ("single_vehicle_kick", "mode"),
+    ("single_vehicle_kick", "seed"),
+    ("sinusoidal_mode", "seed"),
+    ("seeded_random_zero_sum", "mode"),
+]
+
+
+@pytest.mark.parametrize("kind, key", STRAY_PARAMETERS)
+def test_simulate_refuses_another_kinds_parameter(tmp_path, capsys, kind, key):
+    cfg = valid_config("simulate")
+    cfg["sim"]["perturbation"] = {"amplitude": 1e-3, "kind": kind, key: 3}
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: $.sim.perturbation: ") and repr(key) in err, err
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_simulate_collision_at_the_start_is_a_domain_error(tmp_path, capsys):

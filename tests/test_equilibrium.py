@@ -207,6 +207,17 @@ def test_composition_validation():
         PopulationSpec(class_id=1, model=model, count=-2)
 
 
+def test_population_count_is_a_whole_number():
+    model = BandoFtl(a=1.0, b=1.0, pref=PREF)
+    pops = (PopulationSpec(class_id=1, model=model, count=2.0), PopulationSpec(class_id=2, model=model, count=1))
+    assert type(pops[0].count) is int and pops[0] == PopulationSpec(class_id=1, model=model, count=2)
+    assert block_ordering(pops) == (1, 1, 2)
+    assert spread_ordering(pops) == (1, 2, 1)
+    for count in (math.inf, math.nan, 2.5):
+        with pytest.raises(ValueError):
+            PopulationSpec(class_id=1, model=model, count=count)
+
+
 def _pops(counts, ids=None):
     ids = ids or range(1, len(counts) + 1)
     return tuple(

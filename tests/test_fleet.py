@@ -34,6 +34,8 @@ T_C = LinearTrio(alpha=1.0, beta=3.0, gamma=0.5)
         ([T_A, T_B], [3, 2.5]),  # non-integer count
         ([T_A], [float("nan")]),
         ([T_A, T_B], [0, 0]),  # no vehicle
+        ([T_A, T_B], [float("inf"), 5]),
+        ([T_A, T_B], [5, float("-inf")]),
     ],
 )
 def test_fleet_rejects(trios, counts):

@@ -345,6 +345,14 @@ def test_unstable_step_size_is_reported_as_numeric(ref_models, ref_v_bar):
     assert trace.min_headway.min() > 0.0
 
 
+@pytest.mark.parametrize("field", ["dt", "t_end"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_sim_config_refuses_a_step_or_end_that_is_not_finite(field, value):
+    times = {"t_end": 10.0, "dt": 0.05, field: value}
+    with pytest.raises(ValueError, match="finite"):
+        SimConfig(perturbation=Perturbation(0.01, SingleVehicleKick()), **times)
+
+
 def test_simulate_records_every_k_steps():
     comp, eq = small_setup()
     cfg = SimConfig(

@@ -329,8 +329,15 @@ def test_multi_phase_margin_validation():
 
 @pytest.mark.parametrize(
     "pick, counts",
-    [((0, 1), [5]), ((0,), [5, 3]), ((0, 1), [5, -3])],
-    ids=["trio-without-count", "count-without-trio", "negative-count"],
+    [
+        ((0, 1), [5]),
+        ((0,), [5, 3]),
+        ((0, 1), [5, -3]),
+        ((0, 1), [math.nan, 5]),
+        ((0, 1), [math.inf, 5]),
+        ((0, 1), [5, -math.inf]),
+    ],
+    ids=["trio-without-count", "count-without-trio", "negative-count", "nan-count", "inf-count", "minus-inf-count"],
 )
 def test_margin_curve_refuses_what_the_margin_refuses(ref_trios, pick, counts):
     trios = [ref_trios[k] for k in pick]

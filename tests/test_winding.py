@@ -50,6 +50,22 @@ def test_count_refuses_the_line_through_the_structural_zero():
         count_right_of(Fleet([T_STABLE], [4]), 0.0)
 
 
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf")])
+def test_count_refuses_a_line_that_is_not_finite(s):
+    with pytest.raises(ValueError, match="not finite"):
+        count_right_of(Fleet([T_STABLE, T_UNSTABLE], [3, 2]), s)
+
+
+def test_misfit_refuses_a_root_counted_twice():
+    fleet = Fleet([T_STABLE, T_UNSTABLE], [5, 3])
+    report = spectrum.eigenvalues(fleet)
+    assert spectrum.misfit(fleet, report) == ""
+    lam = report.eigenvalues.copy()
+    lam[0] = lam[1]
+    twice = spectrum.SpectrumReport(eigenvalues=lam, abscissa=report.abscissa)
+    assert spectrum.misfit(fleet, twice) == "1 repeat another value's root"
+
+
 def test_count_refuses_a_line_through_a_pole():
     fleet = Fleet([T_STABLE, T_UNSTABLE], [3, 2])
     with pytest.raises(PoleError):
