@@ -14,8 +14,7 @@ import pytest
 from ringwave import _schema, cli, spectrum
 from ringwave.cli import _config_schema, main
 from ringwave.errors import ConfigError
-from ringwave.equilibrium import spread_ordering
-from ringwave.spectrum import Fleet, RingSystem, count_right_of, eigenvalues_on_H, rightmost_eigenvalue
+from ringwave.spectrum import Fleet, count_right_of, rightmost_eigenvalue
 from ringwave.stability import ABSCISSA_TOL
 
 from conftest import REF_D0, REF_HEADWAY, REF_LV, REF_SLOPE, single_class_spectrum
@@ -362,29 +361,8 @@ SMALL_BLOCKS = {
 }
 
 
-def _dense_small_blocks_csv():
-    """The ``spectrum.csv`` that dense eigvals gives on the spread ring of ``SMALL_BLOCKS``' counts."""
-    comp = cli._build_composition(SMALL_BLOCKS["composition"])
-    eq = cli._resolve_equilibrium(EQ_BY_HEADWAY, comp)
-    trio = dict(zip((p.class_id for p in comp.populations), cli._trios_at(comp.populations, eq.v_bar)))
-    dense = eigenvalues_on_H(RingSystem(tuple(trio[a] for a in spread_ordering(comp.populations))))
-    lines = ["re_1ps,im_1ps"] + [f"{float(z.real)!r},{float(z.imag)!r}" for z in dense.eigenvalues]
-    return "\n".join(lines) + "\n"
-
-
-def test_spectrum_falls_back_to_dense_off_a_missed_root(tmp_path, monkeypatch):
-    calls = []
-    solve = spectrum._class_count_spectrum
-    monkeypatch.setattr(spectrum, "_class_count_spectrum", _nudged(lambda fleet: calls.append(fleet) or solve(fleet)))
-    cfg = write_config(tmp_path, SMALL_BLOCKS)
-    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path), "--deterministic"]) == 0
-    assert len(calls) == 1
-    assert (tmp_path / "spectrum.csv").read_text(encoding="utf-8") == _dense_small_blocks_csv()
-
-
-def test_spectrum_refuses_a_dense_eigenvalue_off_its_root(tmp_path, capsys, monkeypatch):
+def test_spectrum_refuses_a_value_off_its_root(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(spectrum, "_class_count_spectrum", _nudged(spectrum._class_count_spectrum))
-    monkeypatch.setattr(spectrum, "eigenvalues_on_H", _nudged(eigenvalues_on_H))
     cfg = write_config(tmp_path, SMALL_BLOCKS)
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
@@ -425,7 +403,7 @@ def test_spectrum_gives_up_a_line_that_no_grid_resolves(tmp_path, monkeypatch):
     assert time.perf_counter() - start < 10.0
     _, rows = read_csv(tmp_path / "sweep.csv")
     assert float(rows[0][2]) == pytest.approx(single_class_spectrum(trio, 6).real.max(), rel=1e-12)
-    # one of the 11 values is missing and dense misses one, so the full spectrum is refused
+    # one of the 11 values is missing, so the full spectrum is refused
     payload = {
         "schema_version": 1,
         "composition": {"populations": [{"class_id": 1, "count": 6, "model": model}], "ordering": "spread"},
@@ -447,15 +425,16 @@ def _top_pair_moved(solve):
     return moved
 
 
-def test_spectrum_counts_the_abscissa_it_writes(tmp_path, monkeypatch):
+def test_spectrum_counts_the_abscissa_it_writes(tmp_path, capsys, monkeypatch):
     # each moved value still passes root_error and coincident; only the counts see the abscissa move
     fleet_of = []
     solve = spectrum._class_count_spectrum
     moved = _top_pair_moved(lambda fleet: fleet_of.append(fleet) or solve(fleet))
     monkeypatch.setattr(spectrum, "_class_count_spectrum", moved)
     cfg = write_config(tmp_path, SMALL_BLOCKS)
-    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path), "--deterministic"]) == 0
-    assert (tmp_path / "spectrum.csv").read_text(encoding="utf-8") == _dense_small_blocks_csv()
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path), "--deterministic"]) == 4
+    assert "abscissa " in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()
     (fleet,) = fleet_of
     report = moved(fleet)
     lam, err = report.eigenvalues, fleet.root_error(report.eigenvalues)
@@ -680,6 +659,21 @@ def test_sweep_verdicts_equal_one_size_at_a_time(tmp_path):
         ab = rightmost_eigenvalue(fleet).real
         verdict = "unstable" if ab > ABSCISSA_TOL else "stable" if ab < -ABSCISSA_TOL else "marginal"
         assert (int(row[0]), float(row[2]), row[3]) == (n, ab, verdict)
+
+
+def test_sweep_reads_a_top_within_the_tolerance_as_marginal(tmp_path, capsys, monkeypatch):
+    # cmd_sweep imports rightmost_eigenvalues when it runs, so the patch reaches it
+    monkeypatch.setattr(spectrum, "rightmost_eigenvalues", lambda fleets: [complex(5e-10, 0.3) for _ in fleets])
+    payload = {
+        "schema_version": 1,
+        "populations": [{"class_id": 1, "model": MODEL_1}, {"class_id": 2, "model": MODEL_2}],
+        "equilibrium": EQ_BY_HEADWAY,
+        "sweep": {"n_totals": [10, 20], "rate_class1": 0.8},
+    }
+    assert main(["sweep", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "sweep.csv")
+    assert [(r[2], r[3]) for r in rows] == [("5e-10", "marginal")] * 2
+    assert "no unstable size in grid" in capsys.readouterr().out
 
 
 def test_sweep_empty_grid_exits_2(tmp_path):

@@ -16,7 +16,7 @@ from ringwave import (
     transfer_product,
 )
 from ringwave._numerics import largest_remainder, spread
-from ringwave.spectrum import _class_count_spectrum, _log_product, coincident
+from ringwave.spectrum import _class_count_spectrum, _log_product, coincident, misfit
 
 from conftest import random_trio, single_class_spectrum
 
@@ -210,6 +210,27 @@ def test_eigenvalues_match_dense_one_to_one():
         assert lam.size == 2 * sum(fleet.counts) - 1
         np.testing.assert_array_equal(np.sort_complex(lam.conj()), lam)
         _assert_one_to_one(lam, eigenvalues_on_H(_spread_ring(fleet)).eigenvalues, 1e-9)
+
+
+def _corpus_draw(seed, index):
+    """Draw ``index`` of the random-fleet corpus: 1-3 random trios, with counts below 20, 60 or 140."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        k = rng.integers(1, 4)
+        cap = rng.choice([20, 60, 140])
+        trios = [random_trio(rng, stable=rng.random() < 0.5) for _ in range(k)]
+        counts = [int(c) for c in rng.integers(1, cap, k)]
+    return Fleet(trios, counts)
+
+
+@pytest.mark.parametrize("index, counts", [(83, (35, 59, 49)), (297, (126, 15))])
+def test_eigenvalues_settle_past_a_hundred_sweeps(index, counts):
+    # 100 sweeps of Aberth left 51 of 285 and 75 of 281 values off F = 1 on these fleets
+    fleet = _corpus_draw(1, index)
+    assert fleet.counts == counts
+    report = _class_count_spectrum(fleet)
+    assert misfit(fleet, report) == ""
+    _assert_one_to_one(report.eigenvalues, eigenvalues_on_H(_spread_ring(fleet)).eigenvalues, 1e-9)
 
 
 @pytest.mark.parametrize("trio, n", [(T_A, 1), (T_A, 12), (T_B, 2), (T_B, 31), (T_C, 64)])

@@ -21,6 +21,8 @@ from ringwave import (
     rightmost_eigenvalue,
     tau0_bounds,
 )
+from ringwave import stability
+from ringwave.errors import ModelInvalidError
 from ringwave.stability import ABSCISSA_TOL, _gain_classes, _gain_ratio, _weighted_gain
 
 from conftest import random_trio
@@ -57,6 +59,14 @@ def test_log_gain_sign_for_unstable_trio():
     # positive exactly on (0, -delta): vanishes again at -delta
     assert abs(log_gain(T_UNSTABLE, -d)) < 1e-14
     assert log_gain(T_UNSTABLE, -d * 1.5) < 0.0
+
+
+@pytest.mark.parametrize("beta", [2e-9, 1e-8])
+def test_log_gain_refuses_a_pole_on_the_axis(beta):
+    # at alpha = 1, q = 1 + (beta^2 - 2) y + y^2 dips to beta^2 at y = 1; once beta^2 - 2 rounds to -2 that is a pole
+    with pytest.raises(ModelInvalidError, match="pole on the axis"):
+        log_gain(LinearTrio(1.0, beta, beta / 2.0), 1.0)
+    assert math.isfinite(log_gain(LinearTrio(1.0, 1e-7, 0.5e-7), 1.0))
 
 
 def test_log_gain_rejects_bad_arguments():
@@ -441,9 +451,15 @@ def test_min_unstable_size_stable_composition():
 
 
 @pytest.mark.parametrize("n_max", [1, 0, -5])
-def test_min_unstable_size_checks_its_rates_without_a_fleet(n_max):
+def test_min_unstable_size_checks_its_rates_without_a_fleet(monkeypatch, n_max):
     with pytest.raises(ValueError, match="rates"):
         min_unstable_size([T_STABLE, T_UNSTABLE], [0.5, 0.4], n_max)
+
+    def no_count(*args):
+        raise AssertionError("no size below 2 is counted")
+
+    monkeypatch.setattr(stability, "_first_unstable", no_count)
+    assert min_unstable_size([T_STABLE, T_UNSTABLE], [0.5, 0.5], n_max) is None
 
 
 def test_min_unstable_size_straddles_critical_rate(ref_trios):
