@@ -37,7 +37,6 @@ from .linearize import (
     classify,
     discriminant,
     linearize,
-    linearize_fd,
 )
 from .model import (
     BandoFtl,
@@ -77,7 +76,6 @@ _LAZY = {
             "RingSystem",
             "SpectrumReport",
             "assemble",
-            "char_poly_eval",
             "count_right_of",
             "eigenvalues",
             "eigenvalues_on_H",

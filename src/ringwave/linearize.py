@@ -74,23 +74,6 @@ def linearize(model: BandoFtl, h_bar: float, v_bar: float) -> LinearTrio:
     return LinearTrio(alpha=fh, beta=fhd - fv, gamma=fhd)
 
 
-def linearize_fd(
-    model: BandoFtl, h_bar: float, v_bar: float, eps: float
-) -> LinearTrio:
-    """Trio by central finite differences of the law with step ``eps``.
-
-    Independent of the analytic path in :func:`linearize`; used to
-    cross-check it.
-    """
-    if not (eps > 0.0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    _require_equilibrium(model, h_bar, v_bar)
-    fh = (accel(model, h_bar + eps, 0.0, v_bar) - accel(model, h_bar - eps, 0.0, v_bar)) / (2 * eps)
-    fhd = (accel(model, h_bar, eps, v_bar) - accel(model, h_bar, -eps, v_bar)) / (2 * eps)
-    fv = (accel(model, h_bar, 0.0, v_bar + eps) - accel(model, h_bar, 0.0, v_bar - eps)) / (2 * eps)
-    return LinearTrio(alpha=fh, beta=fhd - fv, gamma=fhd)
-
-
 def discriminant(trio: LinearTrio) -> float:
     """``beta^2 - gamma^2 - 2*alpha`` (1/s^2); its sign classifies the trio."""
     return trio.beta * trio.beta - trio.gamma * trio.gamma - 2.0 * trio.alpha

@@ -17,6 +17,7 @@ error, vehicle, value and time as a check before every stage.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,19 @@ import numpy as np
 from .equilibrium import Composition, EquilibriumFlow
 from .errors import CollisionError, InsufficientDataError
 from .model import _speed, model_partials
+
+
+def _hold_whole(obj, name: str, least: int | None = None) -> None:
+    """Hold ``obj.name`` as an ``int``, so an integral float such as 2.0 reads as 2.
+
+    ``ValueError`` for any value that is not a whole number, or is below ``least``.
+    """
+    value = getattr(obj, name)
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if not whole or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be a whole number{bound}, got {value!r}")
+    object.__setattr__(obj, name, int(value))  # past the frozen __setattr__
 
 
 @dataclass(frozen=True)
@@ -37,12 +51,18 @@ class SinusoidalMode:
 
     mode: int = 1
 
+    def __post_init__(self):
+        _hold_whole(self, "mode")
+
 
 @dataclass(frozen=True)
 class SeededRandomZeroSum:
     """Reproducible random perturbation of headways (zero-sum) and velocities."""
 
     seed: int = 0
+
+    def __post_init__(self):
+        _hold_whole(self, "seed", least=0)
 
 
 @dataclass(frozen=True)
@@ -66,8 +86,7 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.dt <= self.t_end < math.inf:
             raise ValueError(f"require finite dt > 0 and t_end >= dt, got dt {self.dt} and t_end {self.t_end}")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        _hold_whole(self, "record_every", least=1)
 
 
 @dataclass(frozen=True, eq=False)

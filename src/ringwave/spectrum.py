@@ -9,9 +9,10 @@ where A is the circulant forward difference, C = diag(alpha_j), and B couples
 each vehicle to itself (-beta_j) and its leader (+gamma_j).  Perturbations
 live on the subspace where the headway components sum to zero; there the
 spectrum of M is its full spectrum minus the structural simple eigenvalue at
-zero.  Two independent reformulations are provided for cross-checking: the
-characteristic polynomial in product form and the transfer product whose
-unit level set characterizes the eigenvalues.
+zero.  The ring of n vehicles, :class:`RingSystem`, with its matrix, its dense
+spectrum on that subspace and its transfer product, whose unit level set holds
+the eigenvalues, stays only because ``bench/workloads.py`` calls it; no
+library function does.
 
 Because the transfer product depends only on the multiset of trios, a
 :class:`Fleet` of classes ``(trios, counts)`` has its eigenvalues at the zeros
@@ -24,7 +25,7 @@ most ``_BLOCK_POINTS`` points, every point weighted by its own fleet's
 counts.  :func:`eigenvalues` finds all 2n - 1 of them at once by
 Aberth-Ehrlich iteration on ``Q (1 - F)``, ``Q = prod_k q_k^(n_k)``, in
 O(n) memory, and returns only a spectrum that :func:`misfit` certifies by
-the same counts.  The ring matrix stays as the tests' oracle.
+the same counts.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .linearize import LinearTrio
 
 @dataclass(frozen=True)
 class RingSystem:
-    """Trios of the n vehicles in ring order: the tests' oracle, which no library function builds."""
+    """Trios of the n vehicles in ring order: kept for ``bench/workloads.py``, which builds it; no library function does."""
 
     trios: tuple[LinearTrio, ...]
 
@@ -97,12 +98,6 @@ class Fleet:
         check_rates(rates)
         return cls(trios, largest_remainder(rates, n))
 
-    @classmethod
-    def from_ring(cls, ring: RingSystem) -> Fleet:
-        """The classes of ``ring``: how many of its vehicles share each trio.  The tests' oracle uses it alone."""
-        counts = Counter(ring.trios)
-        return cls(tuple(counts), tuple(counts.values()))
-
     def transfer(self, z) -> np.ndarray:
         """``F(z) = prod_k T_k(z)^(n_k)`` at each of the points ``z``, as ``exp`` of :func:`_log_product`.
 
@@ -140,7 +135,7 @@ class SpectrumReport:
 
 
 def assemble(sys: RingSystem) -> np.ndarray:
-    """The 2n x 2n ring matrix; requires n >= 2.  The tests' oracle, which no library function calls."""
+    """The 2n x 2n ring matrix; requires n >= 2.  :func:`eigenvalues_on_H` builds on it."""
     n = sys.n
     if n < 2:
         raise ValueError(f"ring matrix needs n >= 2 vehicles, got {n}")
@@ -168,9 +163,10 @@ def eigenvalues_on_H(sys: RingSystem) -> SpectrumReport:
     In the coordinates ``(y_1 .. y_{n-1}, u)`` of H, ``y_n = -(y_1 + ... +
     y_{n-1})``, M keeps its other rows and columns, less the ``y_n`` column in
     each headway column: a ``(2n-1) x (2n-1)`` matrix with the spectrum of M
-    but its structural zero, so no eigenvalue is searched for or dropped.  The
-    tests' oracle, which no library function calls.  M is non-normal: on block
-    or shuffled orderings ``eigvals`` returns values that are no eigenvalues.
+    but its structural zero, so no eigenvalue is searched for or dropped.
+    Kept for ``bench/workloads.py``, which calls it; no library function does.
+    M is non-normal: on block or shuffled orderings ``eigvals`` returns values
+    that are no eigenvalues.
     """
     n = sys.n
     keep = np.r_[0 : n - 1, n : 2 * n]
@@ -182,51 +178,16 @@ def eigenvalues_on_H(sys: RingSystem) -> SpectrumReport:
     return SpectrumReport(eigenvalues=lam, abscissa=float(lam.real.max()))
 
 
-def _renorm(p: complex, e: int) -> tuple[complex, int]:
-    m = abs(p)
-    if m > 2.0**512:
-        return p * 2.0**-512, e + 512
-    if 0.0 < m < 2.0**-512:
-        return p * 2.0**512, e - 512
-    return p, e
-
-
-def _ldexp_sat(x: float, e: int) -> float:
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.copysign(math.inf, x)
-
-
-def char_poly_eval(sys: RingSystem, lam: complex) -> complex:
-    """Characteristic polynomial of the ring matrix in product form.
-
-    Evaluates ``prod(lam^2 + beta_j lam + alpha_j) - prod(gamma_j lam + alpha_j)``
-    with power-of-two rescaling so intermediate products cannot overflow.
-    The value vanishes at every eigenvalue, including the structural zero.
-    The tests' oracle, which no library function calls.
-    """
-    lam = complex(lam)
-    p_quad, e_quad = 1.0 + 0.0j, 0
-    p_lin, e_lin = 1.0 + 0.0j, 0
-    for t in sys.trios:
-        p_quad *= lam * lam + t.beta * lam + t.alpha
-        p_lin *= t.gamma * lam + t.alpha
-        p_quad, e_quad = _renorm(p_quad, e_quad)
-        p_lin, e_lin = _renorm(p_lin, e_lin)
-    e = max(e_quad, e_lin)
-    diff = p_quad * 2.0 ** (e_quad - e) - p_lin * 2.0 ** (e_lin - e)
-    return complex(_ldexp_sat(diff.real, e), _ldexp_sat(diff.imag, e))
-
-
 def transfer_product(sys: RingSystem, z: complex) -> complex:
     """Product of the per-vehicle transfer factors at ``z``, one class at a time.
 
     Each factor is ``(gamma_j z + alpha_j) / (z^2 + beta_j z + alpha_j)``;
     eigenvalues of the ring system are exactly the points where the product
-    equals one.  See :meth:`Fleet.transfer`.  The tests' oracle, which no library function calls.
+    equals one.  See :meth:`Fleet.transfer`.  Kept for ``bench/workloads.py``,
+    which calls it; no library function does.
     """
-    return complex(Fleet.from_ring(sys).transfer(z)[0])
+    counts = Counter(sys.trios)
+    return complex(Fleet(tuple(counts), tuple(counts.values())).transfer(z)[0])
 
 
 # Fleets as class multisets: winding counts and a certified abscissa.

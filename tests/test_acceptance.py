@@ -18,7 +18,6 @@ from ringwave import (
     SimConfig,
     SinusoidalMode,
     critical_penetration,
-    char_poly_eval,
     discriminant,
     eigenvalues_on_H,
     equilibrium_from_velocity,
@@ -33,6 +32,7 @@ from ringwave import (
 )
 
 from conftest import composition_of, random_trio
+from oracle import char_poly_eval
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:

@@ -787,6 +787,9 @@ def config_mistakes():
     cfg = valid_config("simulate")
     cfg["sim"]["t_end"] = 0.01
     yield "simulate", "t_end_below_dt", cfg, "t_end >= dt"
+    cfg = valid_config("simulate")
+    cfg["sim"]["perturbation"] = {"amplitude": 0.01, "kind": "seeded_random_zero_sum", "seed": -1}
+    yield "simulate", "negative_seed", cfg, "seed must be a whole number >= 0, got -1"
     nan, inf = float("nan"), float("inf")
     yield "equilibrium", "nan_v_bar", dict(valid_config("equilibrium"), equilibrium={"v_bar": nan}), "NaN"
     yield "equilibrium", "infinite_length", dict(valid_config("equilibrium"), equilibrium={"length": inf}), "Infinity"

@@ -63,11 +63,15 @@ def test_fleet_is_immutable():
         fleet.alpha[0, 0] = 1.0
 
 
-def test_from_ring_counts_the_classes_of_a_shuffled_ring():
+def test_transfer_product_of_a_shuffled_ring_is_its_fleets_transfer():
+    # the benchmark checks a spectrum solved from the class counts with transfer_product on the ring
     ring = [T_A] * 5 + [T_B] * 7 + [T_C]
     np.random.default_rng(3).shuffle(ring)
-    fleet = Fleet.from_ring(RingSystem(tuple(ring)))
+    classes = tuple(dict.fromkeys(ring))  # in the order the ring meets them, so the classes sum alike
+    fleet = Fleet(classes, [ring.count(t) for t in classes])
     assert dict(zip(fleet.trios, fleet.counts)) == {T_A: 5, T_B: 7, T_C: 1}
+    z = np.array([0.0, 0.3 + 0.9j, -0.2 + 2.5j, 1.7, 0.05j])
+    np.testing.assert_array_equal([transfer_product(RingSystem(tuple(ring)), p) for p in z], fleet.transfer(z))
 
 
 @pytest.mark.parametrize("rates", [[0.875, 0.125], [0.5, 0.3, 0.2], [0.1, 0.0, 0.9], [1 / 3] * 3])

@@ -13,11 +13,11 @@ from ringwave import (
     eval_preference,
     eval_preference_slope,
     linearize,
-    linearize_fd,
     preference_with_slope,
     preferred_headway,
 )
 
+from oracle import linearize_fd
 
 
 def test_reference_trios_closed_form(ref_models, ref_v_bar, ref_trios):

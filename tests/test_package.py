@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ringwave as rw
 from conftest import REF_D0, REF_HEADWAY, REF_LV, REF_SLOPE
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -107,3 +109,19 @@ def test_each_command_loads_only_the_layers_it_runs(command, tmp_path):
     cfg.write_text(json.dumps({"schema_version": 1, **payload}), encoding="utf-8")
     argv = [command, "--config", str(cfg), "--out", str(tmp_path), "--deterministic"]
     assert _run_fresh("-c", CLI_PROBE, *argv) == {"import": [], "code": 0, "run": layers}
+
+
+def test_the_per_vehicle_ring_is_only_what_the_benchmark_calls():
+    # bench/workloads.py builds a RingSystem and calls eigenvalues_on_H and transfer_product on it
+    stable, unstable = rw.LinearTrio(0.5, 2.0, 1.0), rw.LinearTrio(2.0, 2.0, 1.0)
+    ring = rw.RingSystem((stable, unstable, stable, stable))
+    assert rw.assemble(ring).shape == (8, 8)
+    lam = rw.eigenvalues_on_H(ring).eigenvalues
+    assert len(lam) == 7
+    top = lam[np.argmax(lam.real)]
+    assert abs(rw.transfer_product(ring, top) - 1.0) <= 1e-9
+    # the characteristic polynomial and the finite-difference trio are the tests' own oracle
+    for name in ("char_poly_eval", "linearize_fd"):
+        assert name not in dir(rw) and not hasattr(rw, name)
+    assert not hasattr(rw.spectrum, "char_poly_eval") and not hasattr(sys.modules["ringwave.linearize"], "linearize_fd")
+    assert not hasattr(rw.Fleet, "from_ring")

@@ -34,6 +34,7 @@ from conftest import composition_of
 
 PREF = VelocityPreference(v_max=9.72, l_v=4.5, d0=2.23)
 MODEL = BandoFtl(a=2.0, b=9.0, pref=PREF)
+KICK = Perturbation(0.01, SingleVehicleKick())
 
 
 def small_setup(n=12, v=4.0):
@@ -350,7 +351,33 @@ def test_unstable_step_size_is_reported_as_numeric(ref_models, ref_v_bar):
 def test_sim_config_refuses_a_step_or_end_that_is_not_finite(field, value):
     times = {"t_end": 10.0, "dt": 0.05, field: value}
     with pytest.raises(ValueError, match="finite"):
-        SimConfig(perturbation=Perturbation(0.01, SingleVehicleKick()), **times)
+        SimConfig(perturbation=KICK, **times)
+
+
+WHOLE_NUMBER_REFUSALS = {
+    "negative seed": lambda: SeededRandomZeroSum(-1),
+    "fractional seed": lambda: SeededRandomZeroSum(2.5),
+    "fractional mode": lambda: SinusoidalMode(2.5),
+    "nan mode": lambda: SinusoidalMode(math.nan),
+    "fractional record_every": lambda: SimConfig(t_end=1.0, perturbation=KICK, record_every=2.5),
+    "nan record_every": lambda: SimConfig(t_end=1.0, perturbation=KICK, record_every=math.nan),
+    "zero record_every": lambda: SimConfig(t_end=1.0, perturbation=KICK, record_every=0),
+}
+
+
+@pytest.mark.parametrize("build", list(WHOLE_NUMBER_REFUSALS.values()), ids=list(WHOLE_NUMBER_REFUSALS))
+def test_sim_refuses_a_setting_that_is_no_whole_number(build):
+    with pytest.raises(ValueError, match="must be a whole number"):
+        build()
+
+
+def test_sim_holds_an_integral_float_as_its_integer():
+    held = [
+        SeededRandomZeroSum(3.0).seed,
+        SinusoidalMode(np.int64(-2)).mode,
+        SimConfig(t_end=1.0, perturbation=KICK, record_every=2.0).record_every,
+    ]
+    assert held == [3, -2, 2] and all(type(v) is int for v in held)
 
 
 def test_simulate_records_every_k_steps():

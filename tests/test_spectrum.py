@@ -10,7 +10,6 @@ from ringwave import (
     PoleError,
     RingSystem,
     assemble,
-    char_poly_eval,
     discriminant,
     eigenvalues_on_H,
     log_gain,
@@ -19,6 +18,7 @@ from ringwave import (
 )
 
 from conftest import random_trio
+from oracle import char_poly_eval
 
 T_STABLE = LinearTrio(alpha=0.5, beta=2.0, gamma=1.0)  # delta = +2
 T_UNSTABLE = LinearTrio(alpha=2.0, beta=2.0, gamma=1.0)  # delta = -1
