@@ -9,9 +9,25 @@ stability margins (``stability``), the spectral layer (``spectrum``) and the
 simulator (``sim``) load on first use of one of their names, so a caller
 compiles only the layers it uses: margins and ``tau0`` never load
 ``spectrum`` or ``sim``.
+
+Where ``import ringwave`` is what first loads NumPy and none of
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, NumPy
+loads with one OpenBLAS thread, since no ringwave path calls threaded BLAS and an idle
+worker only spins; ``os.environ`` is left as it was, so a host that wants threads for
+its own BLAS work imports NumPy first or sets one of those variables.
 """
 
 import importlib
+import os
+import sys
+
+# OpenBLAS reads its thread count once, when NumPy loads it
+if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        importlib.import_module("numpy")
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .equilibrium import (
     Composition,

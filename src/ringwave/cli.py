@@ -132,12 +132,12 @@ def _config_schema(command: str) -> dict:
 
 
 @contextlib.contextmanager
-def _config_values():
-    """Re-raise a constructor's ``ValueError`` as the config mistake it is."""
+def _config_values(at: str = ""):
+    """Re-raise a constructor's ``ValueError`` as the config mistake it is, at config path ``at``."""
     try:
         yield
     except ValueError as err:
-        raise ConfigError(str(err)) from err
+        raise ConfigError(f"{at}: {err}" if at else str(err)) from err
 
 
 def _refuse_constant(name: str):
@@ -356,6 +356,9 @@ def cmd_simulate(config: dict, out: Path, deterministic: bool) -> int:
     with _config_values():
         kind = getattr(sim, name)(**{key: pert_cfg[key] for key in params if key in pert_cfg})
         cfg = sim.SimConfig(perturbation=sim.Perturbation(pert_cfg["amplitude"], kind), **sim_cfg)
+    if isinstance(kind, sim.SinusoidalMode):
+        with _config_values("$.sim.perturbation.mode"):
+            kind.profile(comp.n)
     eq = _resolve_equilibrium(config["equilibrium"], comp)
     trace = sim.simulate(comp, eq, cfg)
     rows = list(

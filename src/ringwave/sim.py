@@ -54,6 +54,16 @@ class SinusoidalMode:
     def __post_init__(self):
         _hold_whole(self, "mode")
 
+    def profile(self, n: int) -> np.ndarray:
+        """``sin(2 pi mode j / n)`` at vehicles ``j = 0, ..., n - 1``.
+
+        ``ValueError`` where ``2 mode`` is a multiple of ``n`` (mode 0, n/2, n, -n, ...):
+        the sine is 0 at every vehicle, so the mode perturbs nothing.
+        """
+        if (2 * self.mode) % n == 0:
+            raise ValueError(f"mode {self.mode} perturbs no vehicle of a ring of {n}: 2 * mode is a multiple of {n}")
+        return np.sin(2.0 * np.pi * self.mode * np.arange(n) / n)
+
 
 @dataclass(frozen=True)
 class SeededRandomZeroSum:
@@ -113,7 +123,8 @@ def initial_state(
     Headway perturbations are projected to zero sum (mean subtracted) so the
     state stays on the ring's invariant subspace; a seeded random kind also
     perturbs the velocities and is reproducible from its seed.  Raises
-    :class:`CollisionError` at ``t = 0`` if a headway is not positive.
+    :class:`CollisionError` at ``t = 0`` if a headway is not positive, and
+    ``ValueError`` for a sinusoidal mode that perturbs no vehicle of the ring.
     """
     n = comp.n
     h = np.array([eq.h_bar[p.class_id] for p in comp.classes], dtype=float)[comp.index]
@@ -123,7 +134,7 @@ def initial_state(
     if isinstance(kind, SingleVehicleKick):
         v[0] += amp
     elif isinstance(kind, SinusoidalMode):
-        v += amp * np.sin(2.0 * np.pi * kind.mode * np.arange(n) / n)
+        v += amp * kind.profile(n)
     elif isinstance(kind, SeededRandomZeroSum):
         rng = np.random.default_rng(kind.seed)
         dh = amp * rng.uniform(-1.0, 1.0, n)

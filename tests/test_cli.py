@@ -512,6 +512,17 @@ def test_simulate_command_stable_envelope(tmp_path):
     assert (tmp_path / "trace.svg").exists()
 
 
+@pytest.mark.parametrize("mode", [0, 5, 10])
+def test_simulate_refuses_a_mode_that_perturbs_no_vehicle(tmp_path, capsys, mode):
+    cfg = valid_config("simulate")
+    cfg["composition"] = composition_payload(8, 2)
+    cfg["sim"]["perturbation"] = {"amplitude": 0.1, "kind": "sinusoidal_mode", "mode": mode}
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: $.sim.perturbation.mode: ") and f"mode {mode} perturbs no vehicle" in err, err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 # each perturbation kind, with a parameter that belongs to another kind
 STRAY_PARAMETERS = [
     ("single_vehicle_kick", "mode"),
@@ -921,7 +932,8 @@ def test_schema_accepts_boundary_values(tmp_path, command, where, value):
 
 
 SEEDED_SIM = {"t_end": 1.0, "perturbation": {"amplitude": 0.01, "kind": "seeded_random_zero_sum", "seed": 3}}
-MODE_SIM = {"t_end": 1.0, "record_every": 2, "perturbation": {"amplitude": 0.01, "kind": "sinusoidal_mode", "mode": 2}}
+# on the 2 + 2 ring mode 2 would perturb no vehicle, which simulate refuses
+MODE_SIM = {"t_end": 1.0, "record_every": 2, "perturbation": {"amplitude": 0.01, "kind": "sinusoidal_mode", "mode": 3}}
 
 # id, command, edits to valid_config(command), and the integer the twin writes as a float
 INTEGRAL_FLOATS = [

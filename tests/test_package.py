@@ -48,10 +48,19 @@ print(json.dumps(report))
 """
 
 
-def _run_fresh(*argv: str) -> dict:
-    """The JSON report on the last line printed by a fresh interpreter run with ``argv``."""
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+TASKS = "/proc/self/task"
+needs_proc = pytest.mark.skipif(not os.path.isdir(TASKS), reason="threads are counted in /proc/self/task")
+
+
+def _run_fresh(*argv: str, **blas_vars: str) -> dict:
+    """The JSON report on the last line printed by a fresh interpreter run with ``argv``.
+
+    The child's environment has none of ``BLAS_VARS`` but those given in ``blas_vars``.
+    """
     src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_VARS}
+    env.update(blas_vars, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
@@ -71,7 +80,7 @@ def test_margins_leave_the_spectral_and_simulation_layers_unloaded():
 
 # run in a fresh interpreter with a command's CLI arguments: the layers loaded by the import, then by the run
 CLI_PROBE = """
-import json, sys
+import json, os, sys
 
 def loaded():
     return [m for m in ("sim", "spectrum", "stability", "_svg") if f"ringwave.{m}" in sys.modules]
@@ -80,7 +89,8 @@ from ringwave.cli import main
 
 at_import = loaded()
 code = main(sys.argv[1:])
-print(json.dumps({"import": at_import, "code": code, "run": loaded()}))
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps({"import": at_import, "code": code, "run": loaded(), "threads": threads}))
 """
 
 PREF = {"calibrate": {"h_ref": REF_HEADWAY, "slope": REF_SLOPE, "l_v": REF_LV, "d0": REF_D0}}
@@ -108,7 +118,52 @@ def test_each_command_loads_only_the_layers_it_runs(command, tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"schema_version": 1, **payload}), encoding="utf-8")
     argv = [command, "--config", str(cfg), "--out", str(tmp_path), "--deterministic"]
-    assert _run_fresh("-c", CLI_PROBE, *argv) == {"import": [], "code": 0, "run": layers}
+    threads = 1 if os.path.isdir(TASKS) else None
+    assert _run_fresh("-c", CLI_PROBE, *argv) == {"import": [], "code": 0, "run": layers, "threads": threads}
+
+
+# run in a fresh interpreter: the native threads after ``import numpy`` (when the first argument
+# asks for it) and after ``import ringwave``, whether the import left os.environ as it was, and
+# what a child process started after it sees of OPENBLAS_NUM_THREADS
+THREAD_PROBE = """
+import json, os, subprocess, sys
+
+def threads():
+    return len(os.listdir("/proc/self/task"))
+
+before = dict(os.environ)
+if sys.argv[1] == "numpy-first":
+    import numpy
+numpy_threads = threads() if "numpy" in sys.modules else None
+import ringwave
+child = subprocess.run(
+    [sys.executable, "-c", "import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+    capture_output=True, text=True, check=True,
+).stdout.strip()
+print(json.dumps({"numpy": numpy_threads, "ringwave": threads(), "environ_kept": dict(os.environ) == before, "child": child}))
+"""
+
+
+@needs_proc
+def test_import_ringwave_loads_numpy_with_one_blas_thread():
+    report = _run_fresh("-c", THREAD_PROBE, "ringwave-first")
+    assert report == {"numpy": None, "ringwave": 1, "environ_kept": True, "child": "None"}
+
+
+@needs_proc
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS starts no worker on one core")
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_a_blas_thread_variable_leaves_the_count_to_openblas(var):
+    report = _run_fresh("-c", THREAD_PROBE, "ringwave-first", **{var: "2"})
+    child = "2" if var == "OPENBLAS_NUM_THREADS" else "None"
+    assert report == {"numpy": None, "ringwave": 2, "environ_kept": True, "child": child}
+
+
+@needs_proc
+def test_numpy_loaded_first_keeps_its_blas_threads():
+    report = _run_fresh("-c", THREAD_PROBE, "numpy-first")
+    assert report["ringwave"] == report["numpy"] >= 1
+    assert report["environ_kept"] and report["child"] == "None"
 
 
 def test_the_per_vehicle_ring_is_only_what_the_benchmark_calls():

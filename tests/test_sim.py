@@ -380,6 +380,23 @@ def test_sim_holds_an_integral_float_as_its_integer():
     assert held == [3, -2, 2] and all(type(v) is int for v in held)
 
 
+@pytest.mark.parametrize("mode", [0, 5, 10, -10, 25])
+def test_initial_state_refuses_a_mode_that_perturbs_no_vehicle(mode):
+    # sin(2 pi mode j / 10) is 0 at every vehicle when 2 * mode is a multiple of 10
+    comp, eq = small_setup(n=10)
+    with pytest.raises(ValueError, match=f"mode {mode} perturbs no vehicle of a ring of 10"):
+        initial_state(eq, comp, Perturbation(0.1, SinusoidalMode(mode)))
+
+
+@pytest.mark.parametrize("mode, amplitude", [(1, 0.1), (2, 0.1), (-3, 0.1), (12, 0.1), (1, 0.0)])
+def test_initial_state_takes_a_mode_that_perturbs_the_ring(mode, amplitude):
+    comp, eq = small_setup(n=10)
+    v = initial_state(eq, comp, Perturbation(amplitude, SinusoidalMode(mode))).velocities
+    expected = eq.v_bar + amplitude * np.sin(2.0 * np.pi * mode * np.arange(10) / 10)
+    assert np.array_equal(v, expected)
+    assert (np.ptp(v) > 0.0) == (amplitude > 0.0)
+
+
 def test_simulate_records_every_k_steps():
     comp, eq = small_setup()
     cfg = SimConfig(
