@@ -13,12 +13,15 @@ unstable class this yields a closed-form critical penetration rate: the
 minimal fraction of stable vehicles above which the fleet is stable at any
 size.
 
-Every maximum here (the margin, the ratio behind ``tau0`` and ``tau1``) is
-taken on a 4096-point log grid, where only the value and the slope are
-computed, and each grid peak is then polished by a few guarded Newton steps
-in plain floats.  Grid and polish run the same per-class formula, with
-``np.log1p`` for the logs in both, so a polished value has the bits the grid
-would give at that point.
+The margin's maximum comes from its critical points: ``S'`` times the
+positive ``prod_k p_k q_k`` is a polynomial of degree ``3K - 1`` in ``y`` for
+``K`` classes, and each of its positive real roots gets two Newton steps on
+``S'`` in plain floats.  The ratio behind ``tau0`` and ``tau1`` is not
+polynomial; its maximum is taken on a 4096-point log grid, where only the
+value and the slope are computed, and each grid peak is then polished by a
+few guarded Newton steps in plain floats.  Grid and points run the same
+per-class formula, with ``np.log1p`` for the logs in both, so a value at a
+point has the bits the grid would give there.
 """
 
 from __future__ import annotations
@@ -41,8 +44,19 @@ GRID_POINTS = 4096
 # three reach the rounding floor of the derivative
 _NEWTON_STEPS = 5
 
+# Newton steps per root of the margin's slope polynomial: np.roots gives them to
+# about 1e-13 relative or better, and S is flat to second order at a critical point
+_ROOT_STEPS = 2
+
+# a root of the slope polynomial whose imaginary part is within this share of its
+# size is taken as real: two real roots closer than about sqrt(eps) may come back
+# as a complex pair
+_REAL_ROOT_TOL = 1e-6
+
 # |sup margin| below this is reported as sitting on the critical boundary
 MARGIN_TOL = 1e-12
+
+_POLE = "a trio leaves the admissible set: its gain has a pole on the axis"
 
 
 @dataclass(frozen=True)
@@ -93,12 +107,22 @@ def log_gain(trio: LinearTrio, y):
 
 
 def _gain_classes(trios: Sequence[LinearTrio], weights: Sequence[float]) -> list[tuple[float, ...]]:
-    """Per class of nonzero weight: ``alpha^2``, ``gamma^2``, ``beta^2 - 2 alpha`` and the weight."""
-    return [
-        (float(t.alpha * t.alpha), float(t.gamma * t.gamma), float(t.beta * t.beta - 2.0 * t.alpha), float(w))
-        for t, w in zip(trios, weights)
-        if w != 0.0
-    ]
+    """Per class of nonzero weight: ``alpha^2``, ``gamma^2``, ``beta^2 - 2 alpha`` and the weight.
+
+    ``ModelInvalidError`` when a class's ``q = alpha^2 + (beta^2 - 2 alpha) y + y^2`` has a
+    positive real root: in exact arithmetic only at ``beta = 0``, which no trio has, but in
+    floats once ``beta^2 - 2 alpha`` rounds to ``-2 alpha``.  Its gain then has a pole on the
+    axis wherever that root lies.
+    """
+    classes = []
+    for t, w in zip(trios, weights):
+        if w == 0.0:
+            continue
+        a2, c = float(t.alpha * t.alpha), float(t.beta * t.beta - 2.0 * t.alpha)
+        if c < 0.0 and c * c >= 4.0 * a2:
+            raise ModelInvalidError(_POLE)
+        classes.append((a2, float(t.gamma * t.gamma), c, float(w)))
+    return classes
 
 
 def _class_gain(a2, g2, c, y, curvature: bool):
@@ -114,7 +138,7 @@ def _class_gain(a2, g2, c, y, curvature: bool):
     den = (c * y + y * y) / a2
     # np.count_nonzero takes a float's bool as cheaply as an array; .any() would need an array
     if np.count_nonzero(den <= -1.0):
-        raise ModelInvalidError("a trio leaves the admissible set: its gain has a pole on the axis")
+        raise ModelInvalidError(_POLE)
     p, q = 1.0 + num, 1.0 + den
     h = np.log1p(num) - np.log1p(den)
     apq = a2 * p * q
@@ -274,26 +298,83 @@ def margin_curve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Count-weighted log gain ``sum_k counts[k] * H_k(y)`` on a log-spaced grid.
 
-    The grid has ``points`` values of ``y`` spanning nine decades up to ten
-    times the widest feature of any unstable class with a nonzero count (its
-    ``-discriminant`` or ``Gamma^2``), and at least up to 10.  Returns ``(ys, margin)``, and
-    zeros when every count is 0.  ``ValueError`` when ``counts`` does not match ``trios`` one
-    to one or holds a negative or non-finite count, as in :func:`multi_phase_margin`.
+    The grid has ``points`` values of ``y`` spanning nine decades up to the margin window
+    (see :func:`_margin_window`).  Returns ``(ys, margin)``, and zeros when every count is 0.
+    ``ValueError`` when ``counts`` does not match ``trios`` one to one or holds a negative or
+    non-finite count, as in :func:`multi_phase_margin`.
     """
-    ys, classes = _margin_grid(trios, counts, points), _gain_classes(trios, counts)
+    window = _margin_window(trios, counts)
+    ys, classes = np.geomspace(window * 1e-9, window, points), _gain_classes(trios, counts)
     return ys, _weighted_gain(classes, ys, curvature=False)[0] if classes else np.zeros_like(ys)
 
 
-def _margin_grid(trios: Sequence[LinearTrio], counts: Sequence[float], points: int) -> np.ndarray:
-    """The grid of :func:`margin_curve`, spanned by the classes with a nonzero count.
+def _margin_window(trios: Sequence[LinearTrio], counts: Sequence[float]) -> float:
+    """Ten times the widest feature of any unstable class with a nonzero count, and at least 10.
 
-    Refuses ``counts`` that :func:`checked_counts` refuses.
+    A feature is the class's ``-discriminant`` or ``Gamma^2``.  Refuses ``counts`` that
+    :func:`checked_counts` refuses.
     """
     checked_counts(trios, counts)
     unstable = [t for t, c in zip(trios, counts) if c != 0 and discriminant(t) < 0.0]
     spans = [1.0] + [-discriminant(t) for t in unstable] + [gamma_squared(t) for t in unstable]
-    window = 10.0 * max(spans)
-    return np.geomspace(window * 1e-9, window, points)
+    return 10.0 * max(spans)
+
+
+def _poly_mul(u: list[float], v: list[float]) -> list[float]:
+    """Product of two polynomials given by their coefficients, highest power first.
+
+    Plain floats: ``np.convolve`` costs more on lists of three or four coefficients.
+    """
+    out = [0.0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] += a * b
+    return out
+
+
+def _slope_polynomial(classes: Sequence[tuple[float, ...]]) -> list[float]:
+    """Coefficients, highest power first, of ``S'(y) * prod_k p_k q_k`` (degree ``3K - 1``).
+
+    ``H_k' = N_k / (alpha_k^2 p_k q_k)`` with ``N_k = (gamma^2 - c) - 2 y - (gamma^2 / alpha^2) y^2``,
+    :func:`_class_gain`'s slope numerator, so the product is ``sum_k (w_k / alpha_k^2) N_k
+    prod_{j != k} p_j q_j``.  ``p`` and ``q`` keep their constant term 1, so a large ``alpha``
+    scales no coefficient out of range.  Every ``p_j q_j`` is positive for ``y > 0``, so the
+    positive roots are exactly the critical points of ``S``.
+    """
+    nums = [[-w * g2 / a2 / a2, -2.0 * w / a2, w * (g2 - c) / a2] for a2, g2, c, w in classes]
+    dens = [_poly_mul([g2 / a2, 1.0], [1.0 / a2, c / a2, 1.0]) for a2, g2, c, _ in classes]
+    total = [0.0] * (3 * len(classes))
+    for k, term in enumerate(nums):
+        for den in dens[:k] + dens[k + 1:]:
+            term = _poly_mul(term, den)
+        for i, a in enumerate(term):
+            total[i] += a
+    return total
+
+
+def _critical_points(classes: Sequence[tuple[float, ...]]) -> list[float]:
+    """The positive critical points of ``S = sum_k w_k H_k``, each polished by Newton steps on ``S'``.
+
+    They are the positive real roots of :func:`_slope_polynomial`; ``np.roots`` drops its zero
+    leading coefficients, as when ``gamma^2`` underflows.  A class with a nonnegative
+    discriminant has ``N_k < 0`` for every ``y > 0``, so a fleet without an unstable class
+    has none.  A Newton step that would leave ``y > 0``, or divide by a zero curvature, is
+    not taken.
+    """
+    if all(g2 <= c for _, g2, c, _ in classes):
+        return []
+    points = []
+    for root in np.roots(_slope_polynomial(classes)).tolist():
+        y = root.real
+        if not (y > 0.0 and abs(root.imag) <= _REAL_ROOT_TOL * y):
+            continue
+        for _ in range(_ROOT_STEPS):
+            _, d1, d2 = _weighted_gain(classes, y)
+            if d2 == 0.0 or not 0.0 < (step := y - d1 / d2) < math.inf:
+                break
+            y = step
+        points.append(y)
+    return sorted(points)
 
 
 def multi_phase_margin(
@@ -304,12 +385,19 @@ def multi_phase_margin(
     ``counts`` may be integers or real weights; only ratios matter for the
     verdict.  sup < 0 means exponential stability for these exact counts and
     every ordering; sup > 0 means instability once the composition is
-    replicated enough times.
+    replicated enough times.  The reported sup is the largest ``S`` over
+    ``y0 = window * 1e-9`` (the first point of :func:`margin_curve`'s grid) and
+    every critical point at or past ``y0``, since ``S`` falls to ``-inf`` as
+    ``y`` grows.
     """
-    ys = _margin_grid(trios, counts, GRID_POINTS)
+    y0 = _margin_window(trios, counts) * 1e-9
     if sum(counts) <= 0:
         raise ValueError("counts must have a positive total")
-    y_best, sup = _polished_max(partial(_weighted_gain, _gain_classes(trios, counts)), ys)
+    classes = _gain_classes(trios, counts)
+    candidates = [y0] + [y for y in _critical_points(classes) if y >= y0]
+    y_best, sup = max(
+        ((y, float(_weighted_gain(classes, y, curvature=False)[0])) for y in candidates), key=lambda c: c[1]
+    )
     if sup > MARGIN_TOL:
         verdict = MarginVerdict.UNSTABLE_FOR_LARGE_N
     elif sup < -MARGIN_TOL:

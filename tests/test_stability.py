@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ T_CRITICAL = LinearTrio(alpha=1.5, beta=2.0, gamma=1.0)  # delta = 0 exactly
 GAMMA_SQ_REF = 0.4128296797463384
 
 # a pair whose near-critical margin has a narrow interior bump (y ~ 0.538) that
-# the grid undersamples while the global grid argmax sits at the y -> 0 end
+# a 4096-point grid undersamples while its global argmax sits at the y -> 0 end
 BUMP_PAIR = (
     LinearTrio(0.2577822093261488, 1.8715095145589147, 1.396977724005661),
     LinearTrio(1.2603271213845688, 1.177986995812743, 0.4570421501973545),
@@ -64,9 +65,27 @@ def test_log_gain_sign_for_unstable_trio():
 @pytest.mark.parametrize("beta", [2e-9, 1e-8])
 def test_log_gain_refuses_a_pole_on_the_axis(beta):
     # at alpha = 1, q = 1 + (beta^2 - 2) y + y^2 dips to beta^2 at y = 1; once beta^2 - 2 rounds to -2 that is a pole
-    with pytest.raises(ModelInvalidError, match="pole on the axis"):
-        log_gain(LinearTrio(1.0, beta, beta / 2.0), 1.0)
+    for y in (1.0, 0.5):
+        with pytest.raises(ModelInvalidError, match="pole on the axis"):
+            log_gain(LinearTrio(1.0, beta, beta / 2.0), y)
     assert math.isfinite(log_gain(LinearTrio(1.0, 1e-7, 0.5e-7), 1.0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t1, pole: multi_phase_margin([pole], [1.0]),
+        lambda t1, pole: multi_phase_margin([t1, pole], [9, 1]),
+        lambda t1, pole: margin_curve([t1, pole], [9, 1], 512),
+        lambda t1, pole: critical_penetration(t1, pole),
+        lambda t1, pole: multi_phase_tau1([t1, pole], [1.0]),
+    ],
+    ids=["margin-alone", "margin-mixed", "margin-curve", "critical-penetration", "tau1"],
+)
+def test_every_entry_point_refuses_a_pole_on_the_axis(ref_trios, call):
+    # in floats this class has q = (1 - y)^2: a double pole at y = 1, refused wherever a grid's points fall
+    with pytest.raises(ModelInvalidError, match="pole on the axis"):
+        call(ref_trios[0], LinearTrio(1.0, 2e-9, 1e-9))
 
 
 def test_log_gain_rejects_bad_arguments():
@@ -216,7 +235,7 @@ def test_margin_curve_is_the_weighted_log_gain(ref_trios):
     assert len(ys) == 512 and np.all(np.diff(ys) > 0)
     assert ys[-1] >= 10.0 * gamma_squared(ref_trios[1])
     np.testing.assert_array_equal(curve, 802 * log_gain(trios[0], ys) + 198 * log_gain(trios[1], ys))
-    # the supremum, refined from a 4096-point grid of the same window, bounds the curve
+    # the supremum, over the curve's first point and every critical point past it, bounds the curve
     assert multi_phase_margin(trios, counts).sup_margin >= curve.max()
 
 
@@ -313,6 +332,36 @@ def test_float_gain_ratio_matches_the_grid_bit_for_bit():
             np.testing.assert_array_equal(u, v)
         floats = np.array([[float(x) for x in _gain_ratio(num, den, float(y))] for y in ys])
         np.testing.assert_array_equal(floats, np.array(grid).T)
+
+
+def _verdict(sup: float) -> MarginVerdict:
+    if sup > stability.MARGIN_TOL:
+        return MarginVerdict.UNSTABLE_FOR_LARGE_N
+    return MarginVerdict.STABLE_ALL_N if sup < -stability.MARGIN_TOL else MarginVerdict.CRITICAL_BOUNDARY
+
+
+def test_margin_critical_points_match_the_grid_oracle():
+    # the oracle: a 4096-point grid over margin_curve's window with every grid peak polished,
+    # as tau0 and tau1 take their maxima
+    rng = np.random.default_rng(25)
+    worst = 0.0
+    for _ in range(300):
+        k = int(rng.integers(1, 4))
+        trios = [random_trio(rng, stable=bool(rng.integers(2))) for _ in range(k)]
+        counts = rng.integers(1, 61, k).tolist()
+        classes = _gain_classes(trios, counts)
+        window = stability._margin_window(trios, counts)
+        ys = np.geomspace(window * 1e-9, window, stability.GRID_POINTS)
+        _, sup = stability._polished_max(partial(_weighted_gain, classes), ys)
+        rep = multi_phase_margin(trios, counts)
+        assert rep.verdict is _verdict(sup)
+        worst = max(worst, abs(rep.sup_margin - sup))
+        # every grid step where the slope turns from positive to nonpositive holds a critical point
+        points = stability._critical_points(classes)
+        slope = _weighted_gain(classes, ys, curvature=False)[1]
+        for i in np.flatnonzero((slope[:-1] > 0.0) & (slope[1:] <= 0.0)).tolist():
+            assert any(ys[i] <= y <= ys[i + 1] for y in points), (trios, counts, ys[i])
+    assert worst <= 1e-14
 
 
 def test_zero_count_class_leaves_the_margin_alone():
