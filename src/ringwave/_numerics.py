@@ -23,7 +23,7 @@ def checked_counts(classes: Sequence, counts: Sequence[float], whole: bool = Fal
     integral float such as 2.0 reads as 2.  ``ValueError`` for lists that do
     not match one to one, are empty, or hold any other count.
     """
-    if len(classes) != len(counts) or not counts:
+    if len(classes) != len(counts) or len(counts) == 0:
         raise ValueError("need matching, nonempty class and count lists")
     if not all(c >= 0 and math.isfinite(c) and (not whole or float(c).is_integer()) for c in counts):
         what = "whole numbers" if whole else "numbers"

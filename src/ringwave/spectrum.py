@@ -286,6 +286,19 @@ def _tail_start(fleet: Fleet) -> float:
     return float(bound.max())
 
 
+def _zero_cluster(d: float, x_tail: float) -> np.ndarray:
+    """Heights from ``d / _SPLIT`` up to ``x_tail``, each at most ``_SPLIT`` times the one before.
+
+    A line ``Re(lambda) = s`` passes ``d = |s|`` from the structural zero, and the phase of
+    ``1 - F`` along it turns by about pi/2 within ``x ~ d``.  These points resolve that turn in
+    the initial grid; refinement alone comes only ``_SPLIT`` times closer to it a round.  Empty
+    for ``d = 0`` and for ``d / _SPLIT >= x_tail``.
+    """
+    if not 0.0 < d < _SPLIT * x_tail:
+        return np.zeros(0)
+    return np.geomspace(d / _SPLIT, x_tail, math.ceil(math.log(_SPLIT * x_tail / d, _SPLIT)) + 1)
+
+
 def _blocks(fleets: Sequence[Fleet], sizes: Sequence[int]) -> list[list[int]]:
     """Runs of indices into ``fleets`` that share their trios, ``sizes`` summing to at most ``_BLOCK_POINTS``.
 
@@ -309,6 +322,8 @@ def _unwrap(result):
 def _resolve_lines(lines: Sequence[tuple[Fleet, float]], *, winding: bool) -> list:
     """Per line ``(fleet, s)``, intervals covering ``s + ix``, ``0 <= x <= x_tail``, fine enough to count on.
 
+    A line's initial grid is uniform, log-spaced from ``x_tail * 1e-6`` and
+    clustered toward the structural zero (see :func:`_zero_cluster`).
     Unresolved intervals are cut into ``_SPLIT`` pieces, round after round,
     until none is left or a line has more than ``_REFINE_BUDGET`` per initial
     grid point; each round evaluates only the new points, one array pass for a
@@ -335,7 +350,7 @@ def _resolve_lines(lines: Sequence[tuple[Fleet, float]], *, winding: bool) -> li
         x_tail = _tail_start(fleet)
         fixed = np.concatenate(([0.0], np.geomspace(x_tail * 1e-6, x_tail, 64)))
         grids = [np.linspace(0.0, x_tail, 4 * int(fleets[i].count.sum()) + 64) for i in blk]
-        grids = [np.sort(np.concatenate((fixed, x))) for x in grids]
+        grids = [np.sort(np.concatenate((fixed, _zero_cluster(abs(d), x_tail), x))) for d, x in zip(s, grids)]
         # np.unique would import numpy.ma
         grids = [x[np.concatenate(([True], x[1:] != x[:-1]))] for x in grids]
         ln = np.repeat(np.arange(len(blk)), [x.size for x in grids])

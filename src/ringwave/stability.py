@@ -17,9 +17,12 @@ The margin's maximum comes from its critical points: ``S'`` times the
 positive ``prod_k p_k q_k`` is a polynomial of degree ``3K - 1`` in ``y`` for
 ``K`` classes, and each of its positive real roots gets two Newton steps on
 ``S'`` in plain floats.  The ratio behind ``tau0`` and ``tau1`` is not
-polynomial; its maximum is taken on a 4096-point log grid, where only the
-value and the slope are computed, and each grid peak is then polished by a
-few guarded Newton steps in plain floats.  Grid and points run the same
+polynomial, but its ``y -> 0`` limit is in closed form, and that limit is its
+maximum when the margin at the limit's share has no positive value at the
+ratio grid's first point ``y0`` or at a critical point past it.  Otherwise the
+maximum is taken on a 4096-point log grid from ``y0``, where only the value
+and the slope are computed, and each grid peak is then polished by a few
+guarded Newton steps in plain floats.  Grid and points run the same
 per-class formula, with ``np.log1p`` for the logs in both, so a value at a
 point has the bits the grid would give there.
 """
@@ -224,21 +227,32 @@ def _critical_ratio(
     """``N = sup_y R(y) / -H1(y)`` with ``R = sum_k weights[k] * H_k(others[k])``.
 
     ``H1 < 0`` for all ``y > 0``, so ``frac * H1 + (1 - frac) * R < 0`` everywhere
-    exactly when ``frac / (1 - frac) > N``.  Past the largest unstable ``Gamma^2``
-    every ``H_k`` falls and ``-H1`` rises, so the grid stops there; ``y -> 0``
-    enters by its analytic limit.  ``-inf`` when no remainder class is unstable.
+    exactly when ``frac / (1 - frac) > N``.  ``y -> 0`` enters by its analytic
+    limit ``limit0``.  When ``limit0 > 0`` and the margin at the share
+    ``f = limit0 / (limit0 + 1)`` has no positive value at ``y0 = max Gamma^2 *
+    1e-12`` or at a critical point past it (see :func:`_margin_sup`), the ratio
+    stays at or below ``limit0`` on all of ``[y0, inf)`` and ``limit0`` is ``N``.
+    Critical points below ``y0`` are not weighed: there the margin is rounding
+    noise.  Otherwise ``N`` is the larger of ``limit0`` and the grid's polished
+    maximum over ``[y0, max Gamma^2]``: past the largest unstable ``Gamma^2``
+    every ``H_k`` falls and ``-H1`` rises.  ``-inf`` when no remainder class is
+    unstable.
     """
     unstable = [gamma_squared(t) for t, w in zip(others, weights) if w and discriminant(t) < 0.0]
     if not unstable:
         return -math.inf
-    ys = np.geomspace(max(unstable) * 1e-12, max(unstable), GRID_POINTS)
-    rest = _gain_classes(others, weights)
-    minus_h1 = _gain_classes([stable], [-1.0])
+    y0 = max(unstable) * 1e-12
     d1, a1sq = discriminant(stable), stable.alpha**2
     limit0 = math.fsum(
         w * ((-discriminant(t) * a1sq) / (d1 * t.alpha**2)) for t, w in zip(others, weights)
     )
-    return max(_polished_max(partial(_gain_ratio, rest, minus_h1), ys)[1], limit0)
+    if limit0 > 0.0:
+        f = limit0 / (limit0 + 1.0)
+        shares = _gain_classes([stable, *others], [f] + [(1.0 - f) * w for w in weights])
+        if _margin_sup(shares, y0)[1] <= 0.0:
+            return limit0
+    ratio = partial(_gain_ratio, _gain_classes(others, weights), _gain_classes([stable], [-1.0]))
+    return max(_polished_max(ratio, np.geomspace(y0, max(unstable), GRID_POINTS))[1], limit0)
 
 
 def critical_penetration(trio1: LinearTrio, trio2: LinearTrio) -> TwoPhaseReport:
@@ -377,6 +391,18 @@ def _critical_points(classes: Sequence[tuple[float, ...]]) -> list[float]:
     return sorted(points)
 
 
+def _margin_sup(classes: Sequence[tuple[float, ...]], y0: float) -> tuple[float, float]:
+    """``(y, S)`` of the largest ``S = sum_k w_k H_k`` over ``y0`` and every critical point at or past ``y0``.
+
+    ``S`` falls to ``-inf`` as ``y`` grows, so that is the largest ``S`` on ``[y0, inf)``.  On a
+    tie the first candidate wins.
+    """
+    candidates = [y0] + [y for y in _critical_points(classes) if y >= y0]
+    return max(
+        ((y, float(_weighted_gain(classes, y, curvature=False)[0])) for y in candidates), key=lambda c: c[1]
+    )
+
+
 def multi_phase_margin(
     trios: Sequence[LinearTrio], counts: Sequence[float]
 ) -> MarginReport:
@@ -393,11 +419,7 @@ def multi_phase_margin(
     y0 = _margin_window(trios, counts) * 1e-9
     if sum(counts) <= 0:
         raise ValueError("counts must have a positive total")
-    classes = _gain_classes(trios, counts)
-    candidates = [y0] + [y for y in _critical_points(classes) if y >= y0]
-    y_best, sup = max(
-        ((y, float(_weighted_gain(classes, y, curvature=False)[0])) for y in candidates), key=lambda c: c[1]
-    )
+    y_best, sup = _margin_sup(_gain_classes(trios, counts), y0)
     if sup > MARGIN_TOL:
         verdict = MarginVerdict.UNSTABLE_FOR_LARGE_N
     elif sup < -MARGIN_TOL:

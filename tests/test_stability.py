@@ -24,7 +24,7 @@ from ringwave import (
 )
 from ringwave import stability
 from ringwave.errors import ModelInvalidError
-from ringwave.stability import ABSCISSA_TOL, _gain_classes, _gain_ratio, _weighted_gain
+from ringwave.stability import ABSCISSA_TOL, _gain_classes, _gain_ratio, _polished_max, _weighted_gain
 
 from conftest import random_trio
 
@@ -386,6 +386,23 @@ def test_multi_phase_margin_validation():
         multi_phase_margin([T_STABLE], [0])
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_counts_may_be_a_numpy_array(ref_trios, dtype):
+    trios, counts = list(ref_trios), [88, 12]
+    array = np.array(counts, dtype=dtype)
+    assert multi_phase_margin(trios, array) == multi_phase_margin(trios, counts)
+    for got, want in zip(margin_curve(trios, array, 16), margin_curve(trios, counts, 16)):
+        np.testing.assert_array_equal(got, want)
+    assert Fleet(trios, array).counts == Fleet(trios, counts).counts == (88, 12)
+
+
+@pytest.mark.parametrize("counts", [[], np.array([], dtype=float)], ids=["list", "array"])
+def test_no_class_is_refused_with_the_same_message(counts):
+    for call in (multi_phase_margin, lambda t, c: margin_curve(t, c, 4), Fleet):
+        with pytest.raises(ValueError, match="^need matching, nonempty class and count lists$"):
+            call([], counts)
+
+
 @pytest.mark.parametrize(
     "pick, counts",
     [
@@ -416,6 +433,49 @@ def test_tau1_matches_tau0_for_two_classes(ref_trios):
     rep = critical_penetration(t1, t2)
     assert multi_phase_tau1([t1, t2], [1.0]) == rep.tau0
     assert multi_phase_tau1(list(BUMP_PAIR), [1.0]) == critical_penetration(*BUMP_PAIR).tau0
+
+
+def _grid_ratio(stable, others, weights):
+    """The ratio's maximum as the polished grid takes it, and at least its y -> 0 limit."""
+    top = max(gamma_squared(t) for t, w in zip(others, weights) if w and discriminant(t) < 0.0)
+    d1 = discriminant(stable)
+    limit0 = math.fsum(
+        w * ((-discriminant(t) * stable.alpha**2) / (d1 * t.alpha**2)) for t, w in zip(others, weights)
+    )
+    ratio = partial(_gain_ratio, _gain_classes(others, weights), _gain_classes([stable], [-1.0]))
+    return max(_polished_max(ratio, np.geomspace(top * 1e-12, top, stability.GRID_POINTS))[1], limit0)
+
+
+def test_critical_ratio_certificate_matches_the_grid_oracle(monkeypatch):
+    grids = []
+    monkeypatch.setattr(stability, "_polished_max", lambda *a: grids.append(1) or _polished_max(*a))
+    rng = np.random.default_rng(26)
+    taken = {"certificate": 0, "grid": 0}
+    for _ in range(200):
+        for k in (2, 3):
+            stable = random_trio(rng, stable=True)
+            others = [random_trio(rng, stable=False)]
+            others += [random_trio(rng, stable=bool(rng.integers(2))) for _ in range(k - 2)]
+            shares = rng.uniform(0.1, 1.0, k - 1)
+            weights = (shares / shares.sum()).tolist()
+            grids.clear()
+            got, want = stability._critical_ratio(stable, others, weights), _grid_ratio(stable, others, weights)
+            taken["grid" if grids else "certificate"] += 1
+            # the grid branch is the oracle's computation; the certificate returns the limit,
+            # which the grid may overshoot by rounding
+            assert got == want if grids else abs(got - want) <= 4 * math.ulp(want), (stable, others, weights)
+            assert got / (got + 1.0) == want / (want + 1.0)
+    assert min(taken.values()) >= 50, taken
+
+
+def test_reference_pair_takes_the_certificate(ref_trios, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(stability, "_polished_max", no_grid)
+    rep = critical_penetration(*ref_trios)
+    assert rep.tau0 == 0.8807339449541284
+    assert rep.tau0 == rep.bound_lower
 
 
 def test_margin_sees_narrow_bump_near_critical_rate():

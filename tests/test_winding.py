@@ -316,3 +316,27 @@ def test_the_first_failing_fleet_of_a_batch_raises(monkeypatch):
         rightmost_eigenvalues([Fleet([T_STABLE], [4]), first, second])
     with pytest.raises(PoleError, match="second"):
         rightmost_eigenvalues([second, Fleet([T_STABLE], [4]), first])
+
+
+def test_counts_next_to_the_structural_zero_match_the_unclustered_grid(monkeypatch):
+    # without _zero_cluster a line reaches the structural zero by refinement alone, a quarter closer a round
+    rng = np.random.default_rng(26)
+    lines = []
+    for _ in range(40):
+        k = int(rng.integers(1, 4))
+        trios = [random_trio(rng, stable=bool(rng.integers(2))) for _ in range(k)]
+        lines += [(Fleet(trios, rng.integers(1, 40, k).tolist()), s) for s in (1e-9, -1e-9, 1e-12, -1e-12)]
+    passes = []
+    real_log_product = spectrum._log_product
+
+    def counted(*args):
+        passes.append(1)
+        return real_log_product(*args)
+
+    monkeypatch.setattr(spectrum, "_log_product", counted)
+    clustered = [count_right_of(fleet, s) for fleet, s in lines]
+    clustered_passes = len(passes)
+    monkeypatch.setattr(spectrum, "_zero_cluster", lambda d, x_tail: np.zeros(0))
+    passes.clear()
+    assert [count_right_of(fleet, s) for fleet, s in lines] == clustered
+    assert clustered_passes < len(passes)
