@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Sequence
 
 # spectral abscissa above this counts as unstable in sweeps; served as
@@ -29,6 +30,15 @@ def checked_counts(classes: Sequence, counts: Sequence[float], whole: bool = Fal
         what = "whole numbers" if whole else "numbers"
         raise ValueError(f"counts must be finite, nonnegative {what}, got {list(counts)}")
     return [int(c) for c in counts] if whole else list(counts)
+
+
+def whole_number(n, name: str) -> int:
+    """``n`` as an int: a whole number such as 12.0 reads as 12.  ``ValueError`` for any other value."""
+    if isinstance(n, numbers.Integral):
+        return int(n)
+    if not (math.isfinite(n) and float(n).is_integer()):
+        raise ValueError(f"{name} must be a finite whole number, got {n!r}")
+    return int(n)
 
 
 def largest_remainder(rates: Sequence[float], total: int) -> list[int]:

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numerics import ABSCISSA_TOL, check_rates, checked_counts, largest_remainder
+from ._numerics import ABSCISSA_TOL, check_rates, checked_counts, largest_remainder, whole_number
 from .errors import PoleError
 from .linearize import LinearTrio
 
@@ -94,9 +94,12 @@ class Fleet:
 
     @classmethod
     def from_rates(cls, trios: Sequence[LinearTrio], rates: Sequence[float], n: int) -> Fleet:
-        """``n`` vehicles split over ``trios`` by ``rates``, rounded by largest remainder."""
+        """``n`` vehicles split over ``trios`` by ``rates``, rounded by largest remainder.
+
+        ``n`` may be an integral float such as 12.0; ``ValueError`` when it is not a finite whole number.
+        """
         check_rates(rates)
-        return cls(trios, largest_remainder(rates, n))
+        return cls(trios, largest_remainder(rates, whole_number(n, "n")))
 
     def transfer(self, z) -> np.ndarray:
         """``F(z) = prod_k T_k(z)^(n_k)`` at each of the points ``z``, as ``exp`` of :func:`_log_product`.

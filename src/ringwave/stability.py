@@ -17,14 +17,12 @@ The margin's maximum comes from its critical points: ``S'`` times the
 positive ``prod_k p_k q_k`` is a polynomial of degree ``3K - 1`` in ``y`` for
 ``K`` classes, and each of its positive real roots gets two Newton steps on
 ``S'`` in plain floats.  The ratio behind ``tau0`` and ``tau1`` is not
-polynomial, but its ``y -> 0`` limit is in closed form, and that limit is its
-maximum when the margin at the limit's share has no positive value at the
-ratio grid's first point ``y0`` or at a critical point past it.  Otherwise the
-maximum is taken on a 4096-point log grid from ``y0``, where only the value
-and the slope are computed, and each grid peak is then polished by a few
-guarded Newton steps in plain floats.  Grid and points run the same
-per-class formula, with ``np.log1p`` for the logs in both, so a value at a
-point has the bits the grid would give there.
+polynomial, so it is found through the margin by Dinkelbach's iteration: the
+margin at the share ``rho / (rho + 1)`` is ``<= 0`` everywhere exactly when
+the ratio is at most ``rho``.  The first ``rho`` is the ratio's closed-form
+``y -> 0`` limit, which that first margin certifies as the maximum for most
+mixes; otherwise the ratio at the margin's argmax, raised by a few Newton
+steps in plain floats, is the next ``rho``.  No maximum is taken on a grid.
 """
 
 from __future__ import annotations
@@ -32,19 +30,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from ._numerics import ABSCISSA_TOL, check_rates, checked_counts
+from ._numerics import ABSCISSA_TOL, check_rates, checked_counts, whole_number
 from .errors import ModelInvalidError
 from .linearize import LinearTrio, discriminant
 
-GRID_POINTS = 4096
-
-# Newton steps per grid peak: from the middle of a grid step (under 0.7 % wide)
-# three reach the rounding floor of the derivative
+# Newton steps on the ratio's slope from the margin's argmax at each share; a
+# step is kept only while the ratio does not fall
 _NEWTON_STEPS = 5
 
 # Newton steps per root of the margin's slope polynomial: np.roots gives them to
@@ -133,9 +128,10 @@ def _class_gain(a2, g2, c, y, curvature: bool):
 
     ``p = 1 + gamma^2 y / alpha^2`` and ``q = 1 + ((beta^2 - 2 alpha) y + y^2) / alpha^2``.  The
     numerator of ``H'``, ``-discriminant - y (2 + gamma^2 y / alpha^2)``, is free of cancellation.
-    ``y`` is a grid (an array) or one point (a float), and the same lines serve both, so a polished
-    point agrees bit for bit with the grid's formula.  The logs are ``np.log1p`` for floats too:
-    ``math.log1p`` differs from NumPy's vectorised ``log1p`` in the last bit on about 1 % of inputs.
+    ``y`` is an array or one point (a float), and the same lines serve both, so the arrays of
+    :func:`log_gain` and :func:`margin_curve` have the bits the margin's floats give at their points.
+    The logs are ``np.log1p`` for floats too: ``math.log1p`` differs from NumPy's vectorised
+    ``log1p`` in the last bit on about 1 % of inputs.
     """
     num = g2 * y / a2
     den = (c * y + y * y) / a2
@@ -180,35 +176,6 @@ def gamma_squared(trio2: LinearTrio) -> float:
     return -a2 * d / (a2 + math.sqrt(a2 * a2 - a2 * g2 * d))
 
 
-def _polished_max(fn, ys: np.ndarray) -> tuple[float, float]:
-    """``(y, value)`` of the largest ``fn`` on the grid ``ys`` or at a polished grid peak.
-
-    ``fn(y, curvature)`` returns the value, the slope and, if ``curvature``, the curvature,
-    for an array or a float ``y``.  The grid needs only the value and the slope.  Each grid
-    step where the slope turns from positive to nonpositive brackets a peak, which gets
-    ``_NEWTON_STEPS`` Newton steps on the slope in plain floats, each kept inside its step
-    by falling back to bisection.  Floats, because a Newton step on one point costs a few
-    microseconds there and tens as 1-element arrays.
-    """
-    vals, slope = fn(ys, False)
-    peaks = []
-    for i in np.flatnonzero((slope[:-1] > 0.0) & (slope[1:] <= 0.0)).tolist():
-        lo, hi = float(ys[i]), float(ys[i + 1])
-        y = 0.5 * (lo + hi)
-        for _ in range(_NEWTON_STEPS):
-            _, d1, d2 = fn(y, True)
-            if d1 > 0.0:
-                lo = y
-            else:
-                hi = y
-            y = step if d2 < 0.0 and lo <= (step := y - d1 / d2) <= hi else 0.5 * (lo + hi)
-        peaks.append(y)
-    cand_y = np.concatenate((ys, peaks))
-    cand_v = np.concatenate((vals, [fn(y, False)[0] for y in peaks]))
-    best = int(np.argmax(cand_v))
-    return float(cand_y[best]), float(cand_v[best])
-
-
 def _gain_ratio(
     num: Sequence[tuple[float, ...]], den: Sequence[tuple[float, ...]], y, curvature: bool = True
 ):
@@ -227,16 +194,19 @@ def _critical_ratio(
     """``N = sup_y R(y) / -H1(y)`` with ``R = sum_k weights[k] * H_k(others[k])``.
 
     ``H1 < 0`` for all ``y > 0``, so ``frac * H1 + (1 - frac) * R < 0`` everywhere
-    exactly when ``frac / (1 - frac) > N``.  ``y -> 0`` enters by its analytic
-    limit ``limit0``.  When ``limit0 > 0`` and the margin at the share
-    ``f = limit0 / (limit0 + 1)`` has no positive value at ``y0 = max Gamma^2 *
-    1e-12`` or at a critical point past it (see :func:`_margin_sup`), the ratio
-    stays at or below ``limit0`` on all of ``[y0, inf)`` and ``limit0`` is ``N``.
-    Critical points below ``y0`` are not weighed: there the margin is rounding
-    noise.  Otherwise ``N`` is the larger of ``limit0`` and the grid's polished
-    maximum over ``[y0, max Gamma^2]``: past the largest unstable ``Gamma^2``
-    every ``H_k`` falls and ``-H1`` rises.  ``-inf`` when no remainder class is
-    unstable.
+    exactly when ``frac / (1 - frac) > N``.  Dinkelbach's iteration finds ``N``
+    from the margin: start at ``rho = max(limit0, 0)``, with ``limit0`` the
+    ratio's analytic ``y -> 0`` limit, and take the margin's sup (see
+    :func:`_margin_sup`) at the share ``f = rho / (rho + 1)`` over ``y0 = max
+    Gamma^2 * 1e-12`` and the critical points past it; below ``y0`` the margin is
+    rounding noise.  A sup ``<= 0`` means ``R + rho H1 <= 0`` on ``[y0, inf)``,
+    so ``N <= rho``, and ``rho``, a value the ratio takes or tends to, is ``N``.
+    Otherwise the ratio at the sup's ``y``, raised by up to ``_NEWTON_STEPS``
+    Newton steps on its slope, becomes the next ``rho``; if rounding leaves it
+    no larger than ``rho``, ``rho`` is ``N``.  The first pass certifies
+    ``limit0`` for most mixes.  ``-inf`` when no remainder class is unstable.
+    When the margin at ``rho = 0`` is already ``<= 0``, ``N <= 0`` and
+    ``limit0``, a lower bound, is returned.
     """
     unstable = [gamma_squared(t) for t, w in zip(others, weights) if w and discriminant(t) < 0.0]
     if not unstable:
@@ -246,21 +216,30 @@ def _critical_ratio(
     limit0 = math.fsum(
         w * ((-discriminant(t) * a1sq) / (d1 * t.alpha**2)) for t, w in zip(others, weights)
     )
-    if limit0 > 0.0:
-        f = limit0 / (limit0 + 1.0)
-        shares = _gain_classes([stable, *others], [f] + [(1.0 - f) * w for w in weights])
-        if _margin_sup(shares, y0)[1] <= 0.0:
-            return limit0
-    ratio = partial(_gain_ratio, _gain_classes(others, weights), _gain_classes([stable], [-1.0]))
-    return max(_polished_max(ratio, np.geomspace(y0, max(unstable), GRID_POINTS))[1], limit0)
+    num, den, rho = _gain_classes(others, weights), _gain_classes([stable], [-1.0]), max(limit0, 0.0)
+    while True:
+        f = rho / (rho + 1.0)
+        y, sup = _margin_sup(_gain_classes([stable, *others], [f] + [(1.0 - f) * w for w in weights]), y0)
+        if sup <= 0.0:
+            return rho if rho > 0.0 else limit0
+        value = float(_gain_ratio(num, den, y, False)[0])
+        for _ in range(_NEWTON_STEPS):
+            _, slope, curv = _gain_ratio(num, den, y)
+            step = y - slope / curv if curv < 0.0 else math.nan
+            if not 0.0 < step < math.inf or not (new := float(_gain_ratio(num, den, step, False)[0])) >= value:
+                break
+            y, value = step, new
+        if not value > rho:
+            return rho
+        rho = value
 
 
 def critical_penetration(trio1: LinearTrio, trio2: LinearTrio) -> TwoPhaseReport:
     """Critical stable-class penetration rate for a stable/unstable pair.
 
-    The rate is ``N0/(N0+1)`` where ``N0`` is the maximum of ``-H2/H1`` over
-    ``(0, Gamma^2]`` (see :func:`_critical_ratio`), and the closed-form bounds
-    from :func:`tau0_bounds` are attached.
+    The rate is ``N0/(N0+1)`` where ``N0`` is the supremum of ``-H2/H1`` over
+    ``y > 0`` (see :func:`_critical_ratio`), and the closed-form bounds from
+    :func:`tau0_bounds` are attached.
     """
     d1 = discriminant(trio1)
     d2 = discriminant(trio2)
@@ -474,8 +453,11 @@ def min_unstable_size(
     in another: instability is not monotone in the total (rounding changes
     the mix), so the result is the true minimum.  ``None`` when no probe is
     unstable, which is no proof of stability: a total between two probes may be.
+    ``n_max`` may be an integral float such as 12.0; ``ValueError`` when it is
+    not a finite whole number.
     """
     check_rates(rates)
+    n_max = whole_number(n_max, "n_max")
     if n_max < 2:
         return None
     probes = [2]

@@ -11,13 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ringwave import _schema, cli, spectrum
+from ringwave import _schema, cli, spectrum, stability
 from ringwave.cli import _config_schema, main
 from ringwave.errors import ConfigError
 from ringwave.spectrum import Fleet, count_right_of, rightmost_eigenvalue
 from ringwave.stability import ABSCISSA_TOL
 
 from conftest import REF_D0, REF_HEADWAY, REF_LV, REF_SLOPE, single_class_spectrum
+from oracle import grid_ratio
 
 CAL_PREF = {
     "calibrate": {"h_ref": REF_HEADWAY, "slope": REF_SLOPE, "l_v": REF_LV, "d0": REF_D0}
@@ -233,6 +234,30 @@ def test_tau0_command_both_unstable(tmp_path, capsys):
     assert "verdict: unstable for sufficiently many vehicles" in out
     assert "tau0 =" not in out
     assert not (tmp_path / "tau0.csv").exists()
+
+
+def test_tau0_command_off_the_certificate_matches_the_grid_oracle(tmp_path, monkeypatch):
+    # seed 1's design_scan pair 1 to four digits: its ratio peaks inside (0, Gamma^2], not at y -> 0
+    pref = {"calibrate": {"h_ref": 10.4, "slope": 1.297, "l_v": 4.653, "d0": 2.354}}
+    payload = {
+        "schema_version": 1,
+        "populations": [
+            {"class_id": 1, "model": {"kind": "bando_ftl", "a": 4.857, "b": 20.89, "preference": pref}},
+            {"class_id": 2, "model": {"kind": "bando_ftl", "a": 0.3173, "b": 17.43, "preference": pref}},
+        ],
+        "equilibrium": {"class_headway": {"class_id": 1, "headway": 10.1}},
+    }
+    calls, sup = [], stability._margin_sup
+    monkeypatch.setattr(stability, "_margin_sup", lambda *a: calls.append(1) or sup(*a))
+    assert main(["tau0", "--config", write_config(tmp_path, payload), "--out", str(tmp_path), "--deterministic"]) == 0
+    assert len(calls) > 1
+    header, rows = read_csv(tmp_path / "tau0.csv")
+    row = dict(zip(header, map(float, rows[0])))
+    pops = cli._build_populations(payload["populations"])
+    stable, unstable = cli._trios_at(pops, cli._resolve_v_bar(payload["equilibrium"], pops))
+    want, tol = grid_ratio(stable, [unstable], [1.0])
+    assert want - tol <= row["n0"] <= want + tol
+    assert row["tau0"] == row["n0"] / (row["n0"] + 1.0) > row["bound_lower"]
 
 
 def test_margin_command(tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import decimal
+import math
 
 import numpy as np
 import pytest
@@ -100,6 +101,22 @@ def test_from_rates_rejects_the_rates_it_always_rejected(trios, rates):
         min_unstable_size(trios, rates, 10)
     with pytest.raises(ValueError):
         multi_phase_tau1([T_A] + trios, rates)
+
+
+@pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan, 10.5, 12.000000000000002])
+def test_a_size_that_is_not_a_finite_whole_number_is_refused(n):
+    # at n_max = inf the doubling probes never reached it, and at nan one probe answered
+    with pytest.raises(ValueError, match="finite whole number"):
+        Fleet.from_rates([T_A, T_B], [0.5, 0.5], n)
+    with pytest.raises(ValueError, match="finite whole number"):
+        min_unstable_size([T_A, T_B], [0.5, 0.5], n)
+
+
+@pytest.mark.parametrize("n", [12.0, np.float64(12.0), np.int64(12)])
+def test_a_whole_size_of_any_number_type_reads_as_an_int(n):
+    fleet = Fleet.from_rates([T_A, T_B], [0.5, 0.5], n)
+    assert fleet.counts == (6, 6) and all(type(c) is int for c in fleet.counts)
+    assert min_unstable_size([T_A, T_B], [0.0, 1.0], n) == 10
 
 
 def test_transfer_product_at_64_matches_the_direct_product():

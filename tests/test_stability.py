@@ -24,9 +24,10 @@ from ringwave import (
 )
 from ringwave import stability
 from ringwave.errors import ModelInvalidError
-from ringwave.stability import ABSCISSA_TOL, _gain_classes, _gain_ratio, _polished_max, _weighted_gain
+from ringwave.stability import ABSCISSA_TOL, _gain_classes, _gain_ratio, _weighted_gain
 
 from conftest import random_trio
+from oracle import GRID_POINTS, _polished_max, grid_ratio
 
 T_STABLE = LinearTrio(alpha=0.5, beta=2.0, gamma=1.0)  # delta = +2
 T_UNSTABLE = LinearTrio(alpha=2.0, beta=2.0, gamma=1.0)  # delta = -1
@@ -351,8 +352,8 @@ def test_margin_critical_points_match_the_grid_oracle():
         counts = rng.integers(1, 61, k).tolist()
         classes = _gain_classes(trios, counts)
         window = stability._margin_window(trios, counts)
-        ys = np.geomspace(window * 1e-9, window, stability.GRID_POINTS)
-        _, sup = stability._polished_max(partial(_weighted_gain, classes), ys)
+        ys = np.geomspace(window * 1e-9, window, GRID_POINTS)
+        _, sup = _polished_max(partial(_weighted_gain, classes), ys)
         rep = multi_phase_margin(trios, counts)
         assert rep.verdict is _verdict(sup)
         worst = max(worst, abs(rep.sup_margin - sup))
@@ -435,22 +436,17 @@ def test_tau1_matches_tau0_for_two_classes(ref_trios):
     assert multi_phase_tau1(list(BUMP_PAIR), [1.0]) == critical_penetration(*BUMP_PAIR).tau0
 
 
-def _grid_ratio(stable, others, weights):
-    """The ratio's maximum as the polished grid takes it, and at least its y -> 0 limit."""
-    top = max(gamma_squared(t) for t, w in zip(others, weights) if w and discriminant(t) < 0.0)
-    d1 = discriminant(stable)
-    limit0 = math.fsum(
-        w * ((-discriminant(t) * stable.alpha**2) / (d1 * t.alpha**2)) for t, w in zip(others, weights)
-    )
-    ratio = partial(_gain_ratio, _gain_classes(others, weights), _gain_classes([stable], [-1.0]))
-    return max(_polished_max(ratio, np.geomspace(top * 1e-12, top, stability.GRID_POINTS))[1], limit0)
+def _counted_margin_sups(monkeypatch) -> list:
+    """A list that gets one entry per ``_margin_sup`` call, one per step of the ratio loop."""
+    calls, sup = [], stability._margin_sup
+    monkeypatch.setattr(stability, "_margin_sup", lambda *a: calls.append(1) or sup(*a))
+    return calls
 
 
 def test_critical_ratio_certificate_matches_the_grid_oracle(monkeypatch):
-    grids = []
-    monkeypatch.setattr(stability, "_polished_max", lambda *a: grids.append(1) or _polished_max(*a))
+    calls = _counted_margin_sups(monkeypatch)
     rng = np.random.default_rng(26)
-    taken = {"certificate": 0, "grid": 0}
+    loops = []
     for _ in range(200):
         for k in (2, 3):
             stable = random_trio(rng, stable=True)
@@ -458,24 +454,40 @@ def test_critical_ratio_certificate_matches_the_grid_oracle(monkeypatch):
             others += [random_trio(rng, stable=bool(rng.integers(2))) for _ in range(k - 2)]
             shares = rng.uniform(0.1, 1.0, k - 1)
             weights = (shares / shares.sum()).tolist()
-            grids.clear()
-            got, want = stability._critical_ratio(stable, others, weights), _grid_ratio(stable, others, weights)
-            taken["grid" if grids else "certificate"] += 1
-            # the grid branch is the oracle's computation; the certificate returns the limit,
-            # which the grid may overshoot by rounding
-            assert got == want if grids else abs(got - want) <= 4 * math.ulp(want), (stable, others, weights)
+            calls.clear()
+            got = stability._critical_ratio(stable, others, weights)
+            want, tol = grid_ratio(stable, others, weights)
+            if want <= 0.0:
+                # a remainder stable on its own: the loop stops at the limit, and tau1 is 0 either way
+                assert got <= 0.0 and len(calls) == 1, (stable, others, weights)
+                continue
+            loops.append(len(calls))
+            if len(calls) > 1:
+                # both ways, so no peak the grid sees is missed
+                assert want - tol <= got <= want + tol, (stable, others, weights)
+                continue
+            # the certificate returns the limit, which the grid may overshoot by rounding
+            assert abs(got - want) <= 4 * math.ulp(want), (stable, others, weights)
             assert got / (got + 1.0) == want / (want + 1.0)
-    assert min(taken.values()) >= 50, taken
+    assert loops.count(1) >= 50 and len(loops) - loops.count(1) >= 50, loops
+    # the Newton steps on the ratio keep the loop short: without them it took 5 to 9 margin sups
+    assert max(loops) == 4
 
 
 def test_reference_pair_takes_the_certificate(ref_trios, monkeypatch):
-    def no_grid(*args):
-        raise AssertionError("the grid ran")
-
-    monkeypatch.setattr(stability, "_polished_max", no_grid)
+    calls = _counted_margin_sups(monkeypatch)
     rep = critical_penetration(*ref_trios)
+    assert len(calls) == 1
     assert rep.tau0 == 0.8807339449541284
     assert rep.tau0 == rep.bound_lower
+
+
+def test_bump_pair_tau0_matches_the_grid_oracle(monkeypatch):
+    calls = _counted_margin_sups(monkeypatch)
+    t1, t2 = BUMP_PAIR
+    want, tol = grid_ratio(t1, [t2], [1.0])
+    assert want - tol <= critical_penetration(t1, t2).n0 <= want + tol
+    assert len(calls) > 1
 
 
 def test_margin_sees_narrow_bump_near_critical_rate():
