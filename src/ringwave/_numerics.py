@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Sequence
 
 # spectral abscissa above this counts as unstable in sweeps; served as
@@ -17,26 +16,34 @@ def check_rates(rates: Sequence[float]) -> None:
         raise ValueError("rates must be nonnegative and sum to 1")
 
 
+def _finite(x) -> bool:
+    """``math.isfinite(x)``, and False for an int too large for a double."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def checked_counts(classes: Sequence, counts: Sequence[float], whole: bool = False) -> list:
     """``counts``, one per class, each finite and >= 0; with ``whole``, whole numbers returned as ints.
 
     A margin weighs real counts; vehicles are counted in whole numbers, so an
     integral float such as 2.0 reads as 2.  ``ValueError`` for lists that do
-    not match one to one, are empty, or hold any other count.
+    not match one to one, are empty, or hold any other count, an int beyond
+    the largest double included.
     """
     if len(classes) != len(counts) or len(counts) == 0:
         raise ValueError("need matching, nonempty class and count lists")
-    if not all(c >= 0 and math.isfinite(c) and (not whole or float(c).is_integer()) for c in counts):
+    if not all(c >= 0 and _finite(c) and (not whole or float(c).is_integer()) for c in counts):
         what = "whole numbers" if whole else "numbers"
         raise ValueError(f"counts must be finite, nonnegative {what}, got {list(counts)}")
     return [int(c) for c in counts] if whole else list(counts)
 
 
 def whole_number(n, name: str) -> int:
-    """``n`` as an int: a whole number such as 12.0 reads as 12.  ``ValueError`` for any other value."""
-    if isinstance(n, numbers.Integral):
-        return int(n)
-    if not (math.isfinite(n) and float(n).is_integer()):
+    """``n`` as an int: a whole number such as 12.0 reads as 12.  ``ValueError`` for any other value,
+    an int beyond the largest double included."""
+    if not (_finite(n) and float(n).is_integer()):
         raise ValueError(f"{name} must be a finite whole number, got {n!r}")
     return int(n)
 
@@ -57,13 +64,18 @@ def spread(counts: Sequence[int]) -> list[int]:
     """Each index ``i`` of ``counts`` ``counts[i]`` times, interleaved as evenly as the counts allow.
 
     Place ``j`` goes to the index furthest behind its share ``counts[i] j / total``; the leads
-    sum to 1, so a count of 0 is never ahead.  Ties go to the larger count, then the lower index.
+    sum to 1, so a count of 0 is never ahead.  Ties go to the larger count, then the lower index:
+    the indices are visited in that order and only a strictly larger lead takes the place.
     """
     total = sum(counts)
+    order = sorted(range(len(counts)), key=lambda i: (-counts[i], i))
     placed = [0] * len(counts)
     out = []
     for j in range(1, total + 1):
-        best = max(range(len(counts)), key=lambda i: (counts[i] * j / total - placed[i], counts[i], -i))
+        best, lead = -1, -math.inf
+        for i in order:
+            if (d := counts[i] * j / total - placed[i]) > lead:
+                best, lead = i, d
         placed[best] += 1
         out.append(best)
     return out

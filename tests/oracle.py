@@ -13,7 +13,18 @@ from typing import Sequence
 
 import numpy as np
 
-from ringwave import BandoFtl, LinearTrio, RingSystem, accel, discriminant, gamma_squared, log_gain
+from ringwave import (
+    BandoFtl,
+    Composition,
+    LinearTrio,
+    RingSystem,
+    accel,
+    discriminant,
+    gamma_squared,
+    log_gain,
+    preferred_headway,
+)
+from ringwave.equilibrium import LENGTH_TOL
 from ringwave.linearize import _require_equilibrium
 from ringwave.stability import _gain_classes, _gain_ratio
 
@@ -33,6 +44,38 @@ def linearize_fd(
     fhd = (accel(model, h_bar, eps, v_bar) - accel(model, h_bar, -eps, v_bar)) / (2 * eps)
     fv = (accel(model, h_bar, 0.0, v_bar + eps) - accel(model, h_bar, 0.0, v_bar - eps)) / (2 * eps)
     return LinearTrio(alpha=fh, beta=fhd - fv, gamma=fhd)
+
+
+def vehicle_length(comp: Composition, v: float) -> float:
+    """The ring length at speed ``v``, summed vehicle by vehicle in ring order."""
+    h = {p.class_id: preferred_headway(p.model, v) for p in comp.classes}
+    return math.fsum(map(h.__getitem__, comp.ordering))
+
+
+def bisection_speed(comp: Composition, length: float) -> float:
+    """``equilibrium_from_length``'s bisection on the per-vehicle sum, every midpoint evaluated."""
+    lo, hi = 0.0, min(p.model.pref.v_max for p in comp.classes) * (1.0 - 1e-12)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        excess = vehicle_length(comp, mid) - length
+        if abs(excess) <= LENGTH_TOL:
+            break
+        if excess < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
+def spread_by_max(counts: Sequence[int]) -> list[int]:
+    """``_numerics.spread`` as one ``max`` over a key tuple per class and place."""
+    total = sum(counts)
+    placed = [0] * len(counts)
+    out = []
+    for j in range(1, total + 1):
+        best = max(range(len(counts)), key=lambda i: (counts[i] * j / total - placed[i], counts[i], -i))
+        placed[best] += 1
+        out.append(best)
+    return out
 
 
 def _renorm(p: complex, e: int) -> tuple[complex, int]:

@@ -1,5 +1,9 @@
 import dataclasses
+import importlib.util
 import math
+import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,13 +19,16 @@ from ringwave import (
     equilibrium_from_length,
     equilibrium_from_velocity,
     eval_preference,
+    preference_with_slope,
     preferred_headway,
     spread_ordering,
 )
 
-from ringwave.equilibrium import LENGTH_TOL
+import ringwave.equilibrium as equilibrium
+from ringwave._numerics import spread
 
 from conftest import REF_HEADWAY, composition_of
+from oracle import bisection_speed, spread_by_max, vehicle_length
 
 PREF = VelocityPreference(v_max=9.72, l_v=4.5, d0=2.23)
 OTHER_PREF = VelocityPreference(v_max=11.0, l_v=5.0, d0=3.0)
@@ -137,15 +144,15 @@ def test_length_invariant_under_ordering_permutation():
         order = rng.permutation(base.ordering)
         comp = Composition(base.populations, tuple(int(x) for x in order))
         lengths.append(equilibrium_from_velocity(comp, 4.4).length)
-    assert len(set(lengths)) == 1  # fsum makes the sum order-independent
+    assert len(set(lengths)) == 1  # the length comes from the class counts alone
 
 
 def _random_composition(rng):
-    """1 to 4 classes of random gains on two preferences, 1 to 10^4 vehicles in a shuffled ring."""
+    """1 to 4 classes of random gains on two preferences, 1 to 10^5 vehicles in a shuffled ring."""
     k = int(rng.integers(1, 5))
     models = [BandoFtl(a=rng.uniform(0.3, 5.0), b=rng.uniform(5.0, 25.0), pref=(PREF, OTHER_PREF)[i % 2])
               for i in range(k)]
-    n = max(k, int(10 ** rng.uniform(0.0, 4.0)))
+    n = max(k, int(10 ** rng.uniform(0.0, 5.0)))
     counts = [1] * k
     for c in rng.integers(0, k, n - k):
         counts[c] += 1
@@ -154,35 +161,102 @@ def _random_composition(rng):
     return Composition(pops, tuple(int(x) for x in order))
 
 
-def _vehicle_length(comp, v):
-    """The ring length summed vehicle by vehicle, in ring order."""
-    h = {p.class_id: preferred_headway(p.model, v) for p in comp.classes}
-    return math.fsum(h[a] for a in comp.ordering)
-
-
-def _oracle_speed(comp, length):
-    """``equilibrium_from_length``'s bisection, on the per-vehicle sum."""
-    lo, hi = 0.0, min(p.model.pref.v_max for p in comp.classes) * (1.0 - 1e-12)
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        excess = _vehicle_length(comp, mid) - length
-        if abs(excess) <= LENGTH_TOL:
-            break
-        if excess < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return mid
-
-
 def test_length_from_class_counts_matches_the_vehicle_sum():
     rng = np.random.default_rng(19)
     for _ in range(40):
         comp = _random_composition(rng)
-        v_max = min(p.model.pref.v_max for p in comp.classes)
-        for v in rng.uniform(0.0, v_max, 3):
-            assert equilibrium_from_velocity(comp, v).length == _vehicle_length(comp, v)
-        length = _vehicle_length(comp, rng.uniform(0.05, 0.95) * v_max)
-        assert equilibrium_from_length(comp, length).v_bar == _oracle_speed(comp, length)
+        v_hi = min(p.model.pref.v_max for p in comp.classes) * (1.0 - 1e-12)
+        for v in rng.uniform(0.0, v_hi, 3):
+            assert equilibrium_from_velocity(comp, v).length == vehicle_length(comp, v)
+        # a random speed and speeds within 1e-9 of both ends, each length also moved by 1e-6 m
+        lengths = [
+            vehicle_length(comp, v) + d
+            for v in (rng.uniform(0.05, 0.95) * v_hi, 1e-9 * v_hi, (1.0 - 1e-9) * v_hi)
+            for d in (-1e-6, 0.0, 1e-6)
+        ]
+        lo_len, hi_len = vehicle_length(comp, 0.0), vehicle_length(comp, v_hi)
+        for length in lengths:
+            if lo_len < length < hi_len:
+                eq = equilibrium_from_length(comp, length)
+                assert eq.v_bar == bisection_speed(comp, length)
+                assert eq.length == vehicle_length(comp, eq.v_bar)
+            else:
+                with pytest.raises(NoEquilibriumError):
+                    equilibrium_from_length(comp, length)
+
+
+def test_degenerate_preferences_match_the_bisection():
+    # an infinite vehicle length makes every ring length infinite, and a subnormal d0
+    # under a huge v_max makes the length's slope in the speed round to 0
+    comp = composition_of([BandoFtl(a=1.0, b=1.0, pref=VelocityPreference(10.0, math.inf, 2.0))], [40])
+    assert equilibrium_from_velocity(comp, 1.0).length == vehicle_length(comp, 1.0) == math.inf
+    with pytest.raises(NoEquilibriumError):
+        equilibrium_from_length(comp, 100.0)
+    comp = composition_of([BandoFtl(a=1.0, b=1.0, pref=VelocityPreference(1e300, 0.0, 5e-324))], [40])
+    length = 0.5 * vehicle_length(comp, 1e300 * (1.0 - 1e-12))
+    assert equilibrium_from_length(comp, length).v_bar == bisection_speed(comp, length)
+
+
+def test_length_from_class_counts_at_a_million_vehicles():
+    m1, m2 = BandoFtl(a=4.0, b=20.0, pref=PREF), BandoFtl(a=0.5, b=20.0, pref=OTHER_PREF)
+    comp = composition_of([m1, m2], [777_777, 222_223], ordering="blocks")
+    for v in (0.0, 1.3, 6.7, 9.7):
+        assert equilibrium_from_velocity(comp, v).length == vehicle_length(comp, v)
+
+
+def _design_scan_scenarios(seeds):
+    """``(composition, length)`` of every ``design_scan`` scenario of the benchmark's ``seeds``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for seed in seeds:
+        rng = random.Random(seed)
+        drawn = [workloads._draw_scenario(rng, 2) for _ in range(workloads.TWO_CLASS)]
+        drawn += [workloads._draw_scenario(rng, 3) for _ in range(workloads.THREE_CLASS)]
+        for sc in drawn:
+            pref = preference_with_slope(sc.pref[0], workloads.REF_H, *sc.pref[1:])
+            pops = tuple(
+                PopulationSpec(k + 1, BandoFtl(a, b, pref), c) for k, ((a, b), c) in enumerate(zip(sc.gains, sc.counts))
+            )
+            yield Composition(pops, sc.ordering), sc.length
+
+
+def test_design_scan_speeds_are_the_bisections_in_at_most_9_length_sums(monkeypatch):
+    sums = []
+    ring_length = equilibrium._ring_length
+
+    def counted(*args):
+        sums[-1] += 1
+        return ring_length(*args)
+
+    monkeypatch.setattr(equilibrium, "_ring_length", counted)
+    scenarios = list(_design_scan_scenarios(range(1, 31)))
+    assert len(scenarios) == 1800
+    for comp, length in scenarios:
+        sums.append(0)
+        eq = equilibrium_from_length(comp, length)
+        v = bisection_speed(comp, length)
+        assert (eq.v_bar, eq.length) == (v, vehicle_length(comp, v))
+    # two for the feasible interval, Newton, two to check the bracket, the midpoints
+    # inside it and the result; the bisection alone sums about 34 times
+    assert max(sums) <= 9
+
+
+@pytest.mark.parametrize("length", [math.nan, math.inf, -math.inf])
+def test_a_length_that_is_not_finite_is_refused(length):
+    comp = composition_of([BandoFtl(a=2.0, b=6.0, pref=PREF)], [10])
+    with pytest.raises(ValueError, match="finite"):
+        equilibrium_from_length(comp, length)
+
+
+def test_the_ends_of_the_feasible_interval_are_refused():
+    m1, m2 = BandoFtl(a=2.0, b=6.0, pref=PREF), BandoFtl(a=0.7, b=11.0, pref=OTHER_PREF)
+    comp = composition_of([m1, m2], [12, 7])
+    v_hi = PREF.v_max * (1.0 - 1e-12)
+    for end in (vehicle_length(comp, 0.0), vehicle_length(comp, v_hi)):
+        with pytest.raises(NoEquilibriumError, match="outside feasible interval"):
+            equilibrium_from_length(comp, end)
 
 
 def test_length_monotone_in_velocity():
@@ -264,6 +338,15 @@ def test_index_maps_the_ordering_onto_classes(kind):
 )
 def test_spread_ordering_breaks_ties_by_class_id_whatever_the_declaration_order(counts, ids, expected):
     assert spread_ordering(_pops(counts, ids)) == expected
+
+
+def test_spread_matches_one_max_over_key_tuples():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        # 1-5 classes, with zeros and ties
+        counts = [int(c) for c in rng.choice([0, 1, 3, 3, 7, 12, 40], int(rng.integers(1, 6)))]
+        if sum(counts):
+            assert spread(counts) == spread_by_max(counts)
 
 
 def test_class_attributes_leave_equality_and_hash_alone():

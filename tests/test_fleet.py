@@ -8,11 +8,16 @@ import numpy as np
 import pytest
 
 from ringwave import (
+    BandoFtl,
     Fleet,
     LinearTrio,
+    PopulationSpec,
     RingSystem,
+    VelocityPreference,
     eigenvalues_on_H,
+    margin_curve,
     min_unstable_size,
+    multi_phase_margin,
     multi_phase_tau1,
     transfer_product,
 )
@@ -110,6 +115,27 @@ def test_a_size_that_is_not_a_finite_whole_number_is_refused(n):
         Fleet.from_rates([T_A, T_B], [0.5, 0.5], n)
     with pytest.raises(ValueError, match="finite whole number"):
         min_unstable_size([T_A, T_B], [0.5, 0.5], n)
+
+
+_HUGE = 10**400  # an int beyond the largest double
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Fleet([T_A], [_HUGE]),
+        lambda: multi_phase_margin([T_A], [_HUGE]),
+        lambda: margin_curve([T_A], [_HUGE], 8),
+        lambda: PopulationSpec(1, BandoFtl(1.0, 1.0, VelocityPreference(9.72, 4.5, 2.23)), _HUGE),
+        lambda: Fleet.from_rates([T_A, T_B], [0.5, 0.5], _HUGE),
+        lambda: min_unstable_size([T_A, T_B], [0.5, 0.5], _HUGE),
+    ],
+    ids=["Fleet", "multi_phase_margin", "margin_curve", "PopulationSpec", "from_rates", "min_unstable_size"],
+)
+def test_an_int_count_beyond_the_largest_double_is_refused(call):
+    # math.isfinite raises OverflowError on such an int
+    with pytest.raises(ValueError, match="finite"):
+        call()
 
 
 @pytest.mark.parametrize("n", [12.0, np.float64(12.0), np.int64(12)])
