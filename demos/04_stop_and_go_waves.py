@@ -8,17 +8,17 @@ run matches the linear theory's spectral abscissa.
 from ringwave import (
     BandoFtl,
     Composition,
+    Fleet,
     Perturbation,
     PopulationSpec,
-    RingSystem,
     SeededRandomZeroSum,
     SimConfig,
-    eigenvalues_on_H,
     equilibrium_from_velocity,
     eval_preference,
     growth_rate,
     linearize,
     preference_with_slope,
+    rightmost_eigenvalue,
     simulate,
     spread_ordering,
 )
@@ -60,12 +60,11 @@ for counts in ((401, 99), (441, 59)):
 
 # Linear theory predicts the growth rate of the unstable run.
 comp, eq, trace = run(401, 99)
-trios = {
-    p.class_id: linearize(p.model, eq.h_bar[p.class_id], v_bar)
-    for p in comp.populations
-}
-ring = RingSystem(tuple(trios[a] for a in comp.ordering))
-abscissa = eigenvalues_on_H(ring).abscissa
+fleet = Fleet(
+    [linearize(p.model, eq.h_bar[p.class_id], v_bar) for p in comp.populations],
+    [p.count for p in comp.populations],
+)
+abscissa = rightmost_eigenvalue(fleet).real
 measured = growth_rate(trace, (150.0, 300.0)) / 2.0
 print(f"\nspectral abscissa     : {abscissa:.5f} 1/s")
 print(f"measured modal growth : {measured:.5f} 1/s "

@@ -91,7 +91,6 @@ _LAZY = {
             "Fleet",
             "RingSystem",
             "SpectrumReport",
-            "assemble",
             "count_right_of",
             "eigenvalues",
             "eigenvalues_on_H",

@@ -9,10 +9,8 @@ where A is the circulant forward difference, C = diag(alpha_j), and B couples
 each vehicle to itself (-beta_j) and its leader (+gamma_j).  Perturbations
 live on the subspace where the headway components sum to zero; there the
 spectrum of M is its full spectrum minus the structural simple eigenvalue at
-zero.  The ring of n vehicles, :class:`RingSystem`, with its matrix, its dense
-spectrum on that subspace and its transfer product, whose unit level set holds
-the eigenvalues, stays only because ``bench/workloads.py`` calls it; no
-library function does.
+zero.  No function here forms M; ``tests/oracle.py`` assembles it as the
+tests' dense reference.
 
 Because the transfer product depends only on the multiset of trios, a
 :class:`Fleet` of classes ``(trios, counts)`` has its eigenvalues at the zeros
@@ -26,6 +24,11 @@ counts.  :func:`eigenvalues` finds all 2n - 1 of them at once by
 Aberth-Ehrlich iteration on ``Q (1 - F)``, ``Q = prod_k q_k^(n_k)``, in
 O(n) memory, and returns only a spectrum that :func:`misfit` certifies by
 the same counts.
+
+The ring of n vehicles in order, :class:`RingSystem`, with its spectrum
+:func:`eigenvalues_on_H` and its :func:`transfer_product`, stays only because
+``bench/workloads.py`` calls it; no library function does.  Both answer from
+the ring's class counts.
 """
 
 from __future__ import annotations
@@ -42,19 +45,9 @@ from .errors import PoleError
 from .linearize import LinearTrio
 
 
-@dataclass(frozen=True)
-class RingSystem:
-    """Trios of the n vehicles in ring order: kept for ``bench/workloads.py``, which builds it; no library function does."""
-
-    trios: tuple[LinearTrio, ...]
-
-    def __post_init__(self):
-        if len(self.trios) < 1:
-            raise ValueError("a ring system needs at least one vehicle")
-
-    @property
-    def n(self) -> int:
-        return len(self.trios)
+def _site_order(count: np.ndarray) -> np.ndarray:
+    """The orders ``n_k``, ``-n_k``, ``-n_k`` of F at each class's zero and poles, for the weights ``count``."""
+    return np.vstack((count, -count, -count))
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +77,7 @@ class Fleet:
         # a real pair's small root is alpha / big: -beta + disc cancels where beta^2 >> alpha
         roots = np.hstack([np.where(disc.imag == 0.0, alpha / big.real, (-beta + disc) / 2.0), big])
         sites = np.vstack((-alpha / gamma, roots[:, :1], roots[:, 1:]))
-        order = np.vstack((count, -count, -count))
+        order = _site_order(count)
         cols = dict(alpha=alpha, beta=beta, gamma=gamma, count=count, roots=roots, sites=sites, order=order)
         for col in cols.values():
             col.flags.writeable = False
@@ -135,62 +128,6 @@ class SpectrumReport:
 
     eigenvalues: np.ndarray
     abscissa: float
-
-
-def assemble(sys: RingSystem) -> np.ndarray:
-    """The 2n x 2n ring matrix; requires n >= 2.  :func:`eigenvalues_on_H` builds on it."""
-    n = sys.n
-    if n < 2:
-        raise ValueError(f"ring matrix needs n >= 2 vehicles, got {n}")
-    alpha = np.array([t.alpha for t in sys.trios])
-    beta = np.array([t.beta for t in sys.trios])
-    gamma = np.array([t.gamma for t in sys.trios])
-
-    a_blk = -np.eye(n)
-    b_blk = np.diag(-beta)
-    rows = np.arange(n)
-    lead = (rows + 1) % n
-    a_blk[rows, lead] = 1.0
-    b_blk[rows, lead] = gamma
-
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, n:] = a_blk
-    m[n:, :n] = np.diag(alpha)
-    m[n:, n:] = b_blk
-    return m
-
-
-def eigenvalues_on_H(sys: RingSystem) -> SpectrumReport:
-    """Spectrum restricted to the invariant zero-sum-headway subspace H.
-
-    In the coordinates ``(y_1 .. y_{n-1}, u)`` of H, ``y_n = -(y_1 + ... +
-    y_{n-1})``, M keeps its other rows and columns, less the ``y_n`` column in
-    each headway column: a ``(2n-1) x (2n-1)`` matrix with the spectrum of M
-    but its structural zero, so no eigenvalue is searched for or dropped.
-    Kept for ``bench/workloads.py``, which calls it; no library function does.
-    M is non-normal: on block or shuffled orderings ``eigvals`` returns values
-    that are no eigenvalues.
-    """
-    n = sys.n
-    keep = np.r_[0 : n - 1, n : 2 * n]
-    m = assemble(sys)
-    m_h = m[np.ix_(keep, keep)]
-    m_h[:, : n - 1] -= m[keep, n - 1 : n]
-    del m  # M would otherwise stay alive next to LAPACK's copy of m_h
-    lam = np.sort_complex(np.linalg.eigvals(m_h))
-    return SpectrumReport(eigenvalues=lam, abscissa=float(lam.real.max()))
-
-
-def transfer_product(sys: RingSystem, z: complex) -> complex:
-    """Product of the per-vehicle transfer factors at ``z``, one class at a time.
-
-    Each factor is ``(gamma_j z + alpha_j) / (z^2 + beta_j z + alpha_j)``;
-    eigenvalues of the ring system are exactly the points where the product
-    equals one.  See :meth:`Fleet.transfer`.  Kept for ``bench/workloads.py``,
-    which calls it; no library function does.
-    """
-    counts = Counter(sys.trios)
-    return complex(Fleet(tuple(counts), tuple(counts.values())).transfer(z)[0])
 
 
 # Fleets as class multisets: winding counts and a certified abscissa.
@@ -322,7 +259,7 @@ def _unwrap(result):
     return result
 
 
-def _resolve_lines(lines: Sequence[tuple[Fleet, float]], *, winding: bool) -> list:
+def _resolve_lines(lines: Sequence[tuple[Fleet, float]]) -> list:
     """Per line ``(fleet, s)``, intervals covering ``s + ix``, ``0 <= x <= x_tail``, fine enough to count on.
 
     A line's initial grid is uniform, log-spaced from ``x_tail * 1e-6`` and
@@ -333,13 +270,15 @@ def _resolve_lines(lines: Sequence[tuple[Fleet, float]], *, winding: bool) -> li
     block of lines (see :func:`_blocks`).  Returns per line, per interval in no
     particular order, its ends, the exact increment of ``Im log F`` and the
     increment of ``arg(1 - F)``, followed by ``arg(1 - F)`` at ``x_tail``; or a
-    ``FloatingPointError``.  With ``winding=False`` only the continuous phase of F is resolved.
+    ``FloatingPointError``.  A line at ``s = 0`` passes through the structural
+    zero, where ``arg(1 - F)`` cannot be resolved: there only the continuous
+    phase of F is, on every other line ``arg(1 - F)`` too.
     """
     fleets = [fleet for fleet, _ in lines]
     out: list = [None] * len(lines)
     for blk in _blocks(fleets, [4 * int(f.count.sum()) + 129 for f in fleets]):
         fleet, counts = fleets[blk[0]], np.hstack([fleets[i].count for i in blk])
-        s, order = np.array([lines[i][1] for i in blk], dtype=float), np.vstack((counts, -counts, -counts))
+        s, order = np.array([lines[i][1] for i in blk], dtype=float), _site_order(counts)
 
         def sample(ln, x):
             rows = []
@@ -371,10 +310,10 @@ def _resolve_lines(lines: Sequence[tuple[Fleet, float]], *, winding: bool) -> li
                 # the phase of F does (F vanishes at -alpha/gamma, which a line may cross)
                 bad = ~(np.abs(d_phase) <= _MAX_PHASE_STEP)
                 bad &= np.maximum(da[0], db[0]) > _NEGLIGIBLE_LOG
-                if winding:
-                    near_unit = np.minimum(np.abs(da[0]), np.abs(db[0])) < _NEAR_UNIT_LOG
-                    bad |= ~(np.abs(d_arg) <= _MAX_PHASE_STEP)
-                    bad |= near_unit & ~(np.abs(db[0] - da[0]) <= _MAX_PHASE_STEP)
+                near_unit = np.minimum(np.abs(da[0]), np.abs(db[0])) < _NEAR_UNIT_LOG
+                winding = ~(np.abs(d_arg) <= _MAX_PHASE_STEP)
+                winding |= near_unit & ~(np.abs(db[0] - da[0]) <= _MAX_PHASE_STEP)
+                bad |= winding & (s[ln] != 0.0)
                 ok = ~bad
                 done.append((ln[ok], xa[ok], xb[ok], d_phase[ok], d_arg[ok]))
                 lo, hi = xa[bad], xb[bad]
@@ -407,7 +346,7 @@ def _line_counts(lines: Sequence[tuple[Fleet, float]]) -> list:
     A line that fails holds its exception in place of its count.
     """
     out = []
-    for (fleet, s), res in zip(lines, _resolve_lines(lines, winding=True)):
+    for (fleet, s), res in zip(lines, _resolve_lines(lines)):
         if np.any(fleet.roots.real == s):
             res = PoleError(f"the line Re(lambda) = {s} passes through a pole")
         elif not isinstance(res, Exception):
@@ -447,7 +386,7 @@ def _newton_step(fleet: Fleet, lam: np.ndarray, count=None) -> np.ndarray:
     """Newton step on ``log F - 2 pi i m`` at ``lam``, ``m`` the nearest branch; see :func:`_log_product`."""
     count = fleet.count if count is None else count
     g_re, g_im = _log_product(fleet, lam, count)
-    dg = (np.vstack((count, -count, -count)) / (lam - fleet.sites)).sum(axis=0)
+    dg = (_site_order(count) / (lam - fleet.sites)).sum(axis=0)
     return (g_re + 1j * _wrap(g_im)) / dg
 
 
@@ -522,11 +461,19 @@ def _zero_gap(fleet: Fleet) -> float:
 def _cert_lines(abscissa: float) -> tuple[float, float]:
     """The lines ``Re(lambda) = abscissa +- d``, ``d = _CERT_RTOL max(1, |abscissa|)``, that certify it.
 
-    No eigenvalue right of the first and some right of the second fix the
-    abscissa to within ``d``; a line through the structural zero moves to ``+-d/2``.
+    See :func:`_certifies`; a line through the structural zero moves to ``+-d/2``.
     """
     d = _CERT_RTOL * max(1.0, abs(abscissa))
     return abscissa + d or 0.5 * d, abscissa - d or -0.5 * d
+
+
+def _certifies(n_above, n_below) -> bool:
+    """Whether the counts right of the two lines of :func:`_cert_lines` fix the abscissa to within ``d``.
+
+    They do when none lies right of the upper line and some right of the
+    lower.  A failed count raises; the lower one only once the upper is zero.
+    """
+    return _unwrap(n_above) == 0 and _unwrap(n_below) >= 1
 
 
 def rightmost_eigenvalues(fleets: Sequence[Fleet]) -> list[complex]:
@@ -545,7 +492,7 @@ def rightmost_eigenvalues(fleets: Sequence[Fleet]) -> list[complex]:
     """
     fleets = list(fleets)
     multi = [i for i, f in enumerate(fleets) if len(f.counts) > 1]
-    axes = dict(zip(multi, _resolve_lines([(fleets[i], 0.0) for i in multi], winding=False)))
+    axes = dict(zip(multi, _resolve_lines([(fleets[i], 0.0) for i in multi])))
     seeds = []
     for i, f in enumerate(fleets):
         if i not in axes:
@@ -568,8 +515,7 @@ def rightmost_eigenvalues(fleets: Sequence[Fleet]) -> list[complex]:
     cert = dict(zip(tops, zip(counts[::2], counts[1::2])))
     out = []
     for i, fleet in enumerate(fleets):  # in order, so that the first failure is raised
-        n_above, n_below = cert.get(i, (None, None))
-        if _unwrap(n_above) == 0 and _unwrap(n_below) >= 1:
+        if i in cert and _certifies(*cert[i]):
             top = tops[i]
         else:
             report = _certified(fleet, top=True)
@@ -800,7 +746,7 @@ def _misfit(fleet: Fleet, report: SpectrumReport, top: bool) -> str:
         return ", ".join(problems)
     above, below = _cert_lines(report.abscissa)
     n_above, n_below = (_unwrap(c) for c in _line_counts([(fleet, above), (fleet, below)]))
-    if n_above or not n_below:
+    if not _certifies(n_above, n_below):
         return f"abscissa {report.abscissa}, with {n_above} eigenvalues right of {above} and {n_below} right of {below}"
     return ""
 
@@ -816,3 +762,49 @@ def _certified(fleet: Fleet, top: bool) -> SpectrumReport:
 def eigenvalues(fleet: Fleet) -> SpectrumReport:
     """All 2n - 1 eigenvalues of the ring of ``fleet``, certified by :func:`misfit`; see :func:`_certified`."""
     return _certified(fleet, top=False)
+
+
+# The ring vehicle by vehicle, as bench/workloads.py builds it.
+
+
+@dataclass(frozen=True)
+class RingSystem:
+    """Trios of the n vehicles in ring order, as ``bench/workloads.py`` builds them."""
+
+    trios: tuple[LinearTrio, ...]
+
+    def __post_init__(self):
+        if len(self.trios) < 1:
+            raise ValueError("a ring system needs at least one vehicle")
+
+    @property
+    def n(self) -> int:
+        return len(self.trios)
+
+
+def _fleet_of(ring: RingSystem) -> Fleet:
+    """The ring's classes, in the order the ring meets them, with their counts."""
+    counts = Counter(ring.trios)
+    return Fleet(tuple(counts), tuple(counts.values()))
+
+
+def eigenvalues_on_H(ring: RingSystem) -> SpectrumReport:
+    """The 2n - 1 eigenvalues of ``ring`` on the zero-sum-headway subspace H; requires n >= 2.
+
+    They are :func:`eigenvalues` of the ring's class multiset, certified by
+    :func:`misfit`, so ``FloatingPointError`` where it refuses.  Kept for
+    ``bench/workloads.py``, which calls it; no library function does.
+    """
+    if ring.n < 2:
+        raise ValueError(f"ring matrix needs n >= 2 vehicles, got {ring.n}")
+    return eigenvalues(_fleet_of(ring))
+
+
+def transfer_product(ring: RingSystem, z: complex) -> complex:
+    """Product of the per-vehicle transfer factors at ``z``: :meth:`Fleet.transfer` of the ring's classes.
+
+    Each factor is ``(gamma_j z + alpha_j) / (z^2 + beta_j z + alpha_j)``;
+    eigenvalues of the ring are exactly the points where the product equals
+    one.  Kept for ``bench/workloads.py``, which calls it; no library function does.
+    """
+    return complex(_fleet_of(ring).transfer(z)[0])

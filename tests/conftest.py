@@ -5,6 +5,11 @@ unstable at a common headway of 10.4 m once the preference slope there is
 1.27491 1/s; that slope makes the discriminants land at 7.28 and -0.84.
 """
 
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +18,7 @@ from ringwave import (
     Composition,
     LinearTrio,
     PopulationSpec,
+    RingSystem,
     block_ordering,
     equilibrium_from_velocity,
     eval_preference,
@@ -94,3 +100,30 @@ def single_class_spectrum(t: LinearTrio, n: int) -> np.ndarray:
 
 def ring_of(trios_by_class, ordering) -> tuple:
     return tuple(trios_by_class[a] for a in ordering)
+
+
+def shuffled_ring(trios, counts, seed=0) -> RingSystem:
+    ring = [t for t, c in zip(trios, counts) for _ in range(c)]
+    np.random.default_rng(seed).shuffle(ring)
+    return RingSystem(tuple(ring))
+
+
+def assert_one_to_one(lam, ref, rtol):
+    """Each value of ``lam`` within ``rtol max(1, |ref|)`` of a value of ``ref`` of its own."""
+    assert lam.size == ref.size
+    free = np.ones(ref.size, dtype=bool)
+    for z in lam:
+        gap = np.where(free, np.abs(ref - z), np.inf)
+        j = int(gap.argmin())
+        assert gap[j] <= rtol * max(1.0, abs(ref[j])), (z, ref[j])
+        free[j] = False
+
+
+@functools.cache
+def bench_workloads():
+    """``bench/workloads.py``, loaded by path, to draw the benchmark's inputs."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads

@@ -2,7 +2,8 @@
 
 The package answers from class counts and the analytic partials; these
 evaluate the same quantities another way, vehicle by vehicle, by finite
-differences or on a grid, and no library function calls them.
+differences, on a grid or by a dense eigensolve of the ring matrix, and no
+library function calls them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from ringwave import (
     Composition,
     LinearTrio,
     RingSystem,
+    SpectrumReport,
     accel,
     discriminant,
     gamma_squared,
@@ -112,6 +114,49 @@ def char_poly_eval(sys: RingSystem, lam: complex) -> complex:
     e = max(e_quad, e_lin)
     diff = p_quad * 2.0 ** (e_quad - e) - p_lin * 2.0 ** (e_lin - e)
     return complex(_ldexp_sat(diff.real, e), _ldexp_sat(diff.imag, e))
+
+
+def assemble(sys: RingSystem) -> np.ndarray:
+    """The 2n x 2n ring matrix; requires n >= 2.  :func:`dense_spectrum` builds on it."""
+    n = sys.n
+    if n < 2:
+        raise ValueError(f"ring matrix needs n >= 2 vehicles, got {n}")
+    alpha = np.array([t.alpha for t in sys.trios])
+    beta = np.array([t.beta for t in sys.trios])
+    gamma = np.array([t.gamma for t in sys.trios])
+
+    a_blk = -np.eye(n)
+    b_blk = np.diag(-beta)
+    rows = np.arange(n)
+    lead = (rows + 1) % n
+    a_blk[rows, lead] = 1.0
+    b_blk[rows, lead] = gamma
+
+    m = np.zeros((2 * n, 2 * n))
+    m[:n, n:] = a_blk
+    m[n:, :n] = np.diag(alpha)
+    m[n:, n:] = b_blk
+    return m
+
+
+def dense_spectrum(sys: RingSystem) -> SpectrumReport:
+    """Spectrum restricted to the invariant zero-sum-headway subspace H, by dense ``eigvals``.
+
+    In the coordinates ``(y_1 .. y_{n-1}, u)`` of H, ``y_n = -(y_1 + ... +
+    y_{n-1})``, M keeps its other rows and columns, less the ``y_n`` column in
+    each headway column: a ``(2n-1) x (2n-1)`` matrix with the spectrum of M
+    but its structural zero, so no eigenvalue is searched for or dropped.
+    M is non-normal: on block or shuffled orderings ``eigvals`` returns values
+    that are no eigenvalues.
+    """
+    n = sys.n
+    keep = np.r_[0 : n - 1, n : 2 * n]
+    m = assemble(sys)
+    m_h = m[np.ix_(keep, keep)]
+    m_h[:, : n - 1] -= m[keep, n - 1 : n]
+    del m  # M would otherwise stay alive next to LAPACK's copy of m_h
+    lam = np.sort_complex(np.linalg.eigvals(m_h))
+    return SpectrumReport(eigenvalues=lam, abscissa=float(lam.real.max()))
 
 
 # the log grid that the ratio behind tau0 and tau1 was once maximised on, kept as a check

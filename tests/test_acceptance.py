@@ -19,7 +19,6 @@ from ringwave import (
     SinusoidalMode,
     critical_penetration,
     discriminant,
-    eigenvalues_on_H,
     equilibrium_from_velocity,
     gamma_squared,
     growth_rate,
@@ -32,7 +31,7 @@ from ringwave import (
 )
 
 from conftest import composition_of, random_trio
-from oracle import char_poly_eval
+from oracle import assemble, char_poly_eval, dense_spectrum
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -83,7 +82,7 @@ def test_criterion_4_unified_model_theorem():
     for _ in range(20):
         trio = random_trio(rng, stable=True)
         for n in range(2, 101):
-            ab = eigenvalues_on_H(RingSystem(tuple([trio] * n))).abscissa
+            ab = dense_spectrum(RingSystem(tuple([trio] * n))).abscissa
             worst_stable = max(worst_stable, ab)
             ok = ok and ab < 0.0
     sizes = []
@@ -127,13 +126,13 @@ def test_criterion_5_margin_predicts_spectrum():
                 ring = tuple([t1] * n1 + [t2] * n2)
                 if sup < 0:
                     checked_stable += 1
-                    ok = ok and eigenvalues_on_H(RingSystem(ring)).abscissa < 0
-                    ok = ok and eigenvalues_on_H(RingSystem(ring * 5)).abscissa < 0
+                    ok = ok and dense_spectrum(RingSystem(ring)).abscissa < 0
+                    ok = ok and dense_spectrum(RingSystem(ring * 5)).abscissa < 0
                 else:
                     checked_unstable += 1
                     found = None
                     for m in (1, 2, 4, 8, 16, 32, 50):
-                        if eigenvalues_on_H(RingSystem(ring * m)).abscissa > 0:
+                        if dense_spectrum(RingSystem(ring * m)).abscissa > 0:
                             found = m
                             break
                     ok = ok and found is not None
@@ -154,12 +153,12 @@ def test_criterion_6_ordering_invariance():
     for _ in range(10):
         n = int(rng.integers(4, 31))
         trios = [random_trio(rng, rng.uniform() < 0.5) for _ in range(n)]
-        ref = np.sort_complex(eigenvalues_on_H(RingSystem(tuple(trios))).eigenvalues)
+        ref = np.sort_complex(dense_spectrum(RingSystem(tuple(trios))).eigenvalues)
         for _ in range(20):
             perm = list(trios)
             rng.shuffle(perm)
             lams = np.sort_complex(
-                eigenvalues_on_H(RingSystem(tuple(perm))).eigenvalues
+                dense_spectrum(RingSystem(tuple(perm))).eigenvalues
             )
             diff = float(np.max(np.abs(lams - ref)))
             worst = max(worst, diff)
@@ -174,8 +173,6 @@ def test_criterion_7_zero_eigenvalue_structure():
         n = int(rng.integers(2, 25))
         trios = tuple(random_trio(rng, rng.uniform() < 0.5) for _ in range(n))
         sys = RingSystem(trios)
-        from ringwave import assemble
-
         m = assemble(sys)
         lam = np.linalg.eigvals(m)
         tol = 1e-8 * float(np.abs(m).sum(axis=1).max())
@@ -198,7 +195,7 @@ def test_criterion_8_nonlinear_linear_agreement(ref_models, ref_v_bar, ref_trios
     # growth-rate agreement at n = 100, amplitude 1e-4
     comp_u = composition_of(ref_models, [80, 20])
     eq_u = equilibrium_from_velocity(comp_u, ref_v_bar)
-    ab_u = eigenvalues_on_H(
+    ab_u = dense_spectrum(
         RingSystem(tuple({1: t1, 2: t2}[a] for a in comp_u.ordering))
     ).abscissa
     tr_u = simulate(
@@ -219,7 +216,7 @@ def test_criterion_8_nonlinear_linear_agreement(ref_models, ref_v_bar, ref_trios
     # threshold; the fundamental mode isolates the slowest eigenvalue pair
     comp_s = composition_of(ref_models, [89, 11])
     eq_s = equilibrium_from_velocity(comp_s, ref_v_bar)
-    ab_s = eigenvalues_on_H(
+    ab_s = dense_spectrum(
         RingSystem(tuple({1: t1, 2: t2}[a] for a in comp_s.ordering))
     ).abscissa
     tr_s = simulate(

@@ -1,9 +1,6 @@
 import dataclasses
-import importlib.util
 import math
 import random
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +24,7 @@ from ringwave import (
 import ringwave.equilibrium as equilibrium
 from ringwave._numerics import spread
 
-from conftest import REF_HEADWAY, composition_of
+from conftest import REF_HEADWAY, bench_workloads, composition_of
 from oracle import bisection_speed, spread_by_max, vehicle_length
 
 PREF = VelocityPreference(v_max=9.72, l_v=4.5, d0=2.23)
@@ -206,10 +203,7 @@ def test_length_from_class_counts_at_a_million_vehicles():
 
 def _design_scan_scenarios(seeds):
     """``(composition, length)`` of every ``design_scan`` scenario of the benchmark's ``seeds``."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = bench_workloads()
     for seed in seeds:
         rng = random.Random(seed)
         drawn = [workloads._draw_scenario(rng, 2) for _ in range(workloads.TWO_CLASS)]

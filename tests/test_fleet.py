@@ -14,7 +14,6 @@ from ringwave import (
     PopulationSpec,
     RingSystem,
     VelocityPreference,
-    eigenvalues_on_H,
     margin_curve,
     min_unstable_size,
     multi_phase_margin,
@@ -24,7 +23,8 @@ from ringwave import (
 from ringwave._numerics import largest_remainder, spread
 from ringwave.spectrum import _class_count_spectrum, _log_product, coincident, misfit
 
-from conftest import random_trio, single_class_spectrum
+from conftest import assert_one_to_one, random_trio, single_class_spectrum
+from oracle import dense_spectrum
 
 T_A = LinearTrio(alpha=0.5, beta=2.0, gamma=1.0)
 T_B = LinearTrio(alpha=2.0, beta=2.0, gamma=1.0)
@@ -235,17 +235,6 @@ def _spread_ring(fleet):
     return RingSystem(tuple(fleet.trios[k] for k in spread(fleet.counts)))
 
 
-def _assert_one_to_one(lam, ref, rtol):
-    """Each value of ``lam`` within ``rtol max(1, |ref|)`` of a value of ``ref`` of its own."""
-    assert lam.size == ref.size
-    free = np.ones(ref.size, dtype=bool)
-    for z in lam:
-        gap = np.where(free, np.abs(ref - z), np.inf)
-        j = int(gap.argmin())
-        assert gap[j] <= rtol * max(1.0, abs(ref[j])), (z, ref[j])
-        free[j] = False
-
-
 def test_eigenvalues_match_dense_one_to_one():
     # spread fleets of 1-3 classes and 2-198 vehicles (dense needs two)
     rng = np.random.default_rng(41)
@@ -256,7 +245,7 @@ def test_eigenvalues_match_dense_one_to_one():
         lam = _class_count_spectrum(fleet).eigenvalues
         assert lam.size == 2 * sum(fleet.counts) - 1
         np.testing.assert_array_equal(np.sort_complex(lam.conj()), lam)
-        _assert_one_to_one(lam, eigenvalues_on_H(_spread_ring(fleet)).eigenvalues, 1e-9)
+        assert_one_to_one(lam, dense_spectrum(_spread_ring(fleet)).eigenvalues, 1e-9)
 
 
 def _corpus_draw(seed, index):
@@ -277,13 +266,13 @@ def test_eigenvalues_settle_past_a_hundred_sweeps(index, counts):
     assert fleet.counts == counts
     report = _class_count_spectrum(fleet)
     assert misfit(fleet, report) == ""
-    _assert_one_to_one(report.eigenvalues, eigenvalues_on_H(_spread_ring(fleet)).eigenvalues, 1e-9)
+    assert_one_to_one(report.eigenvalues, dense_spectrum(_spread_ring(fleet)).eigenvalues, 1e-9)
 
 
 @pytest.mark.parametrize("trio, n", [(T_A, 1), (T_A, 12), (T_B, 2), (T_B, 31), (T_C, 64)])
 def test_eigenvalues_of_one_class_are_its_closed_form(trio, n):
     lam = _class_count_spectrum(Fleet([trio], [n])).eigenvalues
-    _assert_one_to_one(lam, single_class_spectrum(trio, n), 1e-12)
+    assert_one_to_one(lam, single_class_spectrum(trio, n), 1e-12)
 
 
 def test_coincident_marks_all_but_one_of_each_group():

@@ -19,7 +19,6 @@ from ringwave import (
     VelocityPreference,
     accel,
     equilibrium_from_velocity,
-    eigenvalues_on_H,
     growth_rate,
     initial_state,
     linearize,
@@ -31,6 +30,7 @@ from ringwave.model import _speed
 from ringwave.sim import _Rk4, _check_headways
 
 from conftest import composition_of
+from oracle import dense_spectrum
 
 PREF = VelocityPreference(v_max=9.72, l_v=4.5, d0=2.23)
 MODEL = BandoFtl(a=2.0, b=9.0, pref=PREF)
@@ -509,7 +509,7 @@ def test_small_amplitude_growth_matches_abscissa(ref_models, ref_v_bar):
         for i, m in enumerate(ref_models)
     }
     ring = RingSystem(tuple(trios[a] for a in comp.ordering))
-    ab = eigenvalues_on_H(ring).abscissa
+    ab = dense_spectrum(ring).abscissa
     assert ab > 0
     cfg = SimConfig(
         t_end=260.0,

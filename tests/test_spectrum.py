@@ -9,7 +9,6 @@ from ringwave import (
     LinearTrio,
     PoleError,
     RingSystem,
-    assemble,
     discriminant,
     eigenvalues_on_H,
     log_gain,
@@ -18,7 +17,7 @@ from ringwave import (
 )
 
 from conftest import random_trio
-from oracle import char_poly_eval
+from oracle import assemble, char_poly_eval, dense_spectrum
 
 T_STABLE = LinearTrio(alpha=0.5, beta=2.0, gamma=1.0)  # delta = +2
 T_UNSTABLE = LinearTrio(alpha=2.0, beta=2.0, gamma=1.0)  # delta = -1
@@ -68,11 +67,13 @@ def test_assemble_rejects_single_vehicle():
     with pytest.raises(ValueError):
         assemble(RingSystem((T_STABLE,)))
     with pytest.raises(ValueError):
+        dense_spectrum(RingSystem((T_STABLE,)))
+    with pytest.raises(ValueError):
         eigenvalues_on_H(RingSystem((T_STABLE,)))
 
 
 def test_stable_unified_ring_has_negative_abscissa():
-    rep = eigenvalues_on_H(RingSystem(tuple([T_STABLE] * 20)))
+    rep = dense_spectrum(RingSystem(tuple([T_STABLE] * 20)))
     assert len(rep.eigenvalues) == 39
     assert rep.abscissa < 0.0
 
@@ -81,7 +82,7 @@ def test_spectrum_near_free_flow_has_no_zero_to_tell_apart():
     # a tiny alpha crowds eigenvalues within 1e-8 of the origin, where no
     # tolerance on |lambda| can tell the structural zero from them
     t = LinearTrio(alpha=1e-8, beta=2.0, gamma=1.0)
-    rep = eigenvalues_on_H(RingSystem((t,) * 10))
+    rep = dense_spectrum(RingSystem((t,) * 10))
     lam = rep.eigenvalues
     assert len(lam) == 19 and np.all(lam != 0.0)
     fleet = Fleet([t], [10])
@@ -94,7 +95,7 @@ def test_unstable_unified_ring_goes_positive_for_some_n(ref_trios):
     _, t2 = ref_trios
     abscissas = []
     for n in range(2, 201, 6):
-        abscissas.append(eigenvalues_on_H(RingSystem(tuple([t2] * n))).abscissa)
+        abscissas.append(dense_spectrum(RingSystem(tuple([t2] * n))).abscissa)
         if abscissas[-1] > 0:
             break
     assert max(abscissas) > 0.0
@@ -114,7 +115,7 @@ def test_structural_zero_is_simple():
 def test_spectrum_conjugate_symmetry():
     rng = np.random.default_rng(1)
     sys = random_system(rng, 9)
-    rep = eigenvalues_on_H(sys)
+    rep = dense_spectrum(sys)
     lams = rep.eigenvalues
     # every eigenvalue with nonzero imaginary part has its conjugate present
     for lam in lams:
@@ -154,7 +155,7 @@ def test_char_poly_matches_lu_determinant():
 def test_char_poly_residual_at_eigenvalues():
     rng = np.random.default_rng(4)
     sys = random_system(rng, 14)
-    rep = eigenvalues_on_H(sys)
+    rep = dense_spectrum(sys)
     log_scale = sum(math.log(abs(t.alpha)) for t in sys.trios)
     for lam in rep.eigenvalues[:: max(1, len(rep.eigenvalues) // 8)]:
         quad = sum(
@@ -168,7 +169,7 @@ def test_transfer_product_is_one_at_zero_and_eigenvalues():
     rng = np.random.default_rng(5)
     sys = random_system(rng, 11)
     assert transfer_product(sys, 0.0) == 1.0 + 0.0j
-    rep = eigenvalues_on_H(sys)
+    rep = dense_spectrum(sys)
     for lam in rep.eigenvalues:
         assert abs(transfer_product(sys, lam) - 1.0) <= 1e-6
 
@@ -209,11 +210,11 @@ def test_squared_gain_identity_on_axis():
 def test_ordering_invariance_of_spectrum():
     rng = np.random.default_rng(9)
     base = [random_trio(rng, rng.uniform() < 0.5) for _ in range(16)]
-    ref = np.sort_complex(eigenvalues_on_H(RingSystem(tuple(base))).eigenvalues)
+    ref = np.sort_complex(dense_spectrum(RingSystem(tuple(base))).eigenvalues)
     for _ in range(8):
         perm = list(base)
         rng.shuffle(perm)
-        lams = np.sort_complex(eigenvalues_on_H(RingSystem(tuple(perm))).eigenvalues)
+        lams = np.sort_complex(dense_spectrum(RingSystem(tuple(perm))).eigenvalues)
         assert np.max(np.abs(lams - ref)) < 1e-7
 
 

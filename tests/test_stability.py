@@ -12,7 +12,6 @@ from ringwave import (
     RingSystem,
     critical_penetration,
     discriminant,
-    eigenvalues_on_H,
     gamma_squared,
     log_gain,
     margin_curve,
@@ -27,7 +26,7 @@ from ringwave.errors import ModelInvalidError
 from ringwave.stability import ABSCISSA_TOL, _gain_classes, _gain_ratio, _weighted_gain
 
 from conftest import random_trio
-from oracle import GRID_POINTS, _polished_max, grid_ratio
+from oracle import GRID_POINTS, _polished_max, dense_spectrum, grid_ratio
 
 T_STABLE = LinearTrio(alpha=0.5, beta=2.0, gamma=1.0)  # delta = +2
 T_UNSTABLE = LinearTrio(alpha=2.0, beta=2.0, gamma=1.0)  # delta = -1
@@ -553,7 +552,7 @@ def test_min_unstable_size_reference(ref_trios):
     assert m is not None and m <= 200
     assert_first_unstable([t2], [1.0], m)
     # the certified abscissa agrees with a dense spectrum at the result
-    assert eigenvalues_on_H(RingSystem(tuple([t2] * m))).abscissa > 1e-9
+    assert dense_spectrum(RingSystem(tuple([t2] * m))).abscissa > 1e-9
 
 
 @pytest.mark.parametrize("rate, expected", [(0.85, 10), (0.87, 12), (0.875, 13), (0.885, 14)])
@@ -631,7 +630,7 @@ def test_margin_sign_predicts_spectrum_small_fleets():
                 for _ in range(20):
                     order = [t1] * n1 + [t2] * n2
                     rng.shuffle(order)
-                    ab = eigenvalues_on_H(RingSystem(tuple(order))).abscissa
+                    ab = dense_spectrum(RingSystem(tuple(order))).abscissa
                     assert ab < 0.0
 
 

@@ -1,8 +1,9 @@
 """Winding counts and certified abscissas of fleets given as class multisets.
 
-Dense ``eigvals`` on a shuffled ordering is the oracle: the spectrum depends
-only on the multiset of trios, and block orderings (all of one class, then
-all of the next) are the ill-conditioned case for a dense eigensolver.
+Dense ``eigvals`` on a shuffled ordering (``oracle.dense_spectrum``) is the
+reference: the spectrum depends only on the multiset of trios, and block
+orderings (all of one class, then all of the next) are the ill-conditioned
+case for a dense eigensolver.
 """
 
 import numpy as np
@@ -16,7 +17,6 @@ from ringwave import (
     PoleError,
     RingSystem,
     count_right_of,
-    eigenvalues_on_H,
     multi_phase_margin,
     rightmost_eigenvalue,
     rightmost_eigenvalues,
@@ -26,16 +26,11 @@ from ringwave import spectrum
 from ringwave._numerics import spread
 from ringwave.stability import ABSCISSA_TOL
 
-from conftest import random_trio, single_class_spectrum
+from conftest import random_trio, shuffled_ring, single_class_spectrum
+from oracle import dense_spectrum
 
 T_STABLE = LinearTrio(alpha=0.5, beta=2.0, gamma=1.0)  # delta = +2
 T_UNSTABLE = LinearTrio(alpha=2.0, beta=2.0, gamma=1.0)  # delta = -1
-
-
-def shuffled_ring(trios, counts, seed=0) -> RingSystem:
-    ring = [t for t, c in zip(trios, counts) for _ in range(c)]
-    np.random.default_rng(seed).shuffle(ring)
-    return RingSystem(tuple(ring))
 
 
 def test_count_single_vehicle():
@@ -139,7 +134,7 @@ def check_against_shuffled_dense(trios, counts):
     root = rightmost_eigenvalue(Fleet(trios, counts))
     ring = shuffled_ring(trios, counts)
     assert rightmost_eigenvalue(Fleet(trios, counts)).real == root.real
-    assert abs(root.real - eigenvalues_on_H(ring).abscissa) <= 1e-9
+    assert abs(root.real - dense_spectrum(ring).abscissa) <= 1e-9
     assert abs(transfer_product(ring, root) - 1.0) <= 1e-9
 
 
@@ -176,7 +171,7 @@ def test_certified_spectrum_fallback_without_newton_roots(monkeypatch, spectra):
     trios, counts = [T_STABLE, T_UNSTABLE], [5, 7]
     root = rightmost_eigenvalue(Fleet(trios, counts))
     assert len(calls) == 1 and len(spectra) == 1
-    assert abs(root.real - eigenvalues_on_H(shuffled_ring(trios, counts)).abscissa) <= 1e-9
+    assert abs(root.real - dense_spectrum(shuffled_ring(trios, counts)).abscissa) <= 1e-9
     assert abs(transfer_product(shuffled_ring(trios, counts), root) - 1.0) <= 1e-9
 
 
@@ -204,7 +199,7 @@ def test_uncertified_newton_top_falls_back_on_the_spectrum(spectra, trios, count
     root = rightmost_eigenvalue(Fleet(trios, counts))
     assert len(spectra) == 1
     ring = RingSystem(tuple(trios[k] for k in spread(counts)))
-    assert abs(root.real - eigenvalues_on_H(ring).abscissa) <= 1e-9
+    assert abs(root.real - dense_spectrum(ring).abscissa) <= 1e-9
 
 
 def test_fallback_certifies_the_top_where_a_root_sits_on_a_simple_pole():
@@ -219,7 +214,7 @@ def test_fallback_certifies_the_top_where_a_root_sits_on_a_simple_pole():
         spectrum.eigenvalues(fleet)
     root = rightmost_eigenvalue(fleet)
     ring = RingSystem(tuple(trios[k] for k in spread([8, 1])))
-    assert abs(root.real - eigenvalues_on_H(ring).abscissa) <= 1e-9
+    assert abs(root.real - dense_spectrum(ring).abscissa) <= 1e-9
     assert root.imag > 0.1 and fleet.root_error(root)[0] <= 1e-12
 
 
@@ -268,7 +263,7 @@ def fleets(draw):
 @given(fleets())
 def test_count_and_abscissa_match_shuffled_dense(fleet):
     trios, counts = fleet
-    dense = eigenvalues_on_H(shuffled_ring(trios, counts, seed=sum(counts))).eigenvalues
+    dense = dense_spectrum(shuffled_ring(trios, counts, seed=sum(counts))).eigenvalues
     fleet = Fleet(trios, counts)
     assert count_right_of(fleet, ABSCISSA_TOL) == int((dense.real > ABSCISSA_TOL).sum())
     assert abs(rightmost_eigenvalue(fleet).real - dense.real.max()) <= 1e-9
@@ -300,6 +295,17 @@ def test_batched_counts_and_abscissas_equal_one_fleet_at_a_time(batch, s):
     lines = [(fleet, s) for fleet in batch]
     assert spectrum._line_counts(lines) == [count_right_of(fleet, s) for fleet in batch]
     assert rightmost_eigenvalues(batch) == [rightmost_eigenvalue(fleet) for fleet in batch]
+
+
+def test_a_batch_that_mixes_the_axis_with_other_lines_resolves_each_as_alone():
+    # the line decides: the axis resolves only the phase of F, every other line the winding too
+    fleets = [Fleet([T_STABLE, T_UNSTABLE], [5, 7]), Fleet([T_STABLE, T_UNSTABLE], [9, 2])]
+    lines = [(fleet, s) for fleet in fleets for s in (0.0, 0.05, -0.3)]
+    for line, mixed in zip(lines, spectrum._resolve_lines(lines)):
+        (alone,) = spectrum._resolve_lines([line])
+        assert len(mixed) == len(alone) == 5
+        for got, want in zip(mixed, alone):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_the_first_failing_fleet_of_a_batch_raises(monkeypatch):
