@@ -66,16 +66,18 @@ def spread(counts: Sequence[int]) -> list[int]:
     Place ``j`` goes to the index furthest behind its share ``counts[i] j / total``; the leads
     sum to 1, so a count of 0 is never ahead.  Ties go to the larger count, then the lower index:
     the indices are visited in that order and only a strictly larger lead takes the place.
+    The output is allocated before the first place is filled, so a total too large to hold
+    raises ``MemoryError`` or ``OverflowError`` at once rather than after a long loop.
     """
     total = sum(counts)
     order = sorted(range(len(counts)), key=lambda i: (-counts[i], i))
     placed = [0] * len(counts)
-    out = []
+    out = [0] * total
     for j in range(1, total + 1):
         best, lead = -1, -math.inf
         for i in order:
             if (d := counts[i] * j / total - placed[i]) > lead:
                 best, lead = i, d
         placed[best] += 1
-        out.append(best)
+        out[j - 1] = best
     return out

@@ -96,6 +96,8 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.dt <= self.t_end < math.inf:
             raise ValueError(f"require finite dt > 0 and t_end >= dt, got dt {self.dt} and t_end {self.t_end}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError(f"the step count t_end / dt must be finite, got {self.t_end} / {self.dt}")
         _hold_whole(self, "record_every", least=1)
 
 

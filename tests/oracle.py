@@ -3,7 +3,8 @@
 The package answers from class counts and the analytic partials; these
 evaluate the same quantities another way, vehicle by vehicle, by finite
 differences, on a grid or by a dense eigensolve of the ring matrix, and no
-library function calls them.
+library function calls them.  The CLI configs' JSON Schemas are here too,
+for a JSON Schema validator to check the config reader against.
 """
 
 from __future__ import annotations
@@ -221,3 +222,91 @@ def grid_ratio(
     n = max(value, limit0)
     sizes = math.fsum(w * _log_sizes(t, y) for t, w in zip(others, weights)) + abs(n) * _log_sizes(stable, y)
     return n, 4.0 * np.finfo(float).eps * sizes / -log_gain(stable, y)
+
+
+# The CLI configs as JSON Schema (Draft 2020-12) documents: ``config_schema(command)``
+# is the structure that ``ringwave._config.validate`` must refuse the violations of.
+_POS = {"type": "number", "exclusiveMinimum": 0}
+_NONNEG = {"type": "number", "minimum": 0}
+_INT = {"type": "integer"}
+
+
+def _obj(properties: dict, optional: Sequence[str] = ()) -> dict:
+    """A closed JSON object whose properties are all required except ``optional``."""
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": [k for k in properties if k not in optional],
+        "additionalProperties": False,
+    }
+
+
+_PREFERENCE = {
+    "oneOf": [
+        _obj({"v_max": _POS, "l_v": _NONNEG, "d0": _POS}),
+        _obj({"calibrate": _obj({"h_ref": _POS, "slope": _POS, "l_v": _NONNEG, "d0": _POS})}),
+    ]
+}
+_MODEL = _obj({"kind": {"const": "bando_ftl"}, "a": _POS, "b": _POS, "preference": _PREFERENCE})
+_POPULATIONS = {
+    "type": "array",
+    "items": _obj({"class_id": _INT, "count": {"type": "integer", "minimum": 0}, "model": _MODEL}),
+    "minItems": 1,
+}
+# tau0 and sweep take exactly two classes and no counts
+_PAIR = {
+    "type": "array",
+    "items": _obj({"class_id": _INT, "model": _MODEL}),
+    "minItems": 2,
+    "maxItems": 2,
+}
+_ORDERING = {"oneOf": [{"enum": ["blocks", "spread"]}, {"type": "array", "items": _INT}]}
+_EQ_V = {
+    "oneOf": [
+        _obj({"v_bar": _POS}),
+        _obj({"class_headway": _obj({"class_id": _INT, "headway": _POS})}),
+    ]
+}
+_EQ_FULL = {"oneOf": _EQ_V["oneOf"] + [_obj({"length": _POS})]}
+# every perturbation kind's integer parameters, all optional; which kind takes which is a rule past the schema
+_PERT_PARAMS = {"mode": _INT, "seed": _INT}
+_SIM = _obj(
+    {
+        "dt": _POS,
+        "t_end": _POS,
+        "record_every": {"type": "integer", "minimum": 1},
+        "perturbation": _obj(
+            {
+                "amplitude": _NONNEG,
+                "kind": {"enum": ["single_vehicle_kick", "sinusoidal_mode", "seeded_random_zero_sum"]},
+                **_PERT_PARAMS,
+            },
+            optional=list(_PERT_PARAMS),
+        ),
+    },
+    optional=("dt", "record_every"),
+)
+_SWEEP = _obj(
+    {
+        "n_totals": {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 1},
+        "rate_class1": {"type": "number", "minimum": 0, "maximum": 1},
+    }
+)
+
+_RING = {"composition": _obj({"populations": _POPULATIONS, "ordering": _ORDERING}), "equilibrium": _EQ_FULL}
+_SVG = {"svg": {"type": "boolean"}}
+# each command's required sections after schema_version, then its optional ones
+_SECTIONS = {
+    "equilibrium": (_RING, {}),
+    "linearize": (_RING, {}),
+    "spectrum": (_RING, {}),
+    "simulate": ({**_RING, "sim": _SIM}, _SVG),
+    "tau0": ({"populations": _PAIR, "equilibrium": _EQ_V}, {}),
+    "margin": ({"populations": _POPULATIONS, "equilibrium": _EQ_V}, _SVG),
+    "sweep": ({"populations": _PAIR, "equilibrium": _EQ_V, "sweep": _SWEEP}, _SVG),
+}
+
+
+def config_schema(command: str) -> dict:
+    required, optional = _SECTIONS[command]
+    return _obj({"schema_version": {"const": 1}, **required, **optional}, optional=optional)

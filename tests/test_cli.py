@@ -11,14 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ringwave import _schema, cli, spectrum, stability
-from ringwave.cli import _config_schema, main
+from ringwave import _config, cli, spectrum, stability
+from ringwave.cli import main
+from ringwave.equilibrium import equilibrium_from_velocity
 from ringwave.errors import ConfigError
 from ringwave.spectrum import Fleet, count_right_of, rightmost_eigenvalue
 from ringwave.stability import ABSCISSA_TOL
 
 from conftest import REF_D0, REF_HEADWAY, REF_LV, REF_SLOPE, single_class_spectrum
-from oracle import grid_ratio
+from oracle import config_schema, grid_ratio
 
 CAL_PREF = {
     "calibrate": {"h_ref": REF_HEADWAY, "slope": REF_SLOPE, "l_v": REF_LV, "d0": REF_D0}
@@ -79,10 +80,8 @@ def test_equilibrium_round_trip_through_csv(tmp_path):
     )
     assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path)]) == 0
     _, rows = read_csv(tmp_path / "equilibrium.csv")
-    from ringwave.cli import _build_composition, _resolve_equilibrium
-
-    comp = _build_composition(composition_payload(5, 3))
-    eq = _resolve_equilibrium({"v_bar": 4.2}, comp)
+    exp = _config.validate(json.loads(Path(cfg).read_text(encoding="utf-8")), "equilibrium")
+    eq = equilibrium_from_velocity(exp.composition, exp.v_bar)
     by_class = {int(r[0]): r for r in rows}
     for cid in (1, 2):
         assert float(by_class[cid][1]) == eq.h_bar[cid]
@@ -253,8 +252,8 @@ def test_tau0_command_off_the_certificate_matches_the_grid_oracle(tmp_path, monk
     assert len(calls) > 1
     header, rows = read_csv(tmp_path / "tau0.csv")
     row = dict(zip(header, map(float, rows[0])))
-    pops = cli._build_populations(payload["populations"])
-    stable, unstable = cli._trios_at(pops, cli._resolve_v_bar(payload["equilibrium"], pops))
+    exp = _config.validate(payload, "tau0")
+    stable, unstable = cli._trios_at(exp.populations, exp.v_bar)
     want, tol = grid_ratio(stable, [unstable], [1.0])
     assert want - tol <= row["n0"] <= want + tol
     assert row["tau0"] == row["n0"] / (row["n0"] + 1.0) > row["bound_lower"]
@@ -415,8 +414,8 @@ def test_spectrum_gives_up_a_line_that_no_grid_resolves(tmp_path, monkeypatch):
         "equilibrium": eq,
         "sweep": {"n_totals": [6], "rate_class1": 1.0},
     }
-    pops = cli._build_populations(payload["populations"])
-    trio = cli._trios_at(pops, cli._resolve_v_bar(eq, pops))[0]
+    exp = _config.validate(payload, "sweep")
+    trio = cli._trios_at(exp.populations, exp.v_bar)[0]
     start = time.perf_counter()
     with pytest.raises(FloatingPointError, match="could not be resolved"):
         count_right_of(Fleet([trio], [6]), trio.alpha / 2)
@@ -687,8 +686,8 @@ def test_sweep_verdicts_equal_one_size_at_a_time(tmp_path):
     }
     assert main(["sweep", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]) == 0
     _, rows = read_csv(tmp_path / "sweep.csv")
-    pops = cli._build_populations(payload["populations"])
-    trios = cli._trios_at(pops, cli._resolve_v_bar(EQ_BY_HEADWAY, pops))
+    exp = _config.validate(payload, "sweep")
+    trios = cli._trios_at(exp.populations, exp.v_bar)
     fleets = [Fleet.from_rates(trios, [0.93, 1.0 - 0.93], n) for n in n_totals]
     assert {len(fleet.counts) for fleet in fleets} == {1, 2}
     for row, n, fleet in zip(rows, n_totals, fleets):
@@ -866,6 +865,48 @@ def test_config_mistake_exits_2(tmp_path, capsys, command, payload, message):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+# what the JSON parse refuses, before any path exists: a repeated key, NaN or Infinity, and 1e400
+JSON_PARSE_MISTAKES = ("appears twice", "NaN", "Infinity", "does not fit a finite double")
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        pytest.param(c, p, m, id=f"{c}-{why}")
+        for c, why, p, m in config_mistakes()
+        if not any(s in m for s in JSON_PARSE_MISTAKES)
+    ],
+)
+def test_config_mistake_names_its_json_path(tmp_path, capsys, command, payload, message):
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: $.") and message in err, err
+
+
+# counts whose ordering fails to allocate at once; 1e12 is left out, since whether
+# it fails or runs out the machine's memory depends on the runner's overcommit policy
+@pytest.mark.parametrize("count", [1e300, 2**62])
+@pytest.mark.parametrize("ordering", ["blocks", "spread"])
+def test_a_ring_too_large_to_order_exits_2(tmp_path, capsys, count, ordering):
+    cfg = valid_config("equilibrium")
+    cfg["composition"] = composition_payload(count, 2, ordering)
+    assert main(["equilibrium", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: $.composition.populations: too many vehicles"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_step_count_past_the_doubles_exits_2(tmp_path, capsys):
+    cfg = valid_config("simulate")
+    cfg["sim"].update(t_end=1e300, dt=1e-300)
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: $.sim: ") and "step count" in err, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_deeply_nested_config_exits_2(tmp_path, capsys):
@@ -992,30 +1033,6 @@ def test_integral_float_reads_as_its_integer(tmp_path, command, edits, where):
     assert outs[0] and outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_schema_uses_only_checked_keywords(command):
-    def walk(schema):
-        assert set(schema) <= _schema.KEYWORDS, set(schema) - _schema.KEYWORDS
-        assert schema.get("type", "object") in _schema.TYPES
-        assert schema.get("additionalProperties", False) is False
-        for value in [schema.get("const", 0), *schema.get("enum", [])]:
-            assert isinstance(value, (str, int, float, bool))
-        for sub in [*schema.get("properties", {}).values(), *schema.get("oneOf", [])]:
-            walk(sub)
-        if "items" in schema:
-            walk(schema["items"])
-
-    walk(_config_schema(command))
-
-
-def test_one_of_needs_exactly_one_match():
-    # no command schema has overlapping forms, so the rule is checked on its own
-    schema = {"oneOf": [{"type": "integer"}, {"type": "number"}]}
-    _schema.validate(1.5, schema)
-    with pytest.raises(ConfigError, match=r"^\$: matches 2 of its 2 allowed forms"):
-        _schema.validate(1, schema)
-
-
 # values a mutation puts in a config: scalars of every JSON kind near each bound,
 # and subtrees that are valid somewhere, so many mutants stay valid
 SCALARS = [
@@ -1061,22 +1078,42 @@ def mutant(command, rng):
     return cfg
 
 
+# what the reader refuses past the schema: a substring of each such message
+SEMANTIC_RULES = (
+    "duplicate class ids",
+    "unknown class",
+    "ordering must contain",
+    "h_ref must exceed",
+    "no finite v_max",
+    "at least one vehicle",
+    "too many vehicles",
+    "t_end >= dt",
+    "perturbs no vehicle",
+    "does not apply to kind",
+)
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_checker_agrees_with_jsonschema(command):
+    # the oracle checks structure alone, so it bounds the reader from one side: whatever
+    # it refuses is refused, and whatever it accepts is accepted or refused by a named rule
     jsonschema = pytest.importorskip("jsonschema")
-    schema = _config_schema(command)
-    oracle = jsonschema.Draft202012Validator(schema)
+    oracle = jsonschema.Draft202012Validator(config_schema(command))
     rng = random.Random(COMMANDS.index(command))
     accepted = 0
     for _ in range(500):
         cfg = mutant(command, rng)
         try:
-            _schema.validate(cfg, schema)
-            ok = True
-        except ConfigError:
-            ok = False
-        assert ok == oracle.is_valid(cfg), cfg
-        accepted += ok
+            _config.validate(cfg, command)
+            refusal = None
+        except ConfigError as err:
+            refusal = str(err)
+        assert refusal is None or refusal.startswith("$"), refusal
+        if oracle.is_valid(cfg):
+            assert refusal is None or any(rule in refusal for rule in SEMANTIC_RULES), (cfg, refusal)
+            accepted += 1
+        else:
+            assert refusal is not None, cfg
     assert min(accepted, 500 - accepted) >= 25  # both verdicts are well represented
 
 

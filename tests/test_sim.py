@@ -354,6 +354,12 @@ def test_sim_config_refuses_a_step_or_end_that_is_not_finite(field, value):
         SimConfig(perturbation=KICK, **times)
 
 
+def test_sim_config_refuses_a_step_count_that_is_not_finite():
+    # both times are finite, but t_end / dt overflows, and simulate could not round it to a count
+    with pytest.raises(ValueError, match="step count"):
+        SimConfig(t_end=1e300, dt=1e-300, perturbation=KICK)
+
+
 WHOLE_NUMBER_REFUSALS = {
     "negative seed": lambda: SeededRandomZeroSum(-1),
     "fractional seed": lambda: SeededRandomZeroSum(2.5),
