@@ -136,10 +136,10 @@ _positive = partial(_number, above=0)
 _nonnegative = partial(_number, least=0)
 
 
-def _integer(x, at: str, least=None) -> int:
+def _integer(x, at: str, least=None, most=None) -> int:
     if isinstance(x, bool) or not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
         raise _refuse(at, f"{x!r} is not of type 'integer'")
-    return int(_number(x, at, least=least))
+    return int(_number(x, at, least=least, most=most))
 
 
 def _items(x, at: str, read, least: int = 0, most: int | None = None) -> list:
@@ -274,7 +274,8 @@ def validate(config, command: str) -> Experiment:
     if command == "simulate":
         readers["sim"] = lambda x, at: x
     if command == "sweep":
-        grid = {"n_totals": partial(_items, read=partial(_integer, least=2), least=1)}
+        # a size n samples about 4n points a line: 10^6 vehicles take about 2.4 GB and 30 s
+        grid = {"n_totals": partial(_items, read=partial(_integer, least=2, most=10**6), least=1)}
         readers["sweep"] = partial(_fields, readers={**grid, "rate_class1": partial(_number, least=0, most=1)})
     optional = ("svg",) if command in ("simulate", "margin", "sweep") else ()
     c = _fields(config, "$", {**readers, **dict.fromkeys(optional, _one_of(True, False))}, optional)

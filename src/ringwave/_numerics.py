@@ -1,4 +1,7 @@
-"""Share checks, rounding and interleaving helpers used across modules."""
+"""Share checks, rounding and interleaving helpers used across modules.
+
+:func:`whole_number` is the one rule by which the library takes an integer.
+"""
 
 from __future__ import annotations
 
@@ -17,34 +20,31 @@ def check_rates(rates: Sequence[float]) -> None:
 
 
 def _finite(x) -> bool:
-    """``math.isfinite(x)``, and False for an int too large for a double."""
+    """``math.isfinite(x)``, and False for an int too large for a double or a value that is no number."""
     try:
         return math.isfinite(x)
-    except OverflowError:
+    except (OverflowError, TypeError):
         return False
 
 
-def checked_counts(classes: Sequence, counts: Sequence[float], whole: bool = False) -> list:
-    """``counts``, one per class, each finite and >= 0; with ``whole``, whole numbers returned as ints.
+def checked_counts(classes: Sequence, counts: Sequence[float]) -> list:
+    """``counts``, one per class, each a finite real weight >= 0 as the margins take them.
 
-    A margin weighs real counts; vehicles are counted in whole numbers, so an
-    integral float such as 2.0 reads as 2.  ``ValueError`` for lists that do
-    not match one to one, are empty, or hold any other count, an int beyond
-    the largest double included.
+    ``ValueError`` for lists that do not match one to one, are empty, or hold any other count.
     """
     if len(classes) != len(counts) or len(counts) == 0:
         raise ValueError("need matching, nonempty class and count lists")
-    if not all(c >= 0 and _finite(c) and (not whole or float(c).is_integer()) for c in counts):
-        what = "whole numbers" if whole else "numbers"
-        raise ValueError(f"counts must be finite, nonnegative {what}, got {list(counts)}")
-    return [int(c) for c in counts] if whole else list(counts)
+    if not all(c >= 0 and _finite(c) for c in counts):
+        raise ValueError(f"counts must be finite, nonnegative numbers, got {list(counts)}")
+    return list(counts)
 
 
-def whole_number(n, name: str) -> int:
-    """``n`` as an int: a whole number such as 12.0 reads as 12.  ``ValueError`` for any other value,
-    an int beyond the largest double included."""
-    if not (_finite(n) and float(n).is_integer()):
-        raise ValueError(f"{name} must be a finite whole number, got {n!r}")
+def whole_number(n, name: str, least: int | None = None) -> int:
+    """``n`` as an int: a finite whole number such as 12.0 reads as 12.  ``ValueError`` names ``name``
+    and ``n`` for any other value, one below ``least``, an int past the largest double and a string included."""
+    if not (_finite(n) and float(n).is_integer() and (least is None or n >= least)):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be a finite whole number{bound}, got {n!r}")
     return int(n)
 
 

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._numerics import checked_counts, spread
+from ._numerics import spread, whole_number
 from .errors import NoEquilibriumError
 from .model import _TANH2, BandoFtl, preferred_headway
 
@@ -39,7 +39,7 @@ class PopulationSpec:
 
     def __post_init__(self):
         # set once, past the frozen __setattr__
-        vars(self)["count"] = checked_counts((self.model,), (self.count,), whole=True)[0]
+        vars(self)["count"] = whole_number(self.count, "count", least=0)
 
 
 @dataclass(frozen=True)

@@ -17,27 +17,15 @@ error, vehicle, value and time as a check before every stage.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._numerics import whole_number
 from .equilibrium import Composition, EquilibriumFlow
 from .errors import CollisionError, InsufficientDataError
-from .model import _speed, model_partials
-
-
-def _hold_whole(obj, name: str, least: int | None = None) -> None:
-    """Hold ``obj.name`` as an ``int``, so an integral float such as 2.0 reads as 2.
-
-    ``ValueError`` for any value that is not a whole number, or is below ``least``.
-    """
-    value = getattr(obj, name)
-    whole = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
-    if not whole or (least is not None and value < least):
-        bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"{name} must be a whole number{bound}, got {value!r}")
-    object.__setattr__(obj, name, int(value))  # past the frozen __setattr__
+from .linearize import linearize
+from .model import _speed
 
 
 @dataclass(frozen=True)
@@ -52,7 +40,7 @@ class SinusoidalMode:
     mode: int = 1
 
     def __post_init__(self):
-        _hold_whole(self, "mode")
+        vars(self)["mode"] = whole_number(self.mode, "mode")  # past the frozen __setattr__
 
     def profile(self, n: int) -> np.ndarray:
         """``sin(2 pi mode j / n)`` at vehicles ``j = 0, ..., n - 1``.
@@ -72,7 +60,7 @@ class SeededRandomZeroSum:
     seed: int = 0
 
     def __post_init__(self):
-        _hold_whole(self, "seed", least=0)
+        vars(self)["seed"] = whole_number(self.seed, "seed", least=0)
 
 
 @dataclass(frozen=True)
@@ -98,7 +86,7 @@ class SimConfig:
             raise ValueError(f"require finite dt > 0 and t_end >= dt, got dt {self.dt} and t_end {self.t_end}")
         if not math.isfinite(self.t_end / self.dt):
             raise ValueError(f"the step count t_end / dt must be finite, got {self.t_end} / {self.dt}")
-        _hold_whole(self, "record_every", least=1)
+        vars(self)["record_every"] = whole_number(self.record_every, "record_every", least=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,11 +274,7 @@ def step(state: SimState, comp: Composition, dt: float) -> SimState:
 
 def _max_beta(comp: Composition, eq: EquilibriumFlow) -> float:
     """Largest trio damping ``beta = df/dhdot - df/dv`` over the classes at ``eq``."""
-    betas = []
-    for p in comp.classes:
-        _, fhd, fv = model_partials(p.model, eq.h_bar[p.class_id], 0.0, eq.v_bar)
-        betas.append(fhd - fv)
-    return max(betas)
+    return max(linearize(p.model, eq.h_bar[p.class_id], eq.v_bar).beta for p in comp.classes)
 
 
 def simulate(comp: Composition, eq: EquilibriumFlow, cfg: SimConfig) -> SimTrace:

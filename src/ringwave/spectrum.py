@@ -66,8 +66,8 @@ class Fleet:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = checked_counts(self.trios, self.counts, whole=True)
-        kept = [(t, c) for t, c in zip(self.trios, counts) if c > 0]
+        whole = [whole_number(c, f"counts[{k}]", least=0) for k, c in enumerate(self.counts)]
+        kept = [(t, c) for t, c in zip(self.trios, checked_counts(self.trios, whole)) if c > 0]
         if not kept:
             raise ValueError("a ring system needs at least one vehicle")
         rows = [(t.alpha, t.beta, t.gamma, float(c)) for t, c in kept]
@@ -87,10 +87,7 @@ class Fleet:
 
     @classmethod
     def from_rates(cls, trios: Sequence[LinearTrio], rates: Sequence[float], n: int) -> Fleet:
-        """``n`` vehicles split over ``trios`` by ``rates``, rounded by largest remainder.
-
-        ``n`` may be an integral float such as 12.0; ``ValueError`` when it is not a finite whole number.
-        """
+        """``n`` vehicles (a :func:`whole_number`) split over ``trios`` by ``rates``, rounded by largest remainder."""
         check_rates(rates)
         return cls(trios, largest_remainder(rates, whole_number(n, "n")))
 

@@ -107,19 +107,22 @@ def log_gain(trio: LinearTrio, y):
 def _gain_classes(trios: Sequence[LinearTrio], weights: Sequence[float]) -> list[tuple[float, ...]]:
     """Per class of nonzero weight: ``alpha^2``, ``gamma^2``, ``beta^2 - 2 alpha`` and the weight.
 
-    ``ModelInvalidError`` when a class's ``q = alpha^2 + (beta^2 - 2 alpha) y + y^2`` has a
-    positive real root: in exact arithmetic only at ``beta = 0``, which no trio has, but in
-    floats once ``beta^2 - 2 alpha`` rounds to ``-2 alpha``.  Its gain then has a pole on the
-    axis wherever that root lies.
+    ``FloatingPointError`` names a class whose three are not all finite: its gain cannot be
+    evaluated, and a margin would read ``nan``.  ``ModelInvalidError`` when a class's ``q =
+    alpha^2 + (beta^2 - 2 alpha) y + y^2`` has a positive real root: in exact arithmetic only at
+    ``beta = 0``, which no trio has, but in floats once ``beta^2 - 2 alpha`` rounds to ``-2
+    alpha``.  Its gain then has a pole on the axis wherever that root lies.
     """
     classes = []
     for t, w in zip(trios, weights):
         if w == 0.0:
             continue
-        a2, c = float(t.alpha * t.alpha), float(t.beta * t.beta - 2.0 * t.alpha)
+        a2, g2, c = float(t.alpha * t.alpha), float(t.gamma * t.gamma), float(t.beta * t.beta - 2.0 * t.alpha)
+        if not (math.isfinite(a2) and math.isfinite(g2) and math.isfinite(c)):
+            raise FloatingPointError(f"trio {t} overflows: its alpha^2, gamma^2 or beta^2 - 2 alpha is not finite")
         if c < 0.0 and c * c >= 4.0 * a2:
             raise ModelInvalidError(_POLE)
-        classes.append((a2, float(t.gamma * t.gamma), c, float(w)))
+        classes.append((a2, g2, c, float(w)))
     return classes
 
 
@@ -208,6 +211,8 @@ def _critical_ratio(
     When the margin at ``rho = 0`` is already ``<= 0``, ``N <= 0`` and
     ``limit0``, a lower bound, is returned.
     """
+    # built first: they refuse a trio too large to square, which limit0 squares
+    num, den = _gain_classes(others, weights), _gain_classes([stable], [-1.0])
     unstable = [gamma_squared(t) for t, w in zip(others, weights) if w and discriminant(t) < 0.0]
     if not unstable:
         return -math.inf
@@ -216,7 +221,7 @@ def _critical_ratio(
     limit0 = math.fsum(
         w * ((-discriminant(t) * a1sq) / (d1 * t.alpha**2)) for t, w in zip(others, weights)
     )
-    num, den, rho = _gain_classes(others, weights), _gain_classes([stable], [-1.0]), max(limit0, 0.0)
+    rho = max(limit0, 0.0)
     while True:
         f = rho / (rho + 1.0)
         y, sup = _margin_sup(_gain_classes([stable, *others], [f] + [(1.0 - f) * w for w in weights]), y0)
@@ -453,8 +458,7 @@ def min_unstable_size(
     in another: instability is not monotone in the total (rounding changes
     the mix), so the result is the true minimum.  ``None`` when no probe is
     unstable, which is no proof of stability: a total between two probes may be.
-    ``n_max`` may be an integral float such as 12.0; ``ValueError`` when it is
-    not a finite whole number.
+    ``n_max`` is read by ``_numerics.whole_number``.
     """
     check_rates(rates)
     n_max = whole_number(n_max, "n_max")

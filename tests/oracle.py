@@ -288,7 +288,7 @@ _SIM = _obj(
 )
 _SWEEP = _obj(
     {
-        "n_totals": {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 1},
+        "n_totals": {"type": "array", "items": {"type": "integer", "minimum": 2, "maximum": 10**6}, "minItems": 1},
         "rate_class1": {"type": "number", "minimum": 0, "maximum": 1},
     }
 )

@@ -824,7 +824,7 @@ def config_mistakes():
     yield "simulate", "t_end_below_dt", cfg, "t_end >= dt"
     cfg = valid_config("simulate")
     cfg["sim"]["perturbation"] = {"amplitude": 0.01, "kind": "seeded_random_zero_sum", "seed": -1}
-    yield "simulate", "negative_seed", cfg, "seed must be a whole number >= 0, got -1"
+    yield "simulate", "negative_seed", cfg, "seed must be a finite whole number >= 0, got -1"
     nan, inf = float("nan"), float("inf")
     yield "equilibrium", "nan_v_bar", dict(valid_config("equilibrium"), equilibrium={"v_bar": nan}), "NaN"
     yield "equilibrium", "infinite_length", dict(valid_config("equilibrium"), equilibrium={"length": inf}), "Infinity"
@@ -907,6 +907,43 @@ def test_a_step_count_past_the_doubles_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: $.sim: ") and "step count" in err, err
     assert not (tmp_path / "out").exists()
+
+
+def _past_the_doubles(command, gain_of=None, n_total=None):
+    """The reference pair's config for ``command`` (8 + 2 for ``margin``) with gain ``a`` 1e300
+    for population ``gain_of``, or with ``n_total`` as its second sweep size."""
+    cfg = _fresh(valid_config(command))
+    if command == "margin":
+        cfg["populations"][0]["count"] = 8
+    if gain_of is not None:
+        cfg["populations"][gain_of]["model"]["a"] = 1e300
+    if n_total is not None:
+        cfg["sweep"]["n_totals"] = [4, n_total]
+    return cfg
+
+
+OVERFLOW = "numeric failure: trio LinearTrio(alpha=1.27"
+PAST_THE_DOUBLES = {
+    "margin-unstable-class": ("margin", dict(gain_of=1), 4, OVERFLOW),
+    "margin-stable-class": ("margin", dict(gain_of=0), 4, OVERFLOW),
+    "tau0-stable-class": ("tau0", dict(gain_of=0), 4, OVERFLOW),
+    "sweep-1e300": ("sweep", dict(n_total=1e300), 2, "config error: $.sweep.n_totals[1]: 1e+300 must be <= 1000000"),
+    "sweep-1e12": ("sweep", dict(n_total=10**12), 2, "$.sweep.n_totals[1]: 1000000000000 must be <= 1000000"),
+}
+
+
+@pytest.mark.parametrize("case", list(PAST_THE_DOUBLES))
+def test_a_value_past_what_the_solvers_take_ends_in_its_exit_code(tmp_path, capsys, case):
+    # a margin class whose alpha^2 overflows read nan or ended in a traceback; a sweep size
+    # of 1e300 or 1e12 ended in a traceback as its winding grid was allocated
+    command, change, code, cause = PAST_THE_DOUBLES[case]
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, _past_the_doubles(command, **change)), "--out", str(out)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert cause in err, err
+    assert not any("nan" in path.read_text(encoding="utf-8") for path in tmp_path.rglob("*.csv"))
+    assert out.exists() == (code != 2)
 
 
 def test_deeply_nested_config_exits_2(tmp_path, capsys):

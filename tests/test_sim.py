@@ -373,7 +373,7 @@ WHOLE_NUMBER_REFUSALS = {
 
 @pytest.mark.parametrize("build", list(WHOLE_NUMBER_REFUSALS.values()), ids=list(WHOLE_NUMBER_REFUSALS))
 def test_sim_refuses_a_setting_that_is_no_whole_number(build):
-    with pytest.raises(ValueError, match="must be a whole number"):
+    with pytest.raises(ValueError, match="must be a finite whole number"):
         build()
 
 

@@ -88,6 +88,32 @@ def test_every_entry_point_refuses_a_pole_on_the_axis(ref_trios, call):
         call(ref_trios[0], LinearTrio(1.0, 2e-9, 1e-9))
 
 
+# alpha^2 overflows: the first is a stable class (its discriminant rounds to +inf), the second unstable
+HUGE_STABLE = LinearTrio(alpha=1e200, beta=2e200, gamma=1.0)
+HUGE_UNSTABLE = LinearTrio(alpha=1e200, beta=1.0, gamma=0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: log_gain(HUGE_STABLE, 1.0),
+        lambda: multi_phase_margin([HUGE_STABLE, T_UNSTABLE], [8, 2]),
+        lambda: multi_phase_margin([T_STABLE, HUGE_UNSTABLE], [8, 2]),
+        lambda: margin_curve([T_STABLE, HUGE_UNSTABLE], [8, 2], 16),
+        lambda: critical_penetration(HUGE_STABLE, T_UNSTABLE),
+        lambda: critical_penetration(T_STABLE, HUGE_UNSTABLE),
+        lambda: multi_phase_tau1([HUGE_STABLE, T_UNSTABLE], [1.0]),
+        lambda: multi_phase_tau1([T_STABLE, T_UNSTABLE, HUGE_UNSTABLE], [0.5, 0.5]),
+    ],
+    ids=["log-gain", "margin-stable", "margin-unstable", "margin-curve", "tau0-stable", "tau0-unstable",
+         "tau1-stable", "tau1-unstable"],
+)
+def test_every_entry_point_refuses_a_class_it_cannot_square(call):
+    # unchecked, these read nan, or ended in LinAlgError from np.roots or an OverflowError naming no class
+    with pytest.raises(FloatingPointError, match=r"^trio LinearTrio\(alpha=1e\+200, .* overflows: its alpha"):
+        call()
+
+
 def test_log_gain_rejects_bad_arguments():
     with pytest.raises(ValueError):
         log_gain(T_STABLE, -1.0)
