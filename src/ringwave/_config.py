@@ -20,6 +20,7 @@ import math
 from functools import partial
 from typing import NamedTuple
 
+from ._numerics import MAX_VEHICLES
 from .equilibrium import Composition, PopulationSpec, block_ordering, spread_ordering
 from .errors import ConfigError
 from .model import BandoFtl, VelocityPreference, eval_preference, preference_with_slope
@@ -274,8 +275,7 @@ def validate(config, command: str) -> Experiment:
     if command == "simulate":
         readers["sim"] = lambda x, at: x
     if command == "sweep":
-        # a size n samples about 4n points a line: 10^6 vehicles take about 2.4 GB and 30 s
-        grid = {"n_totals": partial(_items, read=partial(_integer, least=2, most=10**6), least=1)}
+        grid = {"n_totals": partial(_items, read=partial(_integer, least=2, most=MAX_VEHICLES), least=1)}
         readers["sweep"] = partial(_fields, readers={**grid, "rate_class1": partial(_number, least=0, most=1)})
     optional = ("svg",) if command in ("simulate", "margin", "sweep") else ()
     c = _fields(config, "$", {**readers, **dict.fromkeys(optional, _one_of(True, False))}, optional)

@@ -12,6 +12,10 @@ from typing import Sequence
 # ``spectrum.ABSCISSA_TOL`` and ``stability.ABSCISSA_TOL``, so neither loads the other
 ABSCISSA_TOL = 1e-9
 
+# the largest ring a sweep size or min_unstable_size's n_max may name: a size n samples
+# about 4n points a line, and 10^6 vehicles take about 2.4 GB and 30 s
+MAX_VEHICLES = 10**6
+
 
 def check_rates(rates: Sequence[float]) -> None:
     """Refuse shares that are negative or do not sum to 1."""

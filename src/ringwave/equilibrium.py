@@ -24,10 +24,6 @@ from .model import _TANH2, BandoFtl, preferred_headway
 # |sum of headways - L| accepted when solving for the equilibrium speed (m)
 LENGTH_TOL = 1e-8
 
-# Newton steps toward the root before its bracket is checked: a shared preference
-# settles at the seed, and a mix of preferences in a few steps away from the ends
-_NEWTON_STEPS = 8
-
 
 @dataclass(frozen=True)
 class PopulationSpec:
@@ -133,16 +129,17 @@ def equilibrium_from_length(comp: Composition, length: float) -> EquilibriumFlow
 
     The total headway is strictly increasing in the common speed, so the speed
     is found by bisection on ``[0, v_hi]``, ``v_hi`` just below the smallest
-    ``v_max``, until the length matches within ``LENGTH_TOL``.  The bisection is replayed, not run: safeguarded Newton
-    steps from the speed whose preferred headway is ``length / n`` (the root
-    when every class shares one preference) find a bracket ``[a, b]`` whose
-    excess ``total - length`` is below ``-LENGTH_TOL`` at ``a`` and above
-    ``LENGTH_TOL`` at ``b``.  The float total does not decrease as the speed
-    grows, because each rounded operation of :func:`preferred_headway` and the
-    once-rounded sum are monotone; so a midpoint outside ``(a, b)`` moves the
-    same end as the bisection would, and only the few inside it are evaluated.
-    The result is the bisection's, bit for bit.  Where no bracket is found,
-    ``[a, b]`` is ``[0, v_hi]`` and every midpoint is evaluated.
+    ``v_max``, until the length matches within ``LENGTH_TOL``.  The bisection is
+    replayed, not run: the speed whose preferred headway is ``length / n`` (the
+    root when every class shares one preference) is evaluated, and if accepted,
+    so are two probes about twice the window of accepted speeds apart around it.
+    The speeds evaluated bracket the root in ``[a, b]``: excess ``total - length``
+    below ``-LENGTH_TOL`` at ``a``, above ``LENGTH_TOL`` at ``b``.  The float total
+    does not decrease as the speed grows, because each rounded operation of
+    :func:`preferred_headway` and the once-rounded sum are monotone; so a midpoint
+    outside ``(a, b)`` moves the same end as the bisection would, and only the few
+    inside it are evaluated.  The result is the bisection's, bit for bit.  Where
+    the preferences differ, the seed is no root and most midpoints are evaluated.
     """
     if not math.isfinite(length):
         raise ValueError(f"length must be finite, got {length!r}")
@@ -152,50 +149,28 @@ def equilibrium_from_length(comp: Composition, length: float) -> EquilibriumFlow
     def total(v: float) -> float:
         return _ring_length([preferred_headway(p.model, v) for p in classes], counts)
 
-    def slope(v: float) -> float:
-        # d total / dv = sum_k n_k d0 (1 + tanh 2) / (v_max (1 - t_k^2)), t_k as in preferred_headway
-        out = 0.0
-        for p, n in zip(classes, counts):
-            pref = p.model.pref
-            t = v * (1.0 + _TANH2) / pref.v_max - _TANH2
-            out += n * pref.d0 * (1.0 + _TANH2) / (pref.v_max * (1.0 - t * t))
-        return out or math.inf  # 0 only if every d0 is subnormal: then Newton bisects
-
     lo_len = total(0.0)
     # the largest speed below every present class's supremum v_max
     v_hi = min(p.model.pref.v_max for p in classes) * (1.0 - 1e-12)
     hi_len = total(v_hi)
     if not (lo_len < length < hi_len):
-        raise NoEquilibriumError(
-            f"length {length} outside feasible interval ({lo_len}, {hi_len})"
-        )
-    # every speed evaluated below the root by more than LENGTH_TOL raises a, and above it lowers b
-    a, b = 0.0, v_hi
-
-    def excess_at(v: float) -> float:
-        nonlocal a, b
-        excess = total(v) - length
-        if excess < -LENGTH_TOL:
-            a = max(a, v)
-        elif excess > LENGTH_TOL:
-            b = min(b, v)
-        return excess
-
+        raise NoEquilibriumError(f"length {length} outside feasible interval ({lo_len}, {hi_len})")
     pref = classes[0].model.pref
     x = (length / sum(counts) - pref.l_v) / pref.d0 - 2.0
     v = min(max(pref.v_max * (math.tanh(x) + _TANH2) / (1.0 + _TANH2), 0.0), v_hi)
-    for _ in range(_NEWTON_STEPS):
-        excess = excess_at(v)
-        if abs(excess) <= LENGTH_TOL:
-            # a bracket about twice as wide as the window of accepted speeds, and at
-            # least one ulp: where the window is narrower, the next float is past it
-            half = max((2.0 * LENGTH_TOL + abs(excess)) / slope(v), math.ulp(v))
-            for end in (v - half, v + half):
-                if a < end < b:
-                    excess_at(end)
-            break
-        step = v - excess / slope(v)
-        v = step if a < step < b else 0.5 * (a + b)
+    probed = {v: total(v) - length}
+    if abs(probed[v]) <= LENGTH_TOL:
+        # d total / dv = sum_k n_k d0 (1 + tanh 2) / (v_max (1 - t_k^2)), t_k as in preferred_headway
+        slope = 0.0
+        for p, n in zip(classes, counts):
+            q, t = p.model.pref, v * (1.0 + _TANH2) / p.model.pref.v_max - _TANH2
+            slope += n * q.d0 * (1.0 + _TANH2) / (q.v_max * (1.0 - t * t))
+        # probes about twice the window of accepted speeds apart, and at least one ulp out: where the
+        # window is narrower, the next float is past it; the slope is 0 only if every d0 is subnormal
+        half = max((2.0 * LENGTH_TOL + abs(probed[v])) / (slope or math.inf), math.ulp(v))
+        probed.update((end, total(end) - length) for end in (v - half, v + half) if 0.0 < end < v_hi)
+    a = max([0.0] + [u for u, e in probed.items() if e < -LENGTH_TOL])
+    b = min([v_hi] + [u for u, e in probed.items() if e > LENGTH_TOL])
     # the excess total(v) - length is negative at lo and positive at hi; stop
     # within LENGTH_TOL, or when the midpoint meets an endpoint
     lo, hi = 0.0, v_hi

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numerics import ABSCISSA_TOL, check_rates, checked_counts, whole_number
+from ._numerics import ABSCISSA_TOL, MAX_VEHICLES, check_rates, checked_counts, whole_number
 from .errors import ModelInvalidError
 from .linearize import LinearTrio, discriminant
 
@@ -217,10 +217,7 @@ def _critical_ratio(
     if not unstable:
         return -math.inf
     y0 = max(unstable) * 1e-12
-    d1, a1sq = discriminant(stable), stable.alpha**2
-    limit0 = math.fsum(
-        w * ((-discriminant(t) * a1sq) / (d1 * t.alpha**2)) for t, w in zip(others, weights)
-    )
+    limit0 = _ratio_limit0(stable, others, weights)
     rho = max(limit0, 0.0)
     while True:
         f = rho / (rho + 1.0)
@@ -237,6 +234,15 @@ def _critical_ratio(
         if not value > rho:
             return rho
         rho = value
+
+
+def _ratio_limit0(stable: LinearTrio, others: Sequence[LinearTrio], weights: Sequence[float]) -> float:
+    """The ``y -> 0`` limit ``sum_k w_k (-d_k alpha_1^2) / (d_1 alpha_k^2)`` of :func:`_critical_ratio`'s ratio.
+
+    :func:`tau0_bounds` takes its lower bound from this float, so a ``tau0`` it certifies equals that bound.
+    """
+    d1, a1sq = discriminant(stable), stable.alpha**2
+    return math.fsum(w * ((-discriminant(t) * a1sq) / (d1 * t.alpha**2)) for t, w in zip(others, weights))
 
 
 def critical_penetration(trio1: LinearTrio, trio2: LinearTrio) -> TwoPhaseReport:
@@ -268,7 +274,8 @@ def critical_penetration(trio1: LinearTrio, trio2: LinearTrio) -> TwoPhaseReport
 def tau0_bounds(trio1: LinearTrio, trio2: LinearTrio) -> tuple[float, float]:
     """Closed-form lower and upper bounds on the critical penetration rate.
 
-    The lower bound is the ``y -> 0`` limit of the ratio being maximized.
+    The lower bound is the rate ``limit0 / (limit0 + 1)`` at the ``y -> 0``
+    limit of the ratio being maximized (:func:`_ratio_limit0`).
     The upper bound applies the mean-value estimate to the derivative ratio,
     bounding each factor on ``[0, Gamma^2]`` separately; the denominator of
     the unstable class's gain is bounded below by its parabola minimum
@@ -278,10 +285,11 @@ def tau0_bounds(trio1: LinearTrio, trio2: LinearTrio) -> tuple[float, float]:
     d2 = discriminant(trio2)
     if d1 <= 0.0 or d2 >= 0.0:
         raise ValueError("bounds need a strictly stable and an unstable trio")
+    limit0 = _ratio_limit0(trio1, [trio2], [1.0])
+    b_l = limit0 / (limit0 + 1.0)
+
     a1sq = trio1.alpha**2
     a2sq = trio2.alpha**2
-    b_l = (-d2 * a1sq) / (d1 * a2sq - d2 * a1sq)
-
     g_sq = gamma_squared(trio2)
     e1 = a1sq + trio1.gamma**2 * g_sq
     e2 = a1sq + (trio1.beta**2 - 2.0 * trio1.alpha) * g_sq + g_sq * g_sq
@@ -458,10 +466,13 @@ def min_unstable_size(
     in another: instability is not monotone in the total (rounding changes
     the mix), so the result is the true minimum.  ``None`` when no probe is
     unstable, which is no proof of stability: a total between two probes may be.
-    ``n_max`` is read by ``_numerics.whole_number``.
+    ``n_max`` is read by ``_numerics.whole_number``, and one above ``MAX_VEHICLES``
+    (10^6) is refused with ``ValueError`` before any fleet is built.
     """
     check_rates(rates)
     n_max = whole_number(n_max, "n_max")
+    if n_max > MAX_VEHICLES:
+        raise ValueError(f"n_max must be at most {MAX_VEHICLES}, got {n_max}")
     if n_max < 2:
         return None
     probes = [2]

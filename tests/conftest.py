@@ -7,6 +7,7 @@ unstable at a common headway of 10.4 m once the preference slope there is
 
 import functools
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
@@ -127,3 +128,18 @@ def bench_workloads():
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     return workloads
+
+
+def design_scan_scenarios(seeds):
+    """``(composition, length)`` of every ``design_scan`` scenario of the benchmark's ``seeds``."""
+    workloads = bench_workloads()
+    for seed in seeds:
+        rng = random.Random(seed)
+        drawn = [workloads._draw_scenario(rng, 2) for _ in range(workloads.TWO_CLASS)]
+        drawn += [workloads._draw_scenario(rng, 3) for _ in range(workloads.THREE_CLASS)]
+        for sc in drawn:
+            pref = preference_with_slope(sc.pref[0], workloads.REF_H, *sc.pref[1:])
+            pops = tuple(
+                PopulationSpec(k + 1, BandoFtl(a, b, pref), c) for k, ((a, b), c) in enumerate(zip(sc.gains, sc.counts))
+            )
+            yield Composition(pops, sc.ordering), sc.length

@@ -909,6 +909,17 @@ def test_a_step_count_past_the_doubles_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("t_end", [1e300, 1e12])
+def test_a_step_count_no_run_can_finish_exits_2(tmp_path, capsys, t_end):
+    # at the default dt 0.05 these are 2e301 and 2e13 steps, and the run never ended
+    cfg = valid_config("simulate")
+    cfg["sim"]["t_end"] = t_end
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: $.sim: the step count round(t_end / dt) must be at most 1000000"), err
+    assert not (tmp_path / "out").exists()
+
+
 def _past_the_doubles(command, gain_of=None, n_total=None):
     """The reference pair's config for ``command`` (8 + 2 for ``margin``) with gain ``a`` 1e300
     for population ``gain_of``, or with ``n_total`` as its second sweep size."""
@@ -1189,3 +1200,65 @@ def test_benchmark_tracer_records_validate_span(tmp_path):
     assert proc.returncode == 0, proc.stderr
     spans = json.loads(trace.read_text())["spans"]
     assert [s for s in spans if s["name"] == "cli.validate" and "error" not in s]
+
+
+MAGNITUDES = [1e300, -1e300, 1e-300, 0, 1e12, 1e-12]
+
+
+def magnitude_mutants():
+    """``(command, config)``: each numeric leaf of each ``valid_config`` set to each of ``MAGNITUDES``, one at a time."""
+    for command in COMMANDS:
+        leaves = sum(_kind(node[key]) == "number" for node, key in _slots(valid_config(command)))
+        for i in range(leaves):
+            for value in MAGNITUDES:
+                cfg = _fresh(valid_config(command))
+                node, key = [slot for slot in _slots(cfg) if _kind(slot[0][slot[1]]) == "number"][i]
+                node[key] = value
+                yield command, cfg
+
+
+# runs each config through main under a 3 GB address-space limit, so that a huge allocation
+# fails at once on any host, and with a 5 s alarm; prints each outcome, one JSON list
+_RUN_MUTANTS = """
+import contextlib, io, json, resource, signal, sys, traceback
+from pathlib import Path
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from ringwave.cli import main
+
+class Alarm(Exception):
+    pass
+
+def ring(*_):
+    raise Alarm
+
+signal.signal(signal.SIGALRM, ring)
+work = Path(sys.argv[1])
+outcomes = []
+for i, (command, cfg) in enumerate(json.loads((work / "mutants.json").read_text())):
+    path = work / f"{i}.json"
+    path.write_text(json.dumps(cfg))
+    signal.alarm(5)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            outcomes.append(main([command, "--config", str(path), "--out", str(work / f"out{i}")]))
+    except Alarm:
+        outcomes.append("5 s alarm")
+    except Exception:
+        outcomes.append(traceback.format_exc())
+    finally:
+        signal.alarm(0)
+print(json.dumps(outcomes))
+"""
+
+
+def test_every_magnitude_mutant_ends_in_an_exit_code(tmp_path):
+    # a simulate config with t_end 1e12 or 1e300 once ran without end
+    mutants = list(magnitude_mutants())
+    assert len(mutants) == 798
+    (tmp_path / "mutants.json").write_text(json.dumps(mutants), encoding="utf-8")
+    proc = _run_python("-c", _RUN_MUTANTS, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    outcomes = json.loads(proc.stdout)
+    ended = [f"{command} {json.dumps(cfg)}: {outcome}" for (command, cfg), outcome in zip(mutants, outcomes)
+             if outcome not in (0, 2, 3, 4)]
+    assert not ended, "\n".join(ended)

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import random
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from ringwave import (
     equilibrium_from_length,
     equilibrium_from_velocity,
     eval_preference,
-    preference_with_slope,
     preferred_headway,
     spread_ordering,
 )
@@ -24,7 +22,7 @@ from ringwave import (
 import ringwave.equilibrium as equilibrium
 from ringwave._numerics import spread
 
-from conftest import REF_HEADWAY, bench_workloads, composition_of
+from conftest import REF_HEADWAY, composition_of, design_scan_scenarios
 from oracle import bisection_speed, spread_by_max, vehicle_length
 
 PREF = VelocityPreference(v_max=9.72, l_v=4.5, d0=2.23)
@@ -201,21 +199,6 @@ def test_length_from_class_counts_at_a_million_vehicles():
         assert equilibrium_from_velocity(comp, v).length == vehicle_length(comp, v)
 
 
-def _design_scan_scenarios(seeds):
-    """``(composition, length)`` of every ``design_scan`` scenario of the benchmark's ``seeds``."""
-    workloads = bench_workloads()
-    for seed in seeds:
-        rng = random.Random(seed)
-        drawn = [workloads._draw_scenario(rng, 2) for _ in range(workloads.TWO_CLASS)]
-        drawn += [workloads._draw_scenario(rng, 3) for _ in range(workloads.THREE_CLASS)]
-        for sc in drawn:
-            pref = preference_with_slope(sc.pref[0], workloads.REF_H, *sc.pref[1:])
-            pops = tuple(
-                PopulationSpec(k + 1, BandoFtl(a, b, pref), c) for k, ((a, b), c) in enumerate(zip(sc.gains, sc.counts))
-            )
-            yield Composition(pops, sc.ordering), sc.length
-
-
 def test_design_scan_speeds_are_the_bisections_in_at_most_9_length_sums(monkeypatch):
     sums = []
     ring_length = equilibrium._ring_length
@@ -225,15 +208,15 @@ def test_design_scan_speeds_are_the_bisections_in_at_most_9_length_sums(monkeypa
         return ring_length(*args)
 
     monkeypatch.setattr(equilibrium, "_ring_length", counted)
-    scenarios = list(_design_scan_scenarios(range(1, 31)))
+    scenarios = list(design_scan_scenarios(range(1, 31)))
     assert len(scenarios) == 1800
     for comp, length in scenarios:
         sums.append(0)
         eq = equilibrium_from_length(comp, length)
         v = bisection_speed(comp, length)
         assert (eq.v_bar, eq.length) == (v, vehicle_length(comp, v))
-    # two for the feasible interval, Newton, two to check the bracket, the midpoints
-    # inside it and the result; the bisection alone sums about 34 times
+    # two for the feasible interval, the seed, two probes either side of it, the
+    # midpoints inside the bracket and the result; the bisection alone sums about 34 times
     assert max(sums) <= 9
 
 

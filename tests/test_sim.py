@@ -360,6 +360,17 @@ def test_sim_config_refuses_a_step_count_that_is_not_finite():
         SimConfig(t_end=1e300, dt=1e-300, perturbation=KICK)
 
 
+@pytest.mark.parametrize("t_end, dt", [(1e300, 0.05), (1e12, 0.05), (50_000.05, 0.05), (1.0, 1e-12)])
+def test_sim_config_refuses_more_steps_than_a_run_can_finish(t_end, dt):
+    # each of these was accepted, and the run never ended
+    with pytest.raises(ValueError, match=r"step count round\(t_end / dt\) must be at most 1000000"):
+        SimConfig(t_end=t_end, dt=dt, perturbation=KICK)
+
+
+def test_sim_config_takes_a_million_steps():
+    assert SimConfig(t_end=50_000.0, dt=0.05, perturbation=KICK).t_end == 50_000.0
+
+
 WHOLE_NUMBER_REFUSALS = {
     "negative seed": lambda: SeededRandomZeroSum(-1),
     "fractional seed": lambda: SeededRandomZeroSum(2.5),

@@ -12,7 +12,9 @@ from ringwave import (
     RingSystem,
     critical_penetration,
     discriminant,
+    equilibrium_from_length,
     gamma_squared,
+    linearize,
     log_gain,
     margin_curve,
     min_unstable_size,
@@ -25,7 +27,7 @@ from ringwave import stability
 from ringwave.errors import ModelInvalidError
 from ringwave.stability import ABSCISSA_TOL, _gain_classes, _gain_ratio, _weighted_gain
 
-from conftest import random_trio
+from conftest import design_scan_scenarios, random_trio
 from oracle import GRID_POINTS, _polished_max, dense_spectrum, grid_ratio
 
 T_STABLE = LinearTrio(alpha=0.5, beta=2.0, gamma=1.0)  # delta = +2
@@ -507,6 +509,23 @@ def test_reference_pair_takes_the_certificate(ref_trios, monkeypatch):
     assert rep.tau0 == rep.bound_lower
 
 
+def test_tau0_never_reads_below_its_lower_bound_on_the_design_scan_pairs(monkeypatch):
+    # the bound and the ratio loop once took the y -> 0 limit from two formulas, and
+    # tau0 read one ulp below bound_lower on 281 of these 1,800 pairs
+    calls = _counted_margin_sups(monkeypatch)
+    certified = 0
+    for comp, length in design_scan_scenarios(range(1, 31)):
+        eq = equilibrium_from_length(comp, length)
+        t1, t2 = (linearize(p.model, eq.h_bar[p.class_id], eq.v_bar) for p in comp.classes[:2])
+        calls.clear()
+        rep = critical_penetration(t1, t2)
+        assert rep.bound_lower <= rep.tau0, (t1, t2)
+        if len(calls) == 1:
+            assert rep.tau0 == rep.bound_lower, (t1, t2)
+            certified += 1
+    assert certified >= 1000
+
+
 def test_bump_pair_tau0_matches_the_grid_oracle(monkeypatch):
     calls = _counted_margin_sups(monkeypatch)
     t1, t2 = BUMP_PAIR
@@ -606,6 +625,17 @@ def test_min_unstable_size_checks_its_rates_without_a_fleet(monkeypatch, n_max):
 
     monkeypatch.setattr(stability, "_first_unstable", no_count)
     assert min_unstable_size([T_STABLE, T_UNSTABLE], [0.5, 0.5], n_max) is None
+
+
+@pytest.mark.parametrize("n_max", [10**6 + 1, 10**12])
+def test_min_unstable_size_refuses_an_n_max_above_a_million_before_any_fleet(monkeypatch, n_max):
+    # the doubling probes once ran up to it: 10^12 ended in MemoryError after 13 s
+    def no_count(*args):
+        raise AssertionError("no fleet is built")
+
+    monkeypatch.setattr(stability, "_first_unstable", no_count)
+    with pytest.raises(ValueError, match=f"n_max must be at most 1000000, got {n_max}"):
+        min_unstable_size([T_STABLE, T_UNSTABLE], [0.5, 0.5], n_max)
 
 
 def test_min_unstable_size_straddles_critical_rate(ref_trios):
