@@ -15,8 +15,10 @@ size.
 
 The margin's maximum comes from its critical points: ``S'`` times the
 positive ``prod_k p_k q_k`` is a polynomial of degree ``3K - 1`` in ``y`` for
-``K`` classes, and each of its positive real roots gets two Newton steps on
-``S'`` in plain floats.  The ratio behind ``tau0`` and ``tau1`` is not
+``K`` classes.  Its positive roots lie below the largest ``gamma_squared`` of
+an unstable class, where Descartes' rule of signs isolates them and bracketed
+Newton steps find them; each then gets two Newton steps on ``S'``, all in
+plain floats.  The ratio behind ``tau0`` and ``tau1`` is not
 polynomial, so it is found through the margin by Dinkelbach's iteration: the
 margin at the share ``rho / (rho + 1)`` is ``<= 0`` everywhere exactly when
 the ratio is at most ``rho``.  The first ``rho`` is the ratio's closed-form
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,14 +45,20 @@ from .linearize import LinearTrio, discriminant
 # step is kept only while the ratio does not fall
 _NEWTON_STEPS = 5
 
-# Newton steps per root of the margin's slope polynomial: np.roots gives them to
-# about 1e-13 relative or better, and S is flat to second order at a critical point
+# Newton steps on S' per root of the margin's slope polynomial: the rounding of its
+# coefficients moves a well-separated root by about 1e-13 relative or less, and S is
+# flat to second order at a critical point
 _ROOT_STEPS = 2
 
-# a root of the slope polynomial whose imaginary part is within this share of its
-# size is taken as real: two real roots closer than about sqrt(eps) may come back
-# as a complex pair
-_REAL_ROOT_TOL = 1e-6
+# Newton steps on the slope polynomial inside one root's bracket, stopped once a step
+# moves less than this share of the point
+_BRACKET_STEPS = 60
+_BRACKET_TOL = 1e-12
+
+# halvings of the critical points' span after which an interval whose sign changes
+# still count two or more is kept as one candidate: it is then 2^-40, about 1e-12 of
+# the span, wide, the noise floor below which the margins drop critical points
+_ISOLATION_DEPTH = 40
 
 # |sup margin| below this is reported as sitting on the critical boundary
 MARGIN_TOL = 1e-12
@@ -107,8 +116,9 @@ def log_gain(trio: LinearTrio, y):
 def _gain_classes(trios: Sequence[LinearTrio], weights: Sequence[float]) -> list[tuple[float, ...]]:
     """Per class of nonzero weight: ``alpha^2``, ``gamma^2``, ``beta^2 - 2 alpha`` and the weight.
 
-    ``FloatingPointError`` names a class whose three are not all finite: its gain cannot be
-    evaluated, and a margin would read ``nan``.  ``ModelInvalidError`` when a class's ``q =
+    ``FloatingPointError`` names a class whose three are not all finite, or whose ``alpha^2`` is
+    below the smallest normal double: its gain cannot be evaluated, or divides by a subnormal or
+    zero ``alpha^2``, and a margin would read ``nan``.  ``ModelInvalidError`` when a class's ``q =
     alpha^2 + (beta^2 - 2 alpha) y + y^2`` has a positive real root: in exact arithmetic only at
     ``beta = 0``, which no trio has, but in floats once ``beta^2 - 2 alpha`` rounds to ``-2
     alpha``.  Its gain then has a pole on the axis wherever that root lies.
@@ -120,6 +130,8 @@ def _gain_classes(trios: Sequence[LinearTrio], weights: Sequence[float]) -> list
         a2, g2, c = float(t.alpha * t.alpha), float(t.gamma * t.gamma), float(t.beta * t.beta - 2.0 * t.alpha)
         if not (math.isfinite(a2) and math.isfinite(g2) and math.isfinite(c)):
             raise FloatingPointError(f"trio {t} overflows: its alpha^2, gamma^2 or beta^2 - 2 alpha is not finite")
+        if a2 < sys.float_info.min:
+            raise FloatingPointError(f"trio {t} underflows: its alpha^2 {a2!r} is below the smallest normal double")
         if c < 0.0 and c * c >= 4.0 * a2:
             raise ModelInvalidError(_POLE)
         classes.append((a2, g2, c, float(w)))
@@ -338,17 +350,18 @@ def _poly_mul(u: list[float], v: list[float]) -> list[float]:
     return out
 
 
-def _slope_polynomial(classes: Sequence[tuple[float, ...]]) -> list[float]:
-    """Coefficients, highest power first, of ``S'(y) * prod_k p_k q_k`` (degree ``3K - 1``).
+def _slope_polynomial(classes: Sequence[tuple[float, ...]], span: float) -> list[float]:
+    """Coefficients, highest power first, of ``S'(y) * prod_k p_k q_k`` at ``y = span * x``, in ``x``.
 
-    ``H_k' = N_k / (alpha_k^2 p_k q_k)`` with ``N_k = (gamma^2 - c) - 2 y - (gamma^2 / alpha^2) y^2``,
-    :func:`_class_gain`'s slope numerator, so the product is ``sum_k (w_k / alpha_k^2) N_k
-    prod_{j != k} p_j q_j``.  ``p`` and ``q`` keep their constant term 1, so a large ``alpha``
-    scales no coefficient out of range.  Every ``p_j q_j`` is positive for ``y > 0``, so the
-    positive roots are exactly the critical points of ``S``.
+    The degree is ``3K - 1`` for ``K`` classes.  ``H_k' = N_k / (alpha_k^2 p_k q_k)`` with ``N_k =
+    (gamma^2 - c) - 2 y - (gamma^2 / alpha^2) y^2``, :func:`_class_gain`'s slope numerator, so the
+    product is ``sum_k (w_k / alpha_k^2) N_k prod_{j != k} p_j q_j``.  ``p`` and ``q`` keep their
+    constant term 1, so a large ``alpha`` scales no coefficient out of range.  Every ``p_j q_j`` is
+    positive for ``y > 0``, so the positive roots are exactly the critical points of ``S`` over
+    ``span``.
     """
-    nums = [[-w * g2 / a2 / a2, -2.0 * w / a2, w * (g2 - c) / a2] for a2, g2, c, w in classes]
-    dens = [_poly_mul([g2 / a2, 1.0], [1.0 / a2, c / a2, 1.0]) for a2, g2, c, _ in classes]
+    nums = [[-w * g2 * span / a2 * span / a2, -2.0 * w * span / a2, w * (g2 - c) / a2] for a2, g2, c, w in classes]
+    dens = [_poly_mul([g2 * span / a2, 1.0], [span / a2 * span, c * span / a2, 1.0]) for a2, g2, c, _ in classes]
     total = [0.0] * (3 * len(classes))
     for k, term in enumerate(nums):
         for den in dens[:k] + dens[k + 1:]:
@@ -358,41 +371,137 @@ def _slope_polynomial(classes: Sequence[tuple[float, ...]]) -> list[float]:
     return total
 
 
-def _critical_points(classes: Sequence[tuple[float, ...]]) -> list[float]:
-    """The positive critical points of ``S = sum_k w_k H_k``, each polished by Newton steps on ``S'``.
+def _taylor_shift(poly: list[float]) -> list[float]:
+    """Coefficients, highest power first, of ``P(x + 1)`` for those of ``P``."""
+    out = poly[:]
+    for i in range(len(out) - 1, 0, -1):
+        for j in range(1, i + 1):
+            out[j] += out[j - 1]
+    return out
 
-    They are the positive real roots of :func:`_slope_polynomial`; ``np.roots`` drops its zero
-    leading coefficients, as when ``gamma^2`` underflows.  A class with a nonnegative
-    discriminant has ``N_k < 0`` for every ``y > 0``, so a fleet without an unstable class
-    has none.  A Newton step that would leave ``y > 0``, or divide by a zero curvature, is
-    not taken.
+
+def _sign_changes(poly: list[float]) -> int:
+    """Sign changes in ``poly``, zeros skipped."""
+    signs = [a < 0.0 for a in poly if a]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _horner(poly: list[float], x: float) -> tuple[float, float]:
+    """``P(x)`` and ``P'(x)``."""
+    f = df = 0.0
+    for a in poly:
+        df = df * x + f
+        f = f * x + a
+    return f, df
+
+
+def _root_between(poly: list[float], lo: float, hi: float) -> float:
+    """The one root of ``poly`` in ``(lo, hi)``: Newton steps, each kept inside the sign bracket.
+
+    The sign just inside an end is ``P``'s there, or ``P'``'s where ``P`` is 0, as at ``y = 0``
+    once ``tau0``'s certificate zeroes ``S'(0)``.  A step that leaves the bracket is replaced by
+    its midpoint.  If rounding leaves no sign change between the ends, the root lies within
+    rounding of one of them, and the end of smaller ``|P|`` stands for it.
     """
-    if all(g2 <= c for _, g2, c, _ in classes):
+    (f_lo, d_lo), (f_hi, d_hi) = _horner(poly, lo), _horner(poly, hi)
+    s_lo, s_hi = f_lo or d_lo, f_hi or -d_hi
+    if not (s_lo and s_hi and (s_lo < 0.0) != (s_hi < 0.0)):
+        return lo if abs(f_lo) <= abs(f_hi) else hi
+    x = 0.5 * (lo + hi)
+    for _ in range(_BRACKET_STEPS):
+        f, df = _horner(poly, x)
+        if f == 0.0:
+            break
+        if (f < 0.0) == (s_lo < 0.0):
+            lo = x
+        else:
+            hi = x
+        step = x - f / df if df else math.nan
+        new = step if lo < step < hi else 0.5 * (lo + hi)
+        if abs(new - x) <= _BRACKET_TOL * new:
+            return new
+        x = new
+    return x
+
+
+def _unit_roots(poly: list[float]) -> list[float]:
+    """The roots of ``poly`` in ``(0, 1)``, by Descartes' rule of signs (Vincent-Collins-Akritas).
+
+    Each interval ``(k / 2^m, (k + 1) / 2^m)`` is held as the polynomial ``Q`` that maps it onto
+    ``(0, 1)``; the sign changes of ``(1 + x)^d Q(1 / (1 + x))`` bound its roots there, and equal
+    their count modulo 2.  No change: no root.  One: one root, found by :func:`_root_between` on
+    ``poly``.  More: the halves ``2^d Q(x / 2)`` and that shifted by 1 are searched, and a half's
+    end that is a root is kept.  An interval still undecided at depth ``_ISOLATION_DEPTH`` is kept
+    by its midpoint: a spare candidate cannot lift the margin's sup, a missed root could lower it.
+    A zero leading coefficient only lowers the degree.  ``poly`` is first scaled by a power of 2
+    to a largest coefficient below 1, so that the ``2^d`` of ``depth`` halvings cannot overflow.
+    """
+    top = max(math.frexp(a)[1] for a in poly)
+    poly = [math.ldexp(a, -top) for a in poly]
+    roots, stack = [], [(poly, 0, 0)]
+    while stack:
+        q, k, depth = stack.pop()
+        changes = _sign_changes(_taylor_shift(q[::-1]))
+        lo, hi = math.ldexp(k, -depth), math.ldexp(k + 1, -depth)
+        if changes == 1:
+            roots.append(_root_between(poly, lo, hi))
+        elif changes and depth == _ISOLATION_DEPTH:
+            roots.append(0.5 * (lo + hi))
+        elif changes:
+            left = [math.ldexp(a, i) for i, a in enumerate(q)]
+            right = _taylor_shift(left)
+            if right[-1] == 0.0:
+                roots.append(0.5 * (lo + hi))
+            stack += [(left, 2 * k, depth + 1), (right, 2 * k + 1, depth + 1)]
+    return roots
+
+
+def _polished(classes: Sequence[tuple[float, ...]], y: float) -> float:
+    """``y`` after ``_ROOT_STEPS`` Newton steps on ``S'``; a step that would leave ``y > 0``, or
+    divide by a zero curvature, is not taken."""
+    for _ in range(_ROOT_STEPS):
+        _, d1, d2 = _weighted_gain(classes, y)
+        if d2 == 0.0 or not 0.0 < (step := y - d1 / d2) < math.inf:
+            break
+        y = step
+    return y
+
+
+def _critical_points(classes: Sequence[tuple[float, ...]]) -> list[float]:
+    """The positive critical points of ``S = sum_k w_k H_k``, each polished by :func:`_polished`.
+
+    They are the positive real roots of :func:`_slope_polynomial`, and all lie in ``(0, y_top]``
+    with ``y_top`` the largest ``gamma_squared`` of a class with ``gamma^2 > c``: past it every
+    ``N_k < 0``, and the weights are positive, so ``S' < 0``.  :func:`_unit_roots` finds them on
+    ``(0, 1)`` with ``y = 1.25 y_top x``, which keeps ``y_top`` off the ends and the first
+    halvings.  A class with a nonnegative discriminant has ``N_k < 0`` for every ``y > 0``, so a
+    fleet without an unstable class has none.  ``FloatingPointError`` when a coefficient is not
+    finite, as when a tiny ``alpha^2`` scales a class's ``q`` out of range.
+    """
+    # the class's gamma_squared, the positive root of N_k
+    tops = [(g2 - c) / (1.0 + math.sqrt(1.0 + g2 / a2 * (g2 - c))) for a2, g2, c, _ in classes if g2 > c]
+    if not tops:
         return []
-    points = []
-    for root in np.roots(_slope_polynomial(classes)).tolist():
-        y = root.real
-        if not (y > 0.0 and abs(root.imag) <= _REAL_ROOT_TOL * y):
-            continue
-        for _ in range(_ROOT_STEPS):
-            _, d1, d2 = _weighted_gain(classes, y)
-            if d2 == 0.0 or not 0.0 < (step := y - d1 / d2) < math.inf:
-                break
-            y = step
-        points.append(y)
-    return sorted(points)
+    span = 1.25 * max(tops)
+    poly = _slope_polynomial(classes, span)
+    if not all(map(math.isfinite, poly)):
+        raise FloatingPointError("the margin's slope polynomial overflows the doubles: a class of tiny alpha or a huge weight")
+    return sorted(_polished(classes, span * x) for x in _unit_roots(poly))
 
 
 def _margin_sup(classes: Sequence[tuple[float, ...]], y0: float) -> tuple[float, float]:
     """``(y, S)`` of the largest ``S = sum_k w_k H_k`` over ``y0`` and every critical point at or past ``y0``.
 
     ``S`` falls to ``-inf`` as ``y`` grows, so that is the largest ``S`` on ``[y0, inf)``.  On a
-    tie the first candidate wins.
+    tie the first candidate wins.  ``FloatingPointError`` when ``S`` at a candidate is not finite:
+    a ``nan`` sup would read as no sign, and a verdict or ``tau0`` taken from it would be no answer.
     """
-    candidates = [y0] + [y for y in _critical_points(classes) if y >= y0]
-    return max(
-        ((y, float(_weighted_gain(classes, y, curvature=False)[0])) for y in candidates), key=lambda c: c[1]
-    )
+    points = [y0] + [y for y in _critical_points(classes) if y >= y0]
+    candidates = [(y, float(_weighted_gain(classes, y, curvature=False)[0])) for y in points]
+    for y, s in candidates:
+        if not math.isfinite(s):
+            raise FloatingPointError(f"the margin is {s} at y = {y!r}: no verdict")
+    return max(candidates, key=lambda c: c[1])
 
 
 def multi_phase_margin(

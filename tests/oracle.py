@@ -2,9 +2,10 @@
 
 The package answers from class counts and the analytic partials; these
 evaluate the same quantities another way, vehicle by vehicle, by finite
-differences, on a grid or by a dense eigensolve of the ring matrix, and no
-library function calls them.  The CLI configs' JSON Schemas are here too,
-for a JSON Schema validator to check the config reader against.
+differences, on a grid, or by dense eigensolves of the ring matrix and of a
+companion matrix, and no library function calls them.  The CLI configs'
+JSON Schemas are here too, for a JSON Schema validator to check the config
+reader against.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from ringwave import (
 )
 from ringwave.equilibrium import LENGTH_TOL
 from ringwave.linearize import _require_equilibrium
-from ringwave.stability import _gain_classes, _gain_ratio
+from ringwave.stability import _gain_classes, _gain_ratio, _polished, _slope_polynomial
 
 
 def linearize_fd(
@@ -193,6 +194,20 @@ def _polished_max(fn, ys: np.ndarray) -> tuple[float, float]:
     cand_v = np.concatenate((vals, [fn(y, False)[0] for y in peaks]))
     best = int(np.argmax(cand_v))
     return float(cand_y[best]), float(cand_v[best])
+
+
+def critical_points_by_roots(classes: Sequence[tuple[float, ...]]) -> list[float]:
+    """``stability._critical_points`` from every root of the slope polynomial, by ``np.roots``.
+
+    ``np.roots`` solves the companion matrix's eigenvalues with LAPACK and drops zero leading
+    coefficients.  A root whose imaginary part is within 1e-6 of its size is taken as real, since
+    two real roots closer than about ``sqrt(eps)`` may come back as a complex pair.  Each
+    positive one gets the package's polish.
+    """
+    if all(g2 <= c for _, g2, c, _ in classes):
+        return []
+    roots = np.roots(_slope_polynomial(classes, 1.0)).tolist()
+    return sorted(_polished(classes, r.real) for r in roots if r.real > 0.0 and abs(r.imag) <= 1e-6 * r.real)
 
 
 def _log_sizes(t: LinearTrio, y: float) -> float:

@@ -1,6 +1,7 @@
 import ast
 import csv
 import json
+import math
 import os
 import random
 import subprocess
@@ -920,10 +921,15 @@ def test_a_step_count_no_run_can_finish_exits_2(tmp_path, capsys, t_end):
     assert not (tmp_path / "out").exists()
 
 
-def _past_the_doubles(command, gain_of=None, n_total=None):
+def _past_the_doubles(command, gain_of=None, n_total=None, slope=None):
     """The reference pair's config for ``command`` (8 + 2 for ``margin``) with gain ``a`` 1e300
-    for population ``gain_of``, or with ``n_total`` as its second sweep size."""
+    for population ``gain_of``, or with ``n_total`` as its second sweep size; or ``valid_config``
+    with ``slope`` as the preference slope the populations share."""
     cfg = _fresh(valid_config(command))
+    if slope is not None:
+        for pop in cfg["populations"]:
+            pop["model"]["preference"]["calibrate"]["slope"] = slope
+        return cfg
     if command == "margin":
         cfg["populations"][0]["count"] = 8
     if gain_of is not None:
@@ -934,7 +940,11 @@ def _past_the_doubles(command, gain_of=None, n_total=None):
 
 
 OVERFLOW = "numeric failure: trio LinearTrio(alpha=1.27"
+UNDERFLOW = "numeric failure: trio LinearTrio(alpha=4.0"
 PAST_THE_DOUBLES = {
+    "margin-slope-1e-160": ("margin", dict(slope=1e-160), 4, UNDERFLOW),
+    "margin-slope-1e-200": ("margin", dict(slope=1e-200), 4, UNDERFLOW),
+    "margin-slope-1e-300": ("margin", dict(slope=1e-300), 4, UNDERFLOW),
     "margin-unstable-class": ("margin", dict(gain_of=1), 4, OVERFLOW),
     "margin-stable-class": ("margin", dict(gain_of=0), 4, OVERFLOW),
     "tau0-stable-class": ("tau0", dict(gain_of=0), 4, OVERFLOW),
@@ -945,16 +955,29 @@ PAST_THE_DOUBLES = {
 
 @pytest.mark.parametrize("case", list(PAST_THE_DOUBLES))
 def test_a_value_past_what_the_solvers_take_ends_in_its_exit_code(tmp_path, capsys, case):
-    # a margin class whose alpha^2 overflows read nan or ended in a traceback; a sweep size
-    # of 1e300 or 1e12 ended in a traceback as its winding grid was allocated
+    # a margin class whose alpha^2 overflows read nan or ended in a traceback; one whose alpha^2
+    # underflows read nan (slope 1e-160) or named no class (float division by zero); a sweep
+    # size of 1e300 or 1e12 ended in a traceback as its winding grid was allocated
     command, change, code, cause = PAST_THE_DOUBLES[case]
     out = tmp_path / "out"
     argv = [command, "--config", write_config(tmp_path, _past_the_doubles(command, **change)), "--out", str(out)]
     assert main(argv) == code
     err = capsys.readouterr().err
     assert cause in err, err
+    assert cause != UNDERFLOW or "underflows: its alpha^2" in err, err
     assert not any("nan" in path.read_text(encoding="utf-8") for path in tmp_path.rglob("*.csv"))
     assert out.exists() == (code != 2)
+
+
+@pytest.mark.parametrize("command", ["margin", "tau0"])
+def test_a_margin_that_is_not_finite_exits_4(tmp_path, capsys, monkeypatch, command):
+    # a nan margin once wrote critical_boundary to margin.csv, and tau0.csv a tau0 no margin certified
+    real = stability._weighted_gain
+    monkeypatch.setattr(stability, "_weighted_gain", lambda *a, **k: [math.nan * t for t in real(*a, **k)])
+    cfg = valid_config(command)
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err.startswith("numeric failure: the margin is nan at y = ")
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_deeply_nested_config_exits_2(tmp_path, capsys):

@@ -28,7 +28,7 @@ from ringwave.errors import ModelInvalidError
 from ringwave.stability import ABSCISSA_TOL, _gain_classes, _gain_ratio, _weighted_gain
 
 from conftest import design_scan_scenarios, random_trio
-from oracle import GRID_POINTS, _polished_max, dense_spectrum, grid_ratio
+from oracle import GRID_POINTS, _polished_max, critical_points_by_roots, dense_spectrum, grid_ratio
 
 T_STABLE = LinearTrio(alpha=0.5, beta=2.0, gamma=1.0)  # delta = +2
 T_UNSTABLE = LinearTrio(alpha=2.0, beta=2.0, gamma=1.0)  # delta = -1
@@ -114,6 +114,49 @@ def test_every_entry_point_refuses_a_class_it_cannot_square(call):
     # unchecked, these read nan, or ended in LinAlgError from np.roots or an OverflowError naming no class
     with pytest.raises(FloatingPointError, match=r"^trio LinearTrio\(alpha=1e\+200, .* overflows: its alpha"):
         call()
+
+
+# alpha^2 = 1.6e-319 is subnormal: the first is a stable class, the second unstable
+TINY_STABLE = LinearTrio(alpha=4e-160, beta=4.2, gamma=0.18)
+TINY_UNSTABLE = LinearTrio(alpha=4e-160, beta=2e-80, gamma=1e-80)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: log_gain(TINY_STABLE, 1.0),
+        lambda: multi_phase_margin([TINY_STABLE, LinearTrio(0.637, 0.685, 0.185)], [2, 2]),
+        lambda: multi_phase_margin([T_STABLE, TINY_UNSTABLE], [8, 2]),
+        lambda: margin_curve([TINY_STABLE, T_UNSTABLE], [8, 2], 16),
+        lambda: critical_penetration(TINY_STABLE, T_UNSTABLE),
+        lambda: critical_penetration(T_STABLE, TINY_UNSTABLE),
+        lambda: multi_phase_tau1([TINY_STABLE, T_UNSTABLE], [1.0]),
+        lambda: multi_phase_tau1([T_STABLE, T_UNSTABLE, TINY_UNSTABLE], [0.5, 0.5]),
+    ],
+    ids=["log-gain", "margin-stable", "margin-unstable", "margin-curve", "tau0-stable", "tau0-unstable",
+         "tau1-stable", "tau1-unstable"],
+)
+def test_every_entry_point_refuses_a_class_whose_alpha_squared_underflows(call):
+    # unchecked, these read nan, or ended in LinAlgError from a companion-matrix eigensolve
+    with pytest.raises(FloatingPointError, match=r"^trio LinearTrio\(alpha=4e-160, .* underflows: its alpha\^2"):
+        call()
+
+
+def test_a_slope_polynomial_out_of_range_is_refused():
+    # alpha^2 = 1e-200 is a normal double, but the stable class's q scales the slope
+    # polynomial past the doubles; a companion-matrix eigensolve ended in LinAlgError here
+    with pytest.raises(FloatingPointError, match="slope polynomial overflows"):
+        multi_phase_margin([LinearTrio(1e-100, 4.2, 0.18), LinearTrio(0.637, 0.685, 0.185)], [2, 2])
+
+
+def test_a_margin_that_is_not_finite_is_no_verdict(ref_trios, monkeypatch):
+    # a nan sup once read as critical_boundary, and tau0's ratio loop returned its first rho
+    real = stability._weighted_gain
+    monkeypatch.setattr(stability, "_weighted_gain", lambda *a, **k: [math.nan * t for t in real(*a, **k)])
+    with pytest.raises(FloatingPointError, match=r"^the margin is nan at y = "):
+        multi_phase_margin(ref_trios, [8, 2])
+    with pytest.raises(FloatingPointError, match=r"^the margin is nan at y = "):
+        critical_penetration(*ref_trios)
 
 
 def test_log_gain_rejects_bad_arguments():
@@ -392,6 +435,47 @@ def test_margin_critical_points_match_the_grid_oracle():
     assert worst <= 1e-14
 
 
+def _recorded_critical_points(monkeypatch) -> list:
+    """A list that gets the classes of every ``_critical_points`` call."""
+    calls, points = [], stability._critical_points
+    monkeypatch.setattr(stability, "_critical_points", lambda classes: calls.append(classes) or points(classes))
+    return calls
+
+
+def assert_critical_points_match_the_roots_oracle(classes):
+    """The isolation's critical points at or past ``1e-12 y_top`` are ``np.roots``'s, one for one.
+
+    Each lies within 1e-9 relative of its match, or within the band where the float ``S'`` that
+    the polish steps on is rounding noise: ``eps sum_k |w_k H_k'|`` over ``|S''|``, four times.
+    Below ``1e-12 y_top`` rounding-noise roots differ on both sides, and the margins drop them.
+    """
+    y_top = max((g2 - c) / (1.0 + math.sqrt(1.0 + g2 / a2 * (g2 - c))) for a2, g2, c, _ in classes if g2 > c)
+    got = [y for y in stability._critical_points(classes) if y >= 1e-12 * y_top]
+    want = [y for y in critical_points_by_roots(classes) if y >= 1e-12 * y_top]
+    assert len(got) == len(want), (classes, got, want)
+    for y, ref in zip(got, want):
+        size = sum(abs(w * stability._class_gain(a2, g2, c, ref, False)[1]) for a2, g2, c, w in classes)
+        band = 4.0 * np.finfo(float).eps * size / abs(_weighted_gain(classes, ref)[2])
+        assert abs(y - ref) <= 1e-9 * ref + band, (classes, y, ref)
+
+
+def test_critical_points_match_the_roots_oracle_on_the_design_scan(monkeypatch):
+    # every margin of seeds 1-30: at the counts, each step of tau0's and tau1's ratio loops
+    calls = _recorded_critical_points(monkeypatch)
+    for comp, length in design_scan_scenarios(range(1, 31)):
+        eq = equilibrium_from_length(comp, length)
+        trios = [linearize(p.model, eq.h_bar[p.class_id], eq.v_bar) for p in comp.classes]
+        counts = [p.count for p in comp.classes]
+        multi_phase_margin(trios, counts)
+        critical_penetration(trios[0], trios[1])
+        if len(trios) > 2:
+            multi_phase_tau1(trios, [c / sum(counts[1:]) for c in counts[1:]])
+    assert len(calls) > 4000
+    monkeypatch.undo()
+    for classes in calls:
+        assert_critical_points_match_the_roots_oracle(classes)
+
+
 def test_zero_count_class_leaves_the_margin_alone():
     rng = np.random.default_rng(5)
     for _ in range(100):
@@ -582,6 +666,17 @@ def test_tau1_separates_margin_signs(mix):
 
     assert sup_at(tau1 - 1e-6) > 0.0
     assert sup_at(tau1 + 1e-6) < 0.0
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(stabilizable_mixes())
+def test_critical_points_match_the_roots_oracle_on_stabilizable_mixes(mix):
+    trios, rates = mix
+    tau1 = multi_phase_tau1(trios, rates)
+    for frac in (0.0, tau1, 0.5 * (1.0 + tau1)):
+        classes = _gain_classes(trios, [frac] + [(1.0 - frac) * r for r in rates])
+        if any(g2 > c for _, g2, c, _ in classes):
+            assert_critical_points_match_the_roots_oracle(classes)
 
 
 def assert_first_unstable(trios, rates, m):
